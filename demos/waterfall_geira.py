@@ -1,9 +1,9 @@
 """Waterfall of a (1024, 512) repeat-accumulate code under the three
 decoders, compared against the Singleton and Berlekamp bounds.
 
-Iterative peeling dies early (stopping sets), the hybrid decoder matches
-full ML at a fraction of the cost, and the ML curve rides close to the
-Berlekamp bound for the random ensemble. Trial counts are kept small so the
+Iterative peeling dies early (stopping sets), the hybrid decoder (ML
+decoding, which peels first) eliminates densely only over its pivots, and
+the ML curve rides close to the Berlekamp bound for the random ensemble. Trial counts are kept small so the
 script finishes in about a minute; crank target_errors/max_trials for
 smoother curves.
 """

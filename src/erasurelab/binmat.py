@@ -146,15 +146,6 @@ class DenseBinMatrix:
     def copy(self) -> "DenseBinMatrix":
         return DenseBinMatrix(self.rows, self.cols, self.row_words)
 
-    def transpose(self) -> "DenseBinMatrix":
-        out = [0] * self.cols
-        for i, w in enumerate(self.row_words):
-            while w:
-                j = (w & -w).bit_length() - 1
-                out[j] |= 1 << i
-                w &= w - 1
-        return DenseBinMatrix(self.cols, self.rows, out)
-
     def to_lists(self) -> list:
         return [[(w >> j) & 1 for j in range(self.cols)] for w in self.row_words]
 

@@ -55,7 +55,10 @@ def _resolve(args, parser):
                 continue
             action = actions[key]
             if action.type is not None:
-                val = action.type(val)
+                try:
+                    val = action.type(val)
+                except (argparse.ArgumentTypeError, ValueError) as exc:
+                    parser.error(f"config key {key!r}: {exc}")
             elif isinstance(action.default, bool):
                 val = val.lower() in ("1", "true", "yes")
             setattr(args, key, val)
@@ -77,6 +80,11 @@ class _TrackingParser(argparse.ArgumentParser):
         args._explicit = explicit
         return args
 
+    def error(self, message):
+        # subcommand parsers report under the program name too
+        self.print_usage(sys.stderr)
+        self.exit(2, f"erasurelab: error: {message}\n")
+
     def _subparser_actions(self):
         out = [self]
         for action in self._actions:
@@ -92,6 +100,8 @@ def _float_range(text):
         if len(parts) != 3:
             raise argparse.ArgumentTypeError("expected start:stop:step")
         a, b, step = (float(p) for p in parts)
+        if step <= 0 or b < a:
+            raise argparse.ArgumentTypeError(f"want start <= stop and step > 0, got {text!r}")
         count = int(round((b - a) / step)) + 1
         return [a + i * step for i in range(count)]
     return [float(p) for p in text.split(",")]
@@ -103,6 +113,13 @@ def _int_range(text):
         a, b = (int(p) for p in text.split(":"))
         return list(range(a, b + 1))
     return [int(p) for p in text.split(",")]
+
+
+def _workers(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"workers must be >= 1, got {n}")
+    return n
 
 
 def _pair(text):
@@ -257,7 +274,7 @@ def _make_parser():
     def sweep_flags(sp):
         sp.add_argument("--target-errors", type=int, default=100)
         sp.add_argument("--max-trials", type=int, default=100000)
-        sp.add_argument("--workers", type=int, default=1)
+        sp.add_argument("--workers", type=_workers, default=1)
 
     sp = subs.add_parser("construct", help="build a code and emit its file")
     common(sp)

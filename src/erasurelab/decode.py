@@ -1,10 +1,12 @@
 """BEC decoders: iterative peeling, structured-GE ML decoding with pivot
-inactivation, the hybrid (peel-then-ML) decoder, and the dense-GE oracle.
+inactivation, and the dense-GE oracle.
 
-The structured ML decoder triangularizes the erased-column submatrix by
-diagonal extension, inactivating a pivot whenever extension stalls, then
-rewrites every resolved unknown as an XOR of pivots (symbolic substitution
-ledger) and runs dense GE only on the small residual pivot system.
+Peeling and ML decoding share one loop over H's adjacency lists. The ML
+decoder peels until no check holds a single erased symbol, then inactivates
+a pivot, resumes the diagonal extension with every value written as an XOR
+of pivots plus a constant, and repeats; dense GE runs only on the small
+residual pivot system. The hybrid decoder (peel, then ML) is the same
+decoder under its older name.
 """
 
 from __future__ import annotations
@@ -86,24 +88,34 @@ class DecodeResult:
 
 @dataclass
 class TriangularizationState:
-    """Permuted block decomposition of the erased-column system.
+    """Peeling and inactivation state of a sparse GF(2) system.
 
-    ``resolved`` holds the diagonal-extension order; ``pivots`` the
-    inactivated unknowns; ``anchor[u]`` the row consumed to resolve u.
-    The substitution ledger (per-unknown pivot bitmask and constant bit)
-    plus ``aprime``/``rhs_prime`` are filled by reduce_to_aprime.
+    A value is an int whose bit 0 is a constant and whose bit i+1 is the
+    coefficient of pivot i: a known symbol is 0 or 1, a resolved unknown its
+    expression over the pivots. ``rowcnt[r]`` counts the unknowns row r still
+    holds and ``rowpar[r]`` is the XOR of the values of its other columns.
+    ``resolved`` holds the diagonal-extension order, ``pivots`` the
+    inactivated unknowns, and ``anchored[r]`` marks a row consumed to resolve
+    an unknown. reduce_to_aprime fills ``aprime``/``rhs_prime``.
     """
 
-    matrix: SparseBinMatrix
-    syndrome: BinVector
-    resolved: list
-    pivots: list
-    anchor: dict
-    remaining_rows: list
-    expr_masks: list = None  # per unknown, XOR-set over pivots as a bitmask
-    expr_consts: bytearray = None
+    row_adj: list
+    col_adj: list
+    columns: tuple  # the unknowns at the start, increasing (a range when fresh)
+    unknown: bytearray  # per column: 1 while neither resolved nor a pivot
+    rowcnt: list
+    rowpar: list
+    value: list  # per column
+    anchored: bytearray
+    resolved: list = field(default_factory=list)
+    pivots: list = field(default_factory=list)
     aprime: DenseBinMatrix = None
     rhs_prime: BinVector = None
+
+    @property
+    def left(self) -> int:
+        """Unknowns neither resolved nor inactivated."""
+        return len(self.columns) - len(self.resolved) - len(self.pivots)
 
 
 def split_by_erasure(code, word: ReceivedWord):
@@ -146,50 +158,65 @@ def split_by_erasure(code, word: ReceivedWord):
     return hkbar, BinVector(h.rows, syn_bits)
 
 
-def _peel_core(code, word: ReceivedWord):
-    """Shared peeling loop. Returns (known, is_unknown, remaining, peeled)."""
-    h = code.h
-    is_unknown = bytearray(word.n)
-    for c in word.erased:
-        is_unknown[c] = 1
-    known = [0] * word.n if word.values.bits == 0 else word.known_array()
-    rowcnt = [0] * h.rows
-    rowpar = [0] * h.rows
-    for r, cs in enumerate(h.row_adj):
-        par = 0
-        cnt = 0
-        for c in cs:
-            if is_unknown[c]:
-                cnt += 1
-            elif known[c]:
-                par ^= 1
-        rowcnt[r] = cnt
-        rowpar[r] = par
-
-    queue = deque(r for r in range(h.rows) if rowcnt[r] == 1)
-    peeled = 0
-    remaining = len(word.erased)
+def _extend(st: TriangularizationState, queue) -> None:
+    """Diagonal extension: resolve every unknown left alone in a queued row,
+    queueing the rows this leaves with a single unknown. This loop is the
+    whole peeling decoder."""
+    row_adj, col_adj, unknown = st.row_adj, st.col_adj, st.unknown
+    rowcnt, rowpar, value = st.rowcnt, st.rowpar, st.value
+    anchored, resolved = st.anchored, st.resolved
     while queue:
         r = queue.popleft()
         if rowcnt[r] != 1:
             continue
-        u = next(c for c in h.row_adj[r] if is_unknown[c])
-        val = rowpar[r]
-        known[u] = val
-        is_unknown[u] = 0
-        peeled += 1
-        remaining -= 1
-        for r2 in h.col_adj[u]:
+        for u in row_adj[r]:
+            if unknown[u]:
+                break
+        v = value[u] = rowpar[r]
+        unknown[u] = 0
+        anchored[r] = 1
+        resolved.append(u)
+        for r2 in col_adj[u]:
             rowcnt[r2] -= 1
-            if val:
-                rowpar[r2] ^= 1
+            rowpar[r2] ^= v
             if rowcnt[r2] == 1:
                 queue.append(r2)
 
-    for r in range(h.rows):
-        if rowcnt[r] == 0 and rowpar[r]:
+
+def _start(matrix, columns, rowpar, value) -> TriangularizationState:
+    """Peel matrix·x = rowpar over the unknown ``columns`` until no row holds
+    a single unknown. ``value`` holds the known symbols."""
+    col_adj = matrix.col_adj
+    unknown = bytearray(matrix.cols)
+    rowcnt = [0] * matrix.rows
+    for c in columns:
+        unknown[c] = 1
+        for r in col_adj[c]:
+            rowcnt[r] += 1
+    st = TriangularizationState(matrix.row_adj, col_adj, columns, unknown, rowcnt,
+                                rowpar, value, bytearray(matrix.rows))
+    _extend(st, deque(r for r, cnt in enumerate(rowcnt) if cnt == 1))
+    return st
+
+
+def _peel_core(code, word: ReceivedWord) -> TriangularizationState:
+    """Peel H over the erased positions of ``word``, the known symbols giving
+    the row parities."""
+    h = code.h
+    rowpar = [0] * h.rows
+    if word.values.bits:
+        known = word.known_array()
+        for c, v in enumerate(known):
+            if v:
+                for r in h.col_adj[c]:
+                    rowpar[r] ^= 1
+    else:
+        known = [0] * word.n
+    st = _start(h, word.erased, rowpar, known)
+    for r, (cnt, par) in enumerate(zip(st.rowcnt, rowpar)):
+        if par and not cnt:
             raise InconsistentInputError(f"check row {r} violated by known symbols")
-    return known, is_unknown, remaining, peeled
+    return st
 
 
 def peel_decode(code, word: ReceivedWord) -> DecodeResult:
@@ -197,132 +224,75 @@ def peel_decode(code, word: ReceivedWord) -> DecodeResult:
     word = _with_punctured(code, word)
     if not word.erased:
         return _finish(code, word, word.known_array(), DecodeStats())
-    known, is_unknown, remaining, peeled = _peel_core(code, word)
-    stats = DecodeStats(peeled=peeled)
-    if remaining:
-        residual = tuple(c for c in word.erased if is_unknown[c])
+    st = _peel_core(code, word)
+    stats = DecodeStats(peeled=len(st.resolved))
+    if st.left:
+        residual = tuple(c for c in word.erased if st.unknown[c])
         return DecodeResult("it_stall", residual=residual, stats=stats)
-    return _finish(code, word, known, stats)
+    return _finish(code, word, st.value, stats)
 
 
 def max_degree_pivot(unresolved, coldeg):
-    """Default inactivation strategy: max residual degree, lowest index ties."""
-    best = -1
-    best_deg = -1
-    for u in unresolved:
-        d = coldeg[u]
-        if d > best_deg or (d == best_deg and u < best):
-            best = u
-            best_deg = d
-    return best
+    """Default inactivation strategy: max residual degree, lowest index ties.
+    triangularize hands over ``unresolved`` in that order, so this is its
+    first unknown."""
+    return next(iter(unresolved))
 
 
-def triangularize(
-    hkbar: SparseBinMatrix, syndrome: BinVector, pivot_strategy=max_degree_pivot
-) -> TriangularizationState:
+def triangularize(system, syndrome, pivot_strategy=max_degree_pivot) -> TriangularizationState:
     """Greedy diagonal extension with pivot inactivation on stalls.
 
+    ``system`` is a SparseBinMatrix whose columns are all unknown, with
+    right-hand side ``syndrome``, or the state of a stalled peel (``syndrome``
+    None), which the ML decoder continues rather than peeling again.
     Terminates with every unknown either resolved (lower-triangular part)
     or designated a pivot for the dense stage.
+
+    ``pivot_strategy(unresolved, coldeg)`` is called once per pivot and
+    returns a key of ``unresolved``: a dict of the unresolved unknowns,
+    ordered by decreasing residual degree (the number of unanchored rows
+    holding the unknown), then increasing index. ``coldeg[u]`` is u's
+    residual degree. The order holds for the whole decode: a row is anchored
+    only by the one unresolved unknown it still holds, so the residual degree
+    of an unresolved unknown is its column weight.
     """
-    nrows, ncols = hkbar.rows, hkbar.cols
-    UNRESOLVED, RESOLVED, PIVOT = 0, 1, 2
-    status = bytearray(ncols)
-    active = bytearray([1]) * nrows
-    row_adj, col_adj = hkbar.row_adj, hkbar.col_adj
-    # unresolved (non-pivot) unknowns per active row; active rows per column
-    rowcnt = [len(cs) for cs in row_adj]
-    coldeg = [len(rs) for rs in col_adj]
-    unresolved = set(range(ncols))
-    resolved = []
-    pivots = []
-    anchor = {}
-    queue = deque(r for r in range(nrows) if rowcnt[r] == 1)
-
-    def retire_unknown(u):
-        # u leaves the unresolved pool; shrink row counters
-        for r in col_adj[u]:
-            if active[r]:
-                rowcnt[r] -= 1
-                if rowcnt[r] == 1:
-                    queue.append(r)
-
+    if isinstance(system, TriangularizationState):
+        st = system
+    else:
+        st = _start(system, range(system.cols), syndrome.to_list(), [0] * system.cols)
+    col_adj, rowcnt, rowpar = st.col_adj, st.rowcnt, st.rowpar
+    resolved, pivots = st.resolved, st.pivots
+    coldeg = {u: len(col_adj[u]) for u in st.columns if st.unknown[u]}
+    unresolved = dict.fromkeys(sorted(coldeg, key=lambda u: -coldeg[u]))
     while unresolved:
-        while queue:
-            r = queue.popleft()
-            if not active[r] or rowcnt[r] != 1:
-                continue
-            for c in row_adj[r]:
-                if status[c] == UNRESOLVED:
-                    u = c
-                    break
-            status[u] = RESOLVED
-            unresolved.discard(u)
-            anchor[u] = r
-            resolved.append(u)
-            active[r] = 0
-            for c in row_adj[r]:
-                coldeg[c] -= 1
-            retire_unknown(u)
-        if not unresolved:
-            break
-        u = pivot_strategy(unresolved, coldeg)
-        status[u] = PIVOT
-        unresolved.discard(u)
-        pivots.append(u)
-        retire_unknown(u)
-
-    remaining = [r for r in range(nrows) if active[r]]
-    return TriangularizationState(
-        hkbar, syndrome, resolved, pivots, anchor, remaining
-    )
+        p = pivot_strategy(unresolved, coldeg)
+        del unresolved[p]
+        v = st.value[p] = 2 << len(pivots)
+        st.unknown[p] = 0
+        pivots.append(p)
+        queue = deque()
+        for r in col_adj[p]:
+            rowcnt[r] -= 1
+            rowpar[r] ^= v
+            if rowcnt[r] == 1:
+                queue.append(r)
+        done = len(resolved)
+        _extend(st, queue)
+        for u in resolved[done:]:
+            del unresolved[u]
+    return st
 
 
 def reduce_to_aprime(state: TriangularizationState):
-    """Rewrite every resolved unknown as XOR of pivots plus a constant, then
-    express the remaining check rows purely over pivots: A'·pivots = rhs'."""
-    ncols = state.matrix.cols
-    pid = [-1] * ncols
-    for i, p in enumerate(state.pivots):
-        pid[p] = i
-    masks = [0] * ncols
-    consts = bytearray(ncols)
-    radj = state.matrix.row_adj
-    syn_bits = state.syndrome.bits
-    anchor = state.anchor
-    for u in state.resolved:
-        r = anchor[u]
-        mask = 0
-        const = (syn_bits >> r) & 1
-        for c in radj[r]:
-            if c == u:
-                continue
-            i = pid[c]
-            if i >= 0:
-                mask ^= 1 << i
-            else:
-                mask ^= masks[c]
-                const ^= consts[c]
-        masks[u] = mask
-        consts[u] = const
-
+    """Gather the unanchored rows, each now an equation over the pivots
+    alone: A'·pivots = rhs'."""
     arows = []
     rhs_bits = 0
-    for i, r in enumerate(state.remaining_rows):
-        mask = 0
-        const = (syn_bits >> r) & 1
-        for c in radj[r]:
-            j = pid[c]
-            if j >= 0:
-                mask ^= 1 << j
-            else:
-                mask ^= masks[c]
-                const ^= consts[c]
-        arows.append(mask)
-        if const:
-            rhs_bits |= 1 << i
-    state.expr_masks = masks
-    state.expr_consts = consts
+    for anchored, par in zip(state.anchored, state.rowpar):
+        if not anchored:
+            if par & 1:
+                rhs_bits |= 1 << len(arows)
+            arows.append(par >> 1)
     state.aprime = DenseBinMatrix(len(arows), len(state.pivots), arows)
     state.rhs_prime = BinVector(len(arows), rhs_bits)
     return state.aprime, state.rhs_prime
@@ -339,54 +309,36 @@ def solve_pivots(aprime: DenseBinMatrix, rhs_prime: BinVector):
 
 
 def back_substitute(state: TriangularizationState, pivot_values: BinVector) -> dict:
-    """Assign all unknowns from the solved pivots via the substitution ledger."""
-    values = {}
-    pbits = pivot_values.bits
-    for i, p in enumerate(state.pivots):
-        values[p] = (pbits >> i) & 1
-    masks, consts = state.expr_masks, state.expr_consts
-    for u in state.resolved:
-        values[u] = consts[u] ^ ((masks[u] & pbits).bit_count() & 1)
-    return values
+    """Assign all unknowns from the solved pivots by evaluating their values."""
+    bits = pivot_values.bits << 1 | 1
+    value = state.value
+    return {u: (value[u] & bits).bit_count() & 1 for u in state.pivots + state.resolved}
 
 
 def ml_decode(code, word: ReceivedWord, pivot_strategy=max_degree_pivot) -> DecodeResult:
-    """Structured-GE ML decoding; succeeds iff the erased columns of H are
+    """Structured-GE ML decoding: peel, and on a stall inactivate pivots and
+    solve for them by dense GE. Succeeds iff the erased columns of H are
     linearly independent, exactly matching oracle_decode."""
     word = _with_punctured(code, word)
     if not word.erased:
         return _finish(code, word, word.known_array(), DecodeStats())
-    hkbar, syndrome = split_by_erasure(code, word)
-    state = triangularize(hkbar, syndrome, pivot_strategy)
-    reduce_to_aprime(state)
-    pivot_values, ge_rank = solve_pivots(state.aprime, state.rhs_prime)
-    stats = DecodeStats(
-        peeled=len(state.resolved),
-        pivots=len(state.pivots),
-        ge_dim=len(state.pivots),
-        system_shape=(hkbar.rows, hkbar.cols),
-    )
-    if pivot_values is None:
-        return DecodeResult("rank_deficient", rank=ge_rank + len(state.resolved), stats=stats)
-    local = back_substitute(state, pivot_values)
-    known = word.known_array()
-    for li, pos in enumerate(word.erased):
-        known[pos] = local[li]
-    return _finish(code, word, known, stats)
+    st = _peel_core(code, word)
+    if st.left:
+        triangularize(st, None, pivot_strategy)
+        reduce_to_aprime(st)
+        pivot_values, ge_rank = solve_pivots(st.aprime, st.rhs_prime)
+    npiv = len(st.pivots)
+    stats = DecodeStats(len(st.resolved), npiv, npiv, (code.h.rows, len(word.erased)))
+    if npiv:
+        if pivot_values is None:
+            return DecodeResult("rank_deficient", rank=ge_rank + len(st.resolved), stats=stats)
+        for u, bit in back_substitute(st, pivot_values).items():
+            st.value[u] = bit
+    return _finish(code, word, st.value, stats)
 
 
-def hybrid_decode(code, word: ReceivedWord, pivot_strategy=max_degree_pivot) -> DecodeResult:
-    """Peel first; on a stall, ML-decode the residual stopping set with the
-    partially updated syndrome. Success set identical to ml_decode."""
-    word = _with_punctured(code, word)
-    first = peel_decode(code, word)
-    if first.status != "it_stall":
-        return first
-    # peeled values become known symbols; ML runs on the residual stopping set
-    peeled_word, peeled_count = _peel_values(code, word)
-    res = ml_decode(code, peeled_word, pivot_strategy)
-    res.stats.peeled += peeled_count
-    return res
+# ML decoding peels first, so the hybrid decoder is the ML decoder.
+hybrid_decode = ml_decode
 
 
 def oracle_decode(code, word: ReceivedWord) -> DecodeResult:
@@ -425,14 +377,6 @@ def _with_punctured(code, word: ReceivedWord) -> ReceivedWord:
     known = word.known_array()
     bits = [known[i] for i in range(word.n) if i not in merged]
     return ReceivedWord(word.n, BinVector.from_bits(bits), tuple(sorted(merged)))
-
-
-def _peel_values(code, word: ReceivedWord):
-    """Run peeling and return a word where peeled positions became known."""
-    known, is_unknown, _, peeled = _peel_core(code, word)
-    residual = tuple(c for c in word.erased if is_unknown[c])
-    bits = [known[i] for i in range(word.n) if not is_unknown[i]]
-    return ReceivedWord(word.n, BinVector.from_bits(bits), residual), peeled
 
 
 def _finish(code, word: ReceivedWord, known, stats: DecodeStats) -> DecodeResult:

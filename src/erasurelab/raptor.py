@@ -304,7 +304,12 @@ class RaptorCode:
                 f"A(1..k) is singular (rank {out.rank}); pick a systematic seed"
             )
         self.a_k_inv = out.solution
-        self.lt_rows = [_lt_row(params, esi) for esi in range(1, params.n + 1)]
+        self.lt_cols = [lt_tuple(esi, params).indices for esi in range(1, params.n + 1)]
+        self.lt_rows = [sum(1 << i for i in cols) for cols in self.lt_cols]
+        # the pre-code rows that head every received system
+        self.precode_rows = _precode_rows(params, self.gl, self.gh)
+        self.precode_sparse = SparseBinMatrix.from_dense(
+            DenseBinMatrix(len(self.precode_rows), params.L, self.precode_rows))
 
     @classmethod
     def build(cls, k: int, n: int, seed: int = 0) -> "RaptorCode":
@@ -352,20 +357,31 @@ class RaptorCode:
                 bits |= 1 << i
         return BinVector(self.params.k, bits)
 
-    def _received_system(self, received):
+    def _received_rhs(self, received) -> BinVector:
+        """Check the ESIs; return the right-hand side [0; E] of A(i1..ir) F."""
         esis = [e for e, _ in received]
         if len(set(esis)) != len(esis):
             raise ValueError("duplicate ESIs")
-        rows = _precode_rows(self.params, self.gl, self.gh)
         rhs_bits = 0
         base = self.params.s + self.params.h
         for i, (esi, sym) in enumerate(received):
             if not 1 <= esi <= self.params.n:
                 raise ValueError(f"ESI {esi} outside 1..{self.params.n}")
-            rows.append(self.lt_rows[esi - 1])
             if sym:
                 rhs_bits |= 1 << (base + i)
-        return rows, BinVector(len(rows), rhs_bits)
+        return BinVector(base + len(received), rhs_bits)
+
+    def _structured_system(self, received):
+        """A(i1..ir) as a sparse matrix over the cached adjacency lists, and
+        its right-hand side."""
+        rhs = self._received_rhs(received)
+        pre = self.precode_sparse
+        row_adj = pre.row_adj + [self.lt_cols[esi - 1] for esi, _ in received]
+        col_adj = [rs[:] for rs in pre.col_adj]
+        for r in range(pre.rows, len(row_adj)):
+            for c in row_adj[r]:
+                col_adj[c].append(r)
+        return SparseBinMatrix._raw(len(row_adj), self.params.L, row_adj, col_adj), rhs
 
     def decode(self, received) -> "RaptorDecodeResult":
         """Dense-GE ML decoding of A(i1..ir) F = [0; E]."""
@@ -373,7 +389,8 @@ class RaptorCode:
         if r < self.params.k:
             return RaptorDecodeResult("insufficient", rank=None,
                                       system_shape=(self.params.s + self.params.h + r, self.params.L))
-        rows, rhs = self._received_system(received)
+        rhs = self._received_rhs(received)
+        rows = self.precode_rows + [self.lt_rows[esi - 1] for esi, _ in received]
         a = DenseBinMatrix(len(rows), self.params.L, rows)
         out = dense_gauss_solve(a, rhs)
         shape = (a.rows, a.cols)
@@ -391,20 +408,16 @@ class RaptorCode:
         shape = (self.params.s + self.params.h + r, self.params.L)
         if r < self.params.k:
             return RaptorDecodeResult("insufficient", rank=None, system_shape=shape)
-        rows, rhs = self._received_system(received)
-        sparse = SparseBinMatrix(len(rows), self.params.L,
-                                 [_word_cols(w) for w in rows])
-        state = _decode.triangularize(sparse, rhs)
+        state = _decode.triangularize(*self._structured_system(received))
         _decode.reduce_to_aprime(state)
         pivot_values, ge_rank = _decode.solve_pivots(state.aprime, state.rhs_prime)
         stats = dict(peeled=len(state.resolved), pivots=len(state.pivots))
         if pivot_values is None:
             return RaptorDecodeResult("rank_deficient", rank=ge_rank + len(state.resolved),
                                       system_shape=shape, **stats)
-        values = _decode.back_substitute(state, pivot_values)
         fbits = 0
-        for i in range(self.params.L):
-            if values[i]:
+        for i, bit in _decode.back_substitute(state, pivot_values).items():
+            if bit:
                 fbits |= 1 << i
         f = BinVector(self.params.L, fbits)
         return RaptorDecodeResult("success", c=self._recover_c(f), f=f,
@@ -444,14 +457,6 @@ def symbols_from_text(text: str) -> list:
         esi, sym = line.split()
         out.append((int(esi), int(sym, 16)))
     return out
-
-
-def _word_cols(w: int) -> list:
-    cs = []
-    while w:
-        cs.append((w & -w).bit_length() - 1)
-        w &= w - 1
-    return cs
 
 
 def _slice_cols(m: DenseBinMatrix, lo: int, hi: int) -> DenseBinMatrix:

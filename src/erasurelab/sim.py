@@ -72,11 +72,12 @@ def wilson_halfwidth(errors: int, trials: int, z: float = 1.959964) -> float:
     return z * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials)) / denom
 
 
-def run_trial(code, decoder: str, channel: ChannelModel, rng) -> tuple:
-    """One channel realization + decode. Returns (success, pivots, ge_dim)."""
+def run_trial(code, decoder: str, channel: ChannelModel, rng, zero_codeword=True) -> tuple:
+    """One channel realization + decode. Returns (success, pivots, ge_dim).
+    ``zero_codeword`` applies to LDPC codes; Raptor always draws random input."""
     if isinstance(code, RaptorCode):
         return _raptor_trial(code, decoder, channel, rng)
-    return _ldpc_trial(code, decoder, channel, rng, zero_codeword=True)
+    return _ldpc_trial(code, decoder, channel, rng, zero_codeword)
 
 
 def _ldpc_trial(code: LdpcCode, decoder, channel, rng, zero_codeword=True):
@@ -98,7 +99,7 @@ def _ldpc_trial(code: LdpcCode, decoder, channel, rng, zero_codeword=True):
     word = ReceivedWord.from_full(cw, erased)
     fn = {"it": peel_decode, "ml": ml_decode, "hybrid": hybrid_decode}[decoder]
     res = fn(code, word)
-    return res.ok, res.stats.pivots, res.stats.ge_dim
+    return res.ok and res.recovered == cw, res.stats.pivots, res.stats.ge_dim
 
 
 def _raptor_trial(code: RaptorCode, decoder, channel, rng):
@@ -121,14 +122,8 @@ def _raptor_trial(code: RaptorCode, decoder, channel, rng):
 
 
 def _trial_block(code, decoder, channel, seed, point_idx, t0, t1, zero_codeword):
-    out = []
-    for t in range(t0, t1):
-        rng = np.random.default_rng((seed, point_idx, t))
-        if isinstance(code, RaptorCode):
-            out.append(_raptor_trial(code, decoder, channel, rng))
-        else:
-            out.append(_ldpc_trial(code, decoder, channel, rng, zero_codeword))
-    return out
+    return [run_trial(code, decoder, channel, np.random.default_rng((seed, point_idx, t)),
+                      zero_codeword) for t in range(t0, t1)]
 
 
 def run_point(plan: SimPlan, point_idx: int, value, executor=None) -> SimRecord:

@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -26,3 +28,41 @@ def hamming74():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def full_scan_triangularize(hkbar):
+    """Reference inactivation: diagonal extension, and on each stall a scan
+    of every unresolved unknown for the highest residual degree (lowest
+    index on ties). Returns (resolved, pivots)."""
+    row_adj, col_adj = hkbar.row_adj, hkbar.col_adj
+    rowcnt = [len(cs) for cs in row_adj]
+    coldeg = [len(rs) for rs in col_adj]
+    active = [True] * hkbar.rows
+    unresolved = set(range(hkbar.cols))
+    resolved, pivots = [], []
+    queue = deque(r for r in range(hkbar.rows) if rowcnt[r] == 1)
+
+    def retire(u):
+        unresolved.discard(u)
+        for r in col_adj[u]:
+            if active[r]:
+                rowcnt[r] -= 1
+                if rowcnt[r] == 1:
+                    queue.append(r)
+
+    while unresolved:
+        while queue:
+            r = queue.popleft()
+            if not active[r] or rowcnt[r] != 1:
+                continue
+            u = next(c for c in row_adj[r] if c in unresolved)
+            resolved.append(u)
+            active[r] = False
+            for c in row_adj[r]:
+                coldeg[c] -= 1
+            retire(u)
+        if unresolved:
+            u = min(unresolved, key=lambda c: (-coldeg[c], c))
+            pivots.append(u)
+            retire(u)
+    return resolved, pivots

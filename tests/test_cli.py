@@ -113,3 +113,24 @@ def test_replay_byte_identical(tmp_path, capsys):
     _, a = run_cli(args, capsys)
     _, b = run_cli(args, capsys)
     assert a == b
+
+
+@pytest.mark.parametrize("args, config", [
+    (["bounds", "--n", "64", "--k", "32", "--eps", "0.1:0.2:0"], None),
+    (["bounds", "--n", "64", "--k", "32", "--eps", "0.2:0.1:-0.05"], None),
+    (["bounds", "--n", "64", "--k", "32", "--eps", "0.2:0.1:0.05"], None),
+    (["bounds", "--n", "64", "--k", "32"], "eps=0.1:0.2:0\n"),
+    (["raptor-sim", "--k", "16", "--n", "32", "--delta", "16", "--workers", "0"], None),
+    (["raptor-sim", "--k", "16", "--n", "32", "--delta", "16"], "workers=0\n"),
+], ids=["step-zero", "step-negative", "stop-below-start", "step-config", "workers-flag", "workers-config"])
+def test_bad_range_is_a_usage_error(tmp_path, capsys, args, config):
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        args = args + ["--config", str(cfg)]
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("erasurelab: error: ")
+    assert "Traceback" not in captured.err

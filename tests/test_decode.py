@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import code_from_rows, random_vector
+from conftest import code_from_rows, full_scan_triangularize, random_vector
+from erasurelab import decode
 from erasurelab.binmat import BinVector
 from erasurelab.decode import (
     InconsistentInputError,
@@ -9,6 +12,7 @@ from erasurelab.decode import (
     back_substitute,
     hybrid_decode,
     is_stopping_set,
+    max_degree_pivot,
     ml_decode,
     oracle_decode,
     peel_decode,
@@ -229,3 +233,90 @@ def test_erasure_of_nothing_is_identity(hamming74):
     for fn in (peel_decode, ml_decode, hybrid_decode):
         res = fn(hamming74, ReceivedWord.from_full(cw, []))
         assert res.ok and res.recovered == cw
+
+
+def _random_code(rng, rows, cols, density):
+    h = rng.random((rows, cols)) < density
+    h[rng.integers(rows, size=cols), np.arange(cols)] = True  # no empty column
+    return code_from_rows(h.astype(int).tolist())
+
+
+def _seeded_systems():
+    from erasurelab.ldpc import GeiraSpec, build_geira, sample_regular
+
+    rng = np.random.default_rng(2024)
+    geira = build_geira(GeiraSpec(k=512, n=1024, taps=frozenset({0, 1, 4, 10, 20}),
+                                  wc=5, seed=7))
+    regular = sample_regular(3, 6, 1024, seed=3)
+    for code, epsilons, count in ((geira, (0.40, 0.46), 25),
+                                  (regular, (0.38, 0.44, 0.48), 25)):
+        for eps in epsilons:
+            for _ in range(count):
+                yield code, np.flatnonzero(rng.random(code.n) < eps).tolist()
+    for _ in range(200):
+        code = _random_code(rng, int(rng.integers(2, 9)), int(rng.integers(2, 13)), 0.35)
+        yield code, np.flatnonzero(rng.random(code.n) < 0.6).tolist()
+
+
+def test_fixed_pivot_order_matches_full_scan():
+    """Both routes into triangularize, the split erased submatrix and the
+    ML decoder's stalled peel, resolve and inactivate exactly the unknowns,
+    in exactly the order, of a scan over every unresolved unknown."""
+    checked = 0
+    for code, erased in _seeded_systems():
+        w = ReceivedWord.from_full(BinVector(code.n), erased)
+        hk, syn = split_by_erasure(code, w)
+        ref_resolved, ref_pivots = full_scan_triangularize(hk)
+        fresh = triangularize(hk, syn)
+        assert (fresh.resolved, fresh.pivots) == (ref_resolved, ref_pivots)
+        peeled = decode._peel_core(code, w)
+        if peeled.left:
+            triangularize(peeled, None)
+        local = {c: i for i, c in enumerate(w.erased)}
+        assert [local[u] for u in peeled.resolved] == ref_resolved
+        assert [local[u] for u in peeled.pivots] == ref_pivots
+        checked += bool(ref_pivots)
+    assert checked > 150  # most systems need pivots
+
+
+def test_pivot_strategy_called_once_per_pivot():
+    # column weights 2, 3, 3 and no check with a single erased symbol
+    code = code_from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1], [0, 1, 1]])
+    calls = []
+
+    def strategy(unresolved, coldeg):
+        calls.append((list(unresolved), {u: coldeg[u] for u in unresolved}))
+        return max_degree_pivot(unresolved, coldeg)
+
+    res = ml_decode(code, word(code, [0, 0, 0], [0, 1, 2]), strategy)
+    assert len(calls) == res.stats.pivots == 1
+    assert calls[0] == ([1, 2, 0], {0: 2, 1: 3, 2: 3})
+
+
+@st.composite
+def _codeword_and_erasures(draw):
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(2, 10))
+    bits = draw(st.lists(st.lists(st.integers(0, 1), min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    for c in range(cols):  # every column of H must be nonzero
+        if not any(row[c] for row in bits):
+            bits[draw(st.integers(0, rows - 1))][c] = 1
+    code = code_from_rows(bits)
+    u = draw(st.integers(min(code.k, 1), (1 << code.k) - 1))  # nonzero when k > 0
+    erased = draw(st.sets(st.integers(0, cols - 1)))
+    return code, u, sorted(erased)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_codeword_and_erasures())
+def test_ml_matches_oracle_on_random_codewords(case):
+    from erasurelab.ldpc import encode
+
+    code, u, erased = case
+    cw = encode(code, BinVector(code.k, u))
+    w = ReceivedWord.from_full(cw, erased)
+    a, b = ml_decode(code, w), oracle_decode(code, w)
+    assert a.status == b.status
+    if a.ok:
+        assert a.recovered == b.recovered == cw

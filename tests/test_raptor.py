@@ -3,8 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_vector
-from erasurelab.binmat import BinVector, DenseBinMatrix, mul, mul_vec, rank, submatrix_rows
+from conftest import full_scan_triangularize, random_vector
+from erasurelab.binmat import (
+    BinVector,
+    DenseBinMatrix,
+    SparseBinMatrix,
+    mul,
+    mul_vec,
+    rank,
+    submatrix_rows,
+)
+from erasurelab.decode import triangularize
 from erasurelab.raptor import (
     RaptorCode,
     RaptorParams,
@@ -214,3 +223,51 @@ def test_params_validation():
         RaptorParams(k=2, s=3, h=4, n=8)
     with pytest.raises(ValueError):
         derive_params(10, n=5)  # n < k
+
+
+@pytest.fixture(scope="module")
+def code64():
+    return RaptorCode.build(64, 128, seed=0)
+
+
+def _received(code, rng, delta):
+    p = code.params
+    e = code.encode(random_vector(p.k, rng))
+    esis = (rng.choice(p.n, size=p.k + delta, replace=False) + 1).tolist()
+    return [(esi, e[esi - 1]) for esi in esis]
+
+
+def test_structured_system_pivots_match_full_scan(code64):
+    """The cached-adjacency system inactivates the same pivots as a full scan
+    over A(i1..ir) assembled by build_A."""
+    rng = np.random.default_rng(11)
+    p = code64.params
+    for delta in (0, 2, 10, 64):
+        for _ in range(25):
+            received = _received(code64, rng, delta)
+            a = build_A(p, [esi for esi, _ in received], code64.gl, code64.gh)
+            ref = full_scan_triangularize(SparseBinMatrix.from_dense(a))
+            st = triangularize(*code64._structured_system(received))
+            assert (st.resolved, st.pivots) == ref
+
+
+def test_structured_matches_dense_at_low_overhead(code64):
+    rng = np.random.default_rng(5)
+    statuses = set()
+    for delta in (0, 0, 1, 3):
+        for _ in range(25):
+            received = _received(code64, rng, delta)
+            a = code64.decode(received)
+            b = code64.decode_structured(received)
+            assert (a.status, a.rank) == (b.status, b.rank)
+            assert a.c == b.c and a.f == b.f
+            statuses.add(a.status)
+    assert statuses == {"success", "rank_deficient"}
+
+
+@pytest.mark.parametrize("esis", [[1, 2, 2], [0, 1, 2], [1, 2, 33]])
+def test_bad_esis_rejected(code16, esis):
+    received = [(esi, 0) for esi in esis] + [(esi, 0) for esi in range(3, 19)]
+    for decoder in (code16.decode, code16.decode_structured):
+        with pytest.raises(ValueError):
+            decoder(received)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from erasurelab import sim
+from erasurelab.binmat import BinVector
+from erasurelab.decode import DecodeResult
 from erasurelab.ldpc import sample_regular
 from erasurelab.raptor import RaptorCode
 from erasurelab.sim import (
@@ -114,3 +117,18 @@ def test_raptor_it_rejected():
     with pytest.raises(ValueError):
         run_trial(code, "it", ChannelModel("bec", epsilon=0.1),
                   np.random.default_rng(0))
+
+
+def test_wrong_recovered_word_counts_as_error(small_code, monkeypatch):
+    # a decoder that claims success with the all-zero word
+    zero = BinVector(small_code.n)
+    monkeypatch.setattr(sim, "ml_decode",
+                        lambda code, word: DecodeResult("success", recovered=zero))
+    ch = ChannelModel("bec", epsilon=0.1)
+    ok, _, _ = run_trial(small_code, "ml", ch, np.random.default_rng(1), zero_codeword=True)
+    assert ok
+    ok, _, _ = run_trial(small_code, "ml", ch, np.random.default_rng(1), zero_codeword=False)
+    assert not ok
+    plan = SimPlan(code=small_code, decoder="ml", channel_kind="bec", sweep=[0.1],
+                   target_errors=10**6, max_trials=20, seed=1, zero_codeword=False)
+    assert run_sweep(plan)[0].errors == 20
