@@ -98,16 +98,22 @@ def _de_converges(dist: DegreeDistribution, eps: float,
     return x < cutoff
 
 
-def it_threshold(dist: DegreeDistribution, tol: float = 1e-5) -> float:
-    """Supremum erasure probability for which density evolution converges."""
+def _bisect(converges, tol: float) -> float:
+    """Supremum, to within ``tol``, of the eps in [0, 1] where
+    ``converges(eps)`` holds, for a predicate that holds below some point."""
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _de_converges(dist, mid):
+        if converges(mid):
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def it_threshold(dist: DegreeDistribution, tol: float = 1e-5) -> float:
+    """Supremum erasure probability for which density evolution converges."""
+    return _bisect(lambda eps: _de_converges(dist, eps), tol)
 
 
 def _find_bp(dist: DegreeDistribution):
@@ -145,24 +151,30 @@ def exit_curve(dist: DegreeDistribution, grid: int = 100001) -> ExitCurve:
     return ExitCurve(xs, p_a, p_e, x_bp, eps_bp)
 
 
-def ml_threshold_bound(dist: DegreeDistribution, grid: int = 100001):
-    """Area-theorem upper bound p_A* on the ML threshold: the abscissa where
-    the area under the IT EXIT curve, from p_A* to 1, equals the rate."""
-    curve = exit_curve(dist, grid)
-    r = dist.rate
-    p_a, p_e = curve.p_a, curve.p_e
+def _area_crossing(p_a, p_e, r: float):
+    """The abscissa where the area under the EXIT curve (p_a increasing),
+    from it to 1, equals ``r``; None when the whole area falls short."""
     seg = 0.5 * (p_e[1:] + p_e[:-1]) * np.diff(p_a)
     tail = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])  # area from p_a[i] to 1
     if tail[0] < r:
-        return curve.eps_bp, True
+        return None
     # first index where remaining area drops below R, then local linear solve
     idx = int(np.searchsorted(-tail, -r))
     if idx == 0:
-        return float(p_a[0]), False
+        return float(p_a[0])
     a0, a1 = tail[idx - 1], tail[idx]
     x0, x1 = p_a[idx - 1], p_a[idx]
     frac = (a0 - r) / (a0 - a1) if a0 > a1 else 0.0
-    return float(x0 + frac * (x1 - x0)), False
+    return float(x0 + frac * (x1 - x0))
+
+
+def ml_threshold_bound(dist: DegreeDistribution, grid: int = 100001):
+    """Area-theorem upper bound p_A* on the ML threshold: the abscissa where
+    the area under the IT EXIT curve, from p_A* to 1, equals the rate.
+    Returns (bound, degenerate); a degenerate bound is the IT threshold."""
+    curve = exit_curve(dist, grid)
+    x = _area_crossing(curve.p_a, curve.p_e, dist.rate)
+    return (curve.eps_bp, True) if x is None else (x, False)
 
 
 def threshold_report(dist: DegreeDistribution) -> ThresholdReport:
@@ -216,14 +228,7 @@ def protograph_de(p: Protograph, eps: float, cutoff: float = 1e-9) -> bool:
 
 
 def protograph_it_threshold(p: Protograph, tol: float = 1e-4) -> float:
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if protograph_de(p, mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda eps: protograph_de(p, eps), tol)
 
 
 def protograph_exit_curve(p: Protograph, grid: int = 2001):
@@ -244,18 +249,8 @@ def protograph_ml_bound(p: Protograph, grid: int = 2001):
     """Area-theorem bound for a protograph ensemble, rate over transmitted
     positions only."""
     pas, pes = protograph_exit_curve(p, grid)
-    r = p.design_rate
-    seg = 0.5 * (pes[1:] + pes[:-1]) * np.diff(pas)
-    tail = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
-    if tail[0] < r:
-        return float(pas[0]), True
-    idx = int(np.searchsorted(-tail, -r))
-    if idx == 0:
-        return float(pas[0]), False
-    a0, a1 = tail[idx - 1], tail[idx]
-    x0, x1 = pas[idx - 1], pas[idx]
-    frac = (a0 - r) / (a0 - a1) if a0 > a1 else 0.0
-    return float(x0 + frac * (x1 - x0)), False
+    x = _area_crossing(pas, pes, p.design_rate)
+    return (float(pas[0]), True) if x is None else (x, False)
 
 
 # --- finite-length bounds ---------------------------------------------------
@@ -279,10 +274,16 @@ def _logsumexp(terms) -> float:
     return m + math.log(sum(math.exp(t - m) for t in terms))
 
 
-def singleton_bound(n: int, k: int, eps: float) -> float:
-    """CER of an ideal MDS code: failure iff more than n-k erasures."""
+def _check_code_point(n: int, k: int, eps: float) -> None:
+    if not 0 <= k <= n:
+        raise ValueError(f"want 0 <= k <= n, got n={n}, k={k}")
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0, 1]")
+
+
+def singleton_bound(n: int, k: int, eps: float) -> float:
+    """CER of an ideal MDS code: failure iff more than n-k erasures."""
+    _check_code_point(n, k, eps)
     terms = [_log_term(n, i, eps) for i in range(n - k + 1, n + 1)]
     return min(1.0, math.exp(_logsumexp(terms))) if terms else 0.0
 
@@ -290,8 +291,7 @@ def singleton_bound(n: int, k: int, eps: float) -> float:
 def berlekamp_bound(n: int, k: int, eps: float) -> float:
     """Average CER upper bound for the random (n,k) ensemble: the MDS tail
     plus rank-deficiency terms weighted by 2^-(n-k-i)."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("eps must lie in [0, 1]")
+    _check_code_point(n, k, eps)
     ln2 = math.log(2.0)
     terms = [_log_term(n, i, eps) - (n - k - i) * ln2 for i in range(0, n - k + 1)]
     terms += [_log_term(n, i, eps) for i in range(n - k + 1, n + 1)]

@@ -70,6 +70,10 @@ class BinVector:
     def to_list(self) -> list:
         return [(self.bits >> i) & 1 for i in range(self.n)]
 
+    def ones(self) -> list:
+        """Positions of the set bits, increasing."""
+        return [i for i, ch in enumerate(bin(self.bits)[:1:-1]) if ch == "1"]
+
     def copy(self) -> "BinVector":
         return BinVector(self.n, self.bits)
 
@@ -229,6 +233,32 @@ class SolveOutcome:
         return self.consistent and not self.free_cols
 
 
+def _gauss_jordan(rows: list, ncols: int) -> list:
+    """Gauss-Jordan elimination, in place, over the low ``ncols`` bits of the
+    packed ``rows``; bits above them ride along as an augmented part. Returns
+    the pivot columns: afterwards row i is the only row holding column
+    ``pivots[i]``, and the rows past the last pivot are zero below ``ncols``."""
+    nr = len(rows)
+    pivots = []
+    for col in range(ncols):
+        prow = len(pivots)
+        if prow == nr:
+            break
+        bit = 1 << col
+        for sel in range(prow, nr):
+            if rows[sel] & bit:
+                break
+        else:
+            continue
+        rows[prow], rows[sel] = rows[sel], rows[prow]
+        pw = rows[prow]
+        for r in range(nr):
+            if r != prow and rows[r] & bit:
+                rows[r] ^= pw
+        pivots.append(col)
+    return pivots
+
+
 def dense_gauss_solve(m: DenseBinMatrix, rhs) -> SolveOutcome:
     """Brute-force Gaussian elimination; the input matrix is not mutated."""
     if isinstance(rhs, BinVector):
@@ -245,33 +275,12 @@ def dense_gauss_solve(m: DenseBinMatrix, rhs) -> SolveOutcome:
         raise TypeError("rhs must be BinVector or DenseBinMatrix")
 
     nc = m.cols
-    aug = [m.row_words[i] | (rhs_words[i] << nc) for i in range(m.rows)]
-    nr = m.rows
-    pivots = []
-    prow = 0
-    for col in range(nc):
-        if prow == nr:
-            break
-        bit = 1 << col
-        sel = -1
-        for r in range(prow, nr):
-            if aug[r] & bit:
-                sel = r
-                break
-        if sel < 0:
-            continue
-        aug[prow], aug[sel] = aug[sel], aug[prow]
-        pw = aug[prow]
-        for r in range(nr):
-            if r != prow and aug[r] & bit:
-                aug[r] ^= pw
-        pivots.append(col)
-        prow += 1
-
+    aug = [w | (r << nc) for w, r in zip(m.row_words, rhs_words)]
+    pivots = _gauss_jordan(aug, nc)
     rank = len(pivots)
     pivot_set = set(pivots)
     free = tuple(c for c in range(nc) if c not in pivot_set)
-    consistent = all(aug[r] >> nc == 0 for r in range(rank, nr))
+    consistent = all(w >> nc == 0 for w in aug[rank:])
 
     solution = None
     if consistent:
@@ -279,38 +288,14 @@ def dense_gauss_solve(m: DenseBinMatrix, rhs) -> SolveOutcome:
         for i, col in enumerate(pivots):
             sol_words[col] = aug[i] >> nc
         if isinstance(rhs, BinVector):
-            bits = 0
-            for c in range(nc):
-                if sol_words[c]:
-                    bits |= 1 << c
-            solution = BinVector(nc, bits)
+            solution = BinVector.from_bits(sol_words)
         else:
             solution = DenseBinMatrix(nc, rhs_cols, sol_words)
     return SolveOutcome(rank, free, consistent, solution)
 
 
 def rank(m: DenseBinMatrix) -> int:
-    words = list(m.row_words)
-    nr = len(words)
-    prow = 0
-    for col in range(m.cols):
-        if prow == nr:
-            break
-        bit = 1 << col
-        sel = -1
-        for r in range(prow, nr):
-            if words[r] & bit:
-                sel = r
-                break
-        if sel < 0:
-            continue
-        words[prow], words[sel] = words[sel], words[prow]
-        pw = words[prow]
-        for r in range(prow + 1, nr):
-            if words[r] & bit:
-                words[r] ^= pw
-        prow += 1
-    return prow
+    return len(_gauss_jordan(list(m.row_words), m.cols))
 
 
 def invert(m: DenseBinMatrix) -> DenseBinMatrix:

@@ -37,60 +37,29 @@ def _parse_config(path):
     return cfg
 
 
-def _resolve(args, parser):
-    """Merge config-file values under explicit flags. Flags win."""
-    if getattr(args, "config", None):
-        try:
-            cfg = _parse_config(args.config)
-        except (OSError, ValueError) as exc:
-            parser.error(str(exc))
-        actions = {}
-        for sub in parser._subparser_actions():
-            for action in sub._actions:
-                actions.setdefault(action.dest, action)
-        for key, val in cfg.items():
-            if not hasattr(args, key) or key not in actions:
-                parser.error(f"unknown config key {key!r}")
-            if key in args._explicit:
-                continue
-            action = actions[key]
-            if action.type is not None:
-                try:
-                    val = action.type(val)
-                except (argparse.ArgumentTypeError, ValueError) as exc:
-                    parser.error(f"config key {key!r}: {exc}")
-            elif isinstance(action.default, bool):
-                val = val.lower() in ("1", "true", "yes")
-            setattr(args, key, val)
-    return args
+def _config_defaults(sub, path):
+    """The config file's values as defaults for subcommand parser ``sub``.
+    Values stay text for argparse to convert as it does string defaults;
+    switches are read as booleans here."""
+    actions = {a.dest: a for a in sub._actions if a.option_strings and a.dest != "help"}
+    out = {}
+    for key, val in _parse_config(path).items():
+        action = actions.get(key)
+        if action is None:
+            raise ValueError(f"unknown config key {key!r}")
+        if isinstance(action.default, bool):
+            val = val.lower() in ("1", "true", "yes")
+        elif action.choices is not None and val not in action.choices:
+            raise ValueError(f"config key {key!r}: {val!r} is not one of {list(action.choices)}")
+        out[key] = val
+    return out
 
 
-class _TrackingParser(argparse.ArgumentParser):
-    """Remembers which dests were set explicitly on the command line."""
-
-    def parse_args(self, argv=None, namespace=None):
-        args = super().parse_args(argv, namespace)
-        explicit = set()
-        seen = list(argv if argv is not None else sys.argv[1:])
-        for action in self._subparser_actions():
-            for opt in seen:
-                for sub_action in action._actions:
-                    if opt.split("=", 1)[0] in sub_action.option_strings:
-                        explicit.add(sub_action.dest)
-        args._explicit = explicit
-        return args
-
+class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # subcommand parsers report under the program name too
         self.print_usage(sys.stderr)
         self.exit(2, f"erasurelab: error: {message}\n")
-
-    def _subparser_actions(self):
-        out = [self]
-        for action in self._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                out.extend(action.choices.values())
-        return out
 
 
 def _float_range(text):
@@ -115,10 +84,10 @@ def _int_range(text):
     return [int(p) for p in text.split(",")]
 
 
-def _workers(text):
+def _positive(text):
     n = int(text)
     if n < 1:
-        raise argparse.ArgumentTypeError(f"workers must be >= 1, got {n}")
+        raise argparse.ArgumentTypeError(f"want an integer >= 1, got {n}")
     return n
 
 
@@ -254,9 +223,9 @@ def _cmd_mindist(args, parser):
 
 
 def _make_parser():
-    parser = _TrackingParser(prog="erasurelab",
-                             description=__doc__.splitlines()[0])
+    parser = _Parser(prog="erasurelab", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
+    parser.commands = subs.choices
 
     def common(sp):
         sp.add_argument("--config", help="flat key=value config file")
@@ -272,9 +241,9 @@ def _make_parser():
         sp.add_argument("--n", type=int, default=0, help="block length")
 
     def sweep_flags(sp):
-        sp.add_argument("--target-errors", type=int, default=100)
-        sp.add_argument("--max-trials", type=int, default=100000)
-        sp.add_argument("--workers", type=_workers, default=1)
+        sp.add_argument("--target-errors", type=_positive, default=100)
+        sp.add_argument("--max-trials", type=_positive, default=100000)
+        sp.add_argument("--workers", type=_positive, default=1)
 
     sp = subs.add_parser("construct", help="build a code and emit its file")
     common(sp)
@@ -329,10 +298,18 @@ def main(argv=None):
     parser = _make_parser()
     try:
         args = parser.parse_args(argv)
-        args = _resolve(args, parser)
+        if args.config:
+            # config values become defaults, so the flags given still win
+            sub = parser.commands[args.command]
+            sub.set_defaults(**_config_defaults(sub, args.config))
+            args = parser.parse_args(argv)
         return _DISPATCH[args.command](args, parser)
     except SystemExit as exc:
         return exc.code or 0
+    except (ValueError, OSError) as exc:
+        # bad input (a code file, a config file, values no flag type checks)
+        sys.stderr.write(f"erasurelab: error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -33,36 +33,28 @@ class InternalConsistencyError(AssertionError):
 
 @dataclass
 class ReceivedWord:
-    """Channel output: the known/erased split of a codeword."""
+    """Channel output: the length-n word with every erased position reading
+    0, and the erased positions."""
 
     n: int
-    values: BinVector  # known symbols, in increasing position order
+    values: BinVector  # length n; the erased positions are cleared here
     erased: tuple  # ordered erased positions (includes punctured ones)
 
     def __post_init__(self):
-        self.erased = tuple(sorted(set(self.erased)))
-        if len(self.values) != self.n - len(self.erased):
-            raise ValueError("values length must equal n - |erased|")
+        erased = sorted(set(self.erased))
+        if erased and type(erased[-1]) is not int:  # numpy integers shift to 0
+            erased = [int(i) for i in erased]
+        self.erased = tuple(erased)
+        if self.values.n != self.n:
+            raise ValueError(f"values length {self.values.n} != n = {self.n}")
+        bits = self.values.bits
+        if bits:  # a zero word needs no mask
+            bits &= ~sum(1 << i for i in self.erased)
+        self.values = BinVector(self.n, bits)
 
     @classmethod
     def from_full(cls, full: BinVector, erased) -> "ReceivedWord":
-        erased = tuple(sorted(set(erased)))
-        if full.bits == 0:
-            return cls(full.n, BinVector(full.n - len(erased)), erased)
-        eset = set(erased)
-        bits = [full[i] for i in range(full.n) if i not in eset]
-        return cls(full.n, BinVector.from_bits(bits), erased)
-
-    def known_positions(self) -> list:
-        eset = set(self.erased)
-        return [i for i in range(self.n) if i not in eset]
-
-    def known_array(self) -> list:
-        """Length-n list with known values filled in and None at erasures."""
-        out = [None] * self.n
-        for val, pos in zip(self.values.to_list(), self.known_positions()):
-            out[pos] = val
-        return out
+        return cls(full.n, full, erased)
 
 
 @dataclass
@@ -91,9 +83,10 @@ class TriangularizationState:
     """Peeling and inactivation state of a sparse GF(2) system.
 
     A value is an int whose bit 0 is a constant and whose bit i+1 is the
-    coefficient of pivot i: a known symbol is 0 or 1, a resolved unknown its
-    expression over the pivots. ``rowcnt[r]`` counts the unknowns row r still
-    holds and ``rowpar[r]`` is the XOR of the values of its other columns.
+    coefficient of pivot i: a resolved unknown holds its expression over the
+    pivots. ``rowcnt[r]`` counts the unknowns row r still holds and
+    ``rowpar[r]`` is the XOR of the values of its other columns, known
+    symbols included.
     ``resolved`` holds the diagonal-extension order, ``pivots`` the
     inactivated unknowns, and ``anchored[r]`` marks a row consumed to resolve
     an unknown. reduce_to_aprime fills ``aprime``/``rhs_prime``.
@@ -105,7 +98,7 @@ class TriangularizationState:
     unknown: bytearray  # per column: 1 while neither resolved nor a pivot
     rowcnt: list
     rowpar: list
-    value: list  # per column
+    value: list  # per column; 0 for a column that was never unknown
     anchored: bytearray
     resolved: list = field(default_factory=list)
     pivots: list = field(default_factory=list)
@@ -118,44 +111,35 @@ class TriangularizationState:
         return len(self.columns) - len(self.resolved) - len(self.pivots)
 
 
+def _parities(h: SparseBinMatrix, v: BinVector) -> list:
+    """Per row of ``h``, the parity of the set bits of ``v`` it holds: the
+    syndrome H·v as a list. Costs nothing for a zero word."""
+    par = [0] * h.rows
+    col_adj = h.col_adj
+    for c in v.ones():
+        for r in col_adj[c]:
+            par[r] ^= 1
+    return par
+
+
 def split_by_erasure(code, word: ReceivedWord):
     """Split H by the erasure pattern: columns of erased positions plus the
     syndrome contributed by the known symbols."""
     h = code.h
     if word.n != h.cols:
         raise ValueError(f"word length {word.n} != code length {h.cols}")
-    ne = len(word.erased)
     pos = [-1] * word.n
     for i, c in enumerate(word.erased):
         pos[c] = i
     hk_rows = []
-    col_adj = [[] for _ in range(ne)]
-    syn_bits = 0
-    if word.values.bits == 0:
-        # all known symbols are zero: syndrome vanishes
-        for r, cs in enumerate(h.row_adj):
-            local = [pos[c] for c in cs if pos[c] >= 0]
-            hk_rows.append(local)
-            for li in local:
-                col_adj[li].append(r)
-    else:
-        known = word.known_array()
-        for r, cs in enumerate(h.row_adj):
-            local = []
-            par = 0
-            for c in cs:
-                li = pos[c]
-                if li >= 0:
-                    local.append(li)
-                elif known[c]:
-                    par ^= 1
-            hk_rows.append(local)
-            for li in local:
-                col_adj[li].append(r)
-            if par:
-                syn_bits |= 1 << r
-    hkbar = SparseBinMatrix._raw(h.rows, ne, hk_rows, col_adj)
-    return hkbar, BinVector(h.rows, syn_bits)
+    col_adj = [[] for _ in word.erased]
+    for r, cs in enumerate(h.row_adj):
+        local = [pos[c] for c in cs if pos[c] >= 0]
+        hk_rows.append(local)
+        for li in local:
+            col_adj[li].append(r)
+    hkbar = SparseBinMatrix._raw(h.rows, len(word.erased), hk_rows, col_adj)
+    return hkbar, BinVector.from_bits(_parities(h, word.values))
 
 
 def _extend(st: TriangularizationState, queue) -> None:
@@ -183,9 +167,9 @@ def _extend(st: TriangularizationState, queue) -> None:
                 queue.append(r2)
 
 
-def _start(matrix, columns, rowpar, value) -> TriangularizationState:
+def _start(matrix, columns, rowpar) -> TriangularizationState:
     """Peel matrix·x = rowpar over the unknown ``columns`` until no row holds
-    a single unknown. ``value`` holds the known symbols."""
+    a single unknown."""
     col_adj = matrix.col_adj
     unknown = bytearray(matrix.cols)
     rowcnt = [0] * matrix.rows
@@ -194,7 +178,7 @@ def _start(matrix, columns, rowpar, value) -> TriangularizationState:
         for r in col_adj[c]:
             rowcnt[r] += 1
     st = TriangularizationState(matrix.row_adj, col_adj, columns, unknown, rowcnt,
-                                rowpar, value, bytearray(matrix.rows))
+                                rowpar, [0] * matrix.cols, bytearray(matrix.rows))
     _extend(st, deque(r for r, cnt in enumerate(rowcnt) if cnt == 1))
     return st
 
@@ -202,18 +186,8 @@ def _start(matrix, columns, rowpar, value) -> TriangularizationState:
 def _peel_core(code, word: ReceivedWord) -> TriangularizationState:
     """Peel H over the erased positions of ``word``, the known symbols giving
     the row parities."""
-    h = code.h
-    rowpar = [0] * h.rows
-    if word.values.bits:
-        known = word.known_array()
-        for c, v in enumerate(known):
-            if v:
-                for r in h.col_adj[c]:
-                    rowpar[r] ^= 1
-    else:
-        known = [0] * word.n
-    st = _start(h, word.erased, rowpar, known)
-    for r, (cnt, par) in enumerate(zip(st.rowcnt, rowpar)):
+    st = _start(code.h, word.erased, _parities(code.h, word.values))
+    for r, (cnt, par) in enumerate(zip(st.rowcnt, st.rowpar)):
         if par and not cnt:
             raise InconsistentInputError(f"check row {r} violated by known symbols")
     return st
@@ -222,14 +196,12 @@ def _peel_core(code, word: ReceivedWord) -> TriangularizationState:
 def peel_decode(code, word: ReceivedWord) -> DecodeResult:
     """Iteratively resolve erased positions appearing alone in some check."""
     word = _with_punctured(code, word)
-    if not word.erased:
-        return _finish(code, word, word.known_array(), DecodeStats())
     st = _peel_core(code, word)
     stats = DecodeStats(peeled=len(st.resolved))
     if st.left:
         residual = tuple(c for c in word.erased if st.unknown[c])
         return DecodeResult("it_stall", residual=residual, stats=stats)
-    return _finish(code, word, st.value, stats)
+    return _finish(code, word, _filled(word, st), stats)
 
 
 def max_degree_pivot(unresolved, coldeg):
@@ -259,7 +231,7 @@ def triangularize(system, syndrome, pivot_strategy=max_degree_pivot) -> Triangul
     if isinstance(system, TriangularizationState):
         st = system
     else:
-        st = _start(system, range(system.cols), syndrome.to_list(), [0] * system.cols)
+        st = _start(system, range(system.cols), syndrome.to_list())
     col_adj, rowcnt, rowpar = st.col_adj, st.rowcnt, st.rowpar
     resolved, pivots = st.resolved, st.pivots
     coldeg = {u: len(col_adj[u]) for u in st.columns if st.unknown[u]}
@@ -320,8 +292,6 @@ def ml_decode(code, word: ReceivedWord, pivot_strategy=max_degree_pivot) -> Deco
     solve for them by dense GE. Succeeds iff the erased columns of H are
     linearly independent, exactly matching oracle_decode."""
     word = _with_punctured(code, word)
-    if not word.erased:
-        return _finish(code, word, word.known_array(), DecodeStats())
     st = _peel_core(code, word)
     if st.left:
         triangularize(st, None, pivot_strategy)
@@ -334,7 +304,7 @@ def ml_decode(code, word: ReceivedWord, pivot_strategy=max_degree_pivot) -> Deco
             return DecodeResult("rank_deficient", rank=ge_rank + len(st.resolved), stats=stats)
         for u, bit in back_substitute(st, pivot_values).items():
             st.value[u] = bit
-    return _finish(code, word, st.value, stats)
+    return _finish(code, word, _filled(word, st), stats)
 
 
 # ML decoding peels first, so the hybrid decoder is the ML decoder.
@@ -344,8 +314,6 @@ hybrid_decode = ml_decode
 def oracle_decode(code, word: ReceivedWord) -> DecodeResult:
     """Brute-force dense GE over all erased columns; ground truth."""
     word = _with_punctured(code, word)
-    if not word.erased:
-        return _finish(code, word, word.known_array(), DecodeStats())
     hkbar, syndrome = split_by_erasure(code, word)
     out = dense_gauss_solve(hkbar.to_dense(), syndrome)
     stats = DecodeStats(ge_dim=len(word.erased), system_shape=(hkbar.rows, hkbar.cols))
@@ -353,10 +321,10 @@ def oracle_decode(code, word: ReceivedWord) -> DecodeResult:
         raise InconsistentInputError("erasure system inconsistent")
     if not out.unique:
         return DecodeResult("rank_deficient", rank=out.rank, stats=stats)
-    known = word.known_array()
-    for li, pos in enumerate(word.erased):
-        known[pos] = out.solution[li]
-    return _finish(code, word, known, stats)
+    bits = word.values.bits
+    for li in out.solution.ones():
+        bits |= 1 << word.erased[li]
+    return _finish(code, word, bits, stats)
 
 
 def is_stopping_set(code, positions) -> bool:
@@ -371,26 +339,26 @@ def is_stopping_set(code, positions) -> bool:
 
 def _with_punctured(code, word: ReceivedWord) -> ReceivedWord:
     punct = getattr(code, "punctured", frozenset())
-    if not punct or set(punct) <= set(word.erased):
+    if not punct or punct <= set(word.erased):
         return word
-    merged = set(word.erased) | set(punct)
-    known = word.known_array()
-    bits = [known[i] for i in range(word.n) if i not in merged]
-    return ReceivedWord(word.n, BinVector.from_bits(bits), tuple(sorted(merged)))
+    return ReceivedWord.from_full(word.values, word.erased + tuple(punct))
 
 
-def _finish(code, word: ReceivedWord, known, stats: DecodeStats) -> DecodeResult:
-    bits = 0
-    for i, v in enumerate(known):
-        if v:
-            bits |= 1 << i
+def _filled(word: ReceivedWord, st: TriangularizationState) -> int:
+    """The received word with every unknown of ``st`` set to its value, a
+    bit once no pivot is left in it."""
+    bits = word.values.bits
+    value = st.value
+    for u in st.resolved + st.pivots:
+        if value[u]:
+            bits |= 1 << u
+    return bits
+
+
+def _finish(code, word: ReceivedWord, bits: int, stats: DecodeStats) -> DecodeResult:
     recovered = BinVector(word.n, bits)
-    # bug trap: any success must satisfy every parity check (trivial at zero)
-    if bits:
-        for r, cs in enumerate(code.h.row_adj):
-            par = 0
-            for c in cs:
-                par ^= (bits >> c) & 1
-            if par:
-                raise InternalConsistencyError(f"check row {r} violated after decode")
+    # bug trap: any success must satisfy every parity check
+    par = _parities(code.h, recovered)
+    if any(par):
+        raise InternalConsistencyError(f"check row {par.index(1)} violated after decode")
     return DecodeResult("success", recovered=recovered, stats=stats)

@@ -5,10 +5,11 @@ rate-compatible puncturing of parity bits."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .binmat import BinVector, DenseBinMatrix, SparseBinMatrix, dense_from_text, dense_to_text
+from .binmat import BinVector, SparseBinMatrix, _gauss_jordan, dense_from_text, dense_to_text
 
 
 class ConstructionError(ValueError):
@@ -128,9 +129,10 @@ class LdpcCode:
         if any(not (0 <= p < self.n) for p in self.punctured):
             raise ConstructionError("punctured positions out of range")
 
-    @property
-    def transmitted(self):
-        return [i for i in range(self.n) if i not in self.punctured]
+    @cached_property
+    def transmitted(self) -> tuple:
+        """The positions sent over the channel, increasing; computed once."""
+        return tuple(i for i in range(self.n) if i not in self.punctured)
 
     @property
     def n_transmitted(self):
@@ -143,42 +145,19 @@ class LdpcCode:
 
 def _generic_encoder_from_h(h: SparseBinMatrix):
     """RREF of H; free columns become the information set."""
-    dense = h.to_dense()
-    words = list(dense.row_words)
-    nr, nc = dense.rows, dense.cols
-    prow = 0
-    pivot_cols = []
-    for col in range(nc):
-        if prow == nr:
-            break
-        bit = 1 << col
-        sel = -1
-        for r in range(prow, nr):
-            if words[r] & bit:
-                sel = r
-                break
-        if sel < 0:
-            continue
-        words[prow], words[sel] = words[sel], words[prow]
-        pw = words[prow]
-        for r in range(nr):
-            if r != prow and words[r] & bit:
-                words[r] ^= pw
-        pivot_cols.append(col)
-        prow += 1
+    words = h.to_dense().row_words
+    pivot_cols = _gauss_jordan(words, h.cols)
     pivot_set = set(pivot_cols)
-    info = [c for c in range(nc) if c not in pivot_set]
+    info = [c for c in range(h.cols) if c not in pivot_set]
     # x_pivot[i] = XOR over info bits present in RREF row i
     pmap = []
-    for i in range(len(pivot_cols)):
+    for w in words[: len(pivot_cols)]:
         mask = 0
-        w = words[i]
         for j, c in enumerate(info):
             if (w >> c) & 1:
                 mask |= 1 << j
         pmap.append(mask)
-    k = len(info)
-    return _GenericEncoder(nc, info, pivot_cols, pmap), k
+    return _GenericEncoder(h.cols, info, pivot_cols, pmap), len(info)
 
 
 def encode(code: LdpcCode, u: BinVector) -> BinVector:
@@ -405,9 +384,9 @@ def load_code(path) -> LdpcCode:
     with open(path) as f:
         text = f.read()
     lines = text.splitlines()
-    head = lines[0].split()
-    if head[0] != "ldpc":
-        raise ValueError("not an ldpc code file")
+    head = lines[0].split() if lines else []
+    if len(head) != 3 or head[0] != "ldpc":
+        raise ValueError(f"{path}: not an ldpc code file")
     n, k = int(head[1]), int(head[2])
     punctured = frozenset()
     body = 1
@@ -418,5 +397,5 @@ def load_code(path) -> LdpcCode:
     h = SparseBinMatrix.from_dense(dense)
     encoder, k_actual = _generic_encoder_from_h(h)
     if k_actual != k:
-        k = k_actual
+        raise ConstructionError(f"{path}: header gives k={k}, but H gives k={k_actual}")
     return LdpcCode(n, k, h, punctured=punctured, encoder=encoder)

@@ -25,6 +25,8 @@ def test_binvector_basics():
     assert len(v) == 4
     assert v.to_list() == [1, 0, 1, 1]
     assert v.weight() == 3
+    assert v.ones() == [0, 2, 3]
+    assert BinVector(5).ones() == []
     v.set(1, 1)
     assert v[1] == 1
     with pytest.raises(DimensionError):

@@ -79,6 +79,12 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert "# decoder=ml" in out  # flag beats config
     assert "# target_errors=2" in out  # config fills the rest
     assert "# max_trials=50" in out
+    # an abbreviated flag beats the config too
+    cfg.write_text("target_errors=7\nrandom-codeword=yes\n")
+    code, out = run_cli(["simulate", "--code", str(cpath), "--eps", "0.3",
+                         "--max-trials", "20", "--config", str(cfg), "--target-err", "3"], capsys)
+    assert code == 0
+    assert "# target_errors=3" in out
 
 
 def test_unknown_flag_nonzero_exit(capsys):
@@ -115,19 +121,33 @@ def test_replay_byte_identical(tmp_path, capsys):
     assert a == b
 
 
-@pytest.mark.parametrize("args, config", [
-    (["bounds", "--n", "64", "--k", "32", "--eps", "0.1:0.2:0"], None),
-    (["bounds", "--n", "64", "--k", "32", "--eps", "0.2:0.1:-0.05"], None),
-    (["bounds", "--n", "64", "--k", "32", "--eps", "0.2:0.1:0.05"], None),
-    (["bounds", "--n", "64", "--k", "32"], "eps=0.1:0.2:0\n"),
-    (["raptor-sim", "--k", "16", "--n", "32", "--delta", "16", "--workers", "0"], None),
-    (["raptor-sim", "--k", "16", "--n", "32", "--delta", "16"], "workers=0\n"),
-], ids=["step-zero", "step-negative", "stop-below-start", "step-config", "workers-flag", "workers-config"])
-def test_bad_range_is_a_usage_error(tmp_path, capsys, args, config):
-    if config is not None:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(config)
-        args = args + ["--config", str(cfg)]
+# a rank-2 H under a header that claims k=3
+BAD_K_CODE = "ldpc 4 3\n2 4\n1100\n0011\n"
+
+
+@pytest.mark.parametrize("args, files", [
+    (["bounds", "--n", "64", "--k", "32", "--eps", "0.1:0.2:0"], {}),
+    (["bounds", "--n", "64", "--k", "32", "--eps", "0.2:0.1:-0.05"], {}),
+    (["bounds", "--n", "64", "--k", "32", "--eps", "0.2:0.1:0.05"], {}),
+    (["bounds", "--n", "64", "--k", "32", "--config", "run.cfg"], {"run.cfg": "eps=0.1:0.2:0\n"}),
+    (["raptor-sim", "--k", "16", "--n", "32", "--delta", "16", "--workers", "0"], {}),
+    (["raptor-sim", "--k", "16", "--n", "32", "--delta", "16", "--config", "run.cfg"],
+     {"run.cfg": "workers=0\n"}),
+    (["mindist", "--code", "code.txt"], {"code.txt": BAD_K_CODE}),
+    (["bounds", "--n", "64", "--k", "80", "--eps", "0.1"], {}),
+    (["simulate", "--regular", "3,6", "--n", "24", "--eps", "0.3", "--target-errors", "0"], {}),
+    (["simulate", "--regular", "3,6", "--n", "24", "--eps", "0.3", "--max-trials", "0"], {}),
+    (["simulate", "--geira", "8,16", "--taps", "0,20", "--eps", "0.3"], {}),
+    (["simulate", "--code", "/nonexistent", "--eps", "0.3"], {}),
+    (["simulate", "--regular", "3,6", "--n", "24", "--eps", "0.3", "--config", "run.cfg"],
+     {"run.cfg": "decoder=bogus\n"}),
+], ids=["step-zero", "step-negative", "stop-below-start", "step-config", "workers-flag",
+        "workers-config", "code-header-k", "bounds-k-above-n", "target-errors-zero",
+        "max-trials-zero", "geira-tap-too-large", "code-file-missing", "decoder-config"])
+def test_bad_range_is_a_usage_error(tmp_path, capsys, args, files):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    args = [str(tmp_path / a) if a in files else a for a in args]
     code = main(args)
     captured = capsys.readouterr()
     assert code == 2

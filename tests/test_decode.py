@@ -33,6 +33,17 @@ def word(code, bits, erased):
     return ReceivedWord.from_full(BinVector.from_bits(bits), erased)
 
 
+def test_received_word_reads_zero_at_erasures():
+    w = ReceivedWord.from_full(BinVector.from_bits([1, 1, 0, 1]), [3, 1, 3])
+    assert w.erased == (1, 3)
+    assert w.values.to_list() == [1, 0, 0, 0]
+    w = ReceivedWord.from_full(BinVector.from_bits([0, 1, 1]), np.array([2, 1]))
+    assert w.erased == (1, 2) and all(type(i) is int for i in w.erased)
+    assert w.values.to_list() == [0, 0, 0]
+    with pytest.raises(ValueError):
+        ReceivedWord(4, BinVector(3), ())
+
+
 def test_split_no_erasures():
     code = code_from_rows(CHAIN)
     hk, syn = split_by_erasure(code, word(code, [1, 1, 0], []))
@@ -302,7 +313,8 @@ def _codeword_and_erasures(draw):
     for c in range(cols):  # every column of H must be nonzero
         if not any(row[c] for row in bits):
             bits[draw(st.integers(0, rows - 1))][c] = 1
-    code = code_from_rows(bits)
+    punctured = draw(st.sets(st.integers(0, cols - 1), max_size=cols // 2))
+    code = code_from_rows(bits, punctured)
     u = draw(st.integers(min(code.k, 1), (1 << code.k) - 1))  # nonzero when k > 0
     erased = draw(st.sets(st.integers(0, cols - 1)))
     return code, u, sorted(erased)
@@ -311,12 +323,20 @@ def _codeword_and_erasures(draw):
 @settings(max_examples=300, deadline=None)
 @given(_codeword_and_erasures())
 def test_ml_matches_oracle_on_random_codewords(case):
+    """Non-zero codewords of random small codes, some positions punctured:
+    ML agrees with the oracle, and peeling succeeds only on the codeword.
+    The punctured positions arrive flipped, so a decoder that reads them
+    fails."""
     from erasurelab.ldpc import encode
 
     code, u, erased = case
     cw = encode(code, BinVector(code.k, u))
-    w = ReceivedWord.from_full(cw, erased)
+    flipped = BinVector(cw.n, cw.bits ^ sum(1 << i for i in code.punctured))
+    w = ReceivedWord.from_full(flipped, erased)
     a, b = ml_decode(code, w), oracle_decode(code, w)
     assert a.status == b.status
     if a.ok:
         assert a.recovered == b.recovered == cw
+    p = peel_decode(code, w)
+    if p.ok:
+        assert a.ok and p.recovered == cw
