@@ -87,9 +87,14 @@ class WeightSpectrumTail:
 
 def _de_converges(dist: DegreeDistribution, eps: float,
                   iters: int = 2000, cutoff: float = 1e-9) -> bool:
+    # lam(1 - rho(1 - x)) on Python floats over the non-zero terms only:
+    # lam_eval/rho_eval take numpy powers of every coefficient, ~30 us a step
+    lam = [(i, float(l)) for i, l in enumerate(dist.lam) if l]
+    rho = [(j, float(r)) for j, r in enumerate(dist.rho) if r]
     x = eps
     for _ in range(iters):
-        x_next = eps * dist.lam_eval(1.0 - dist.rho_eval(1.0 - x))
+        y = 1.0 - sum(r * (1.0 - x) ** j for j, r in rho)
+        x_next = eps * sum(l * y ** i for i, l in lam)
         if x_next < cutoff:
             return True
         if abs(x_next - x) < 1e-15:

@@ -233,29 +233,55 @@ class SolveOutcome:
         return self.consistent and not self.free_cols
 
 
+# Columns per elimination block; 6 and 7 measured fastest among 4-10 on the
+# pivot systems of GeIRA (1024,512) ML decoding.
+_BLOCK = 6
+
+
 def _gauss_jordan(rows: list, ncols: int) -> list:
     """Gauss-Jordan elimination, in place, over the low ``ncols`` bits of the
     packed ``rows``; bits above them ride along as an augmented part. Returns
     the pivot columns: afterwards row i is the only row holding column
-    ``pivots[i]``, and the rows past the last pivot are zero below ``ncols``."""
+    ``pivots[i]``, and the rows past the last pivot are zero below ``ncols``.
+
+    Blocked by the method of four Russians (as in M4RI): a block is a run of
+    up to ``_BLOCK`` consecutive columns that each get a pivot, and a column
+    with no pivot ends it. While the block grows, each candidate row is
+    reduced by the block's pivot rows found so far, which are kept reduced
+    against each other; at its end, a table of all XORs of those pivot rows
+    clears the block's columns of every other row with one lookup. Each row
+    then is the unique vector in (row + span of the pivot rows) that is zero
+    on the pivot columns, as after eliminating one column at a time."""
     nr = len(rows)
     pivots = []
-    for col in range(ncols):
-        prow = len(pivots)
-        if prow == nr:
-            break
-        bit = 1 << col
-        for sel in range(prow, nr):
-            if rows[sel] & bit:
+    col = 0
+    while col < ncols and len(pivots) < nr:
+        c0, p0 = col, len(pivots)
+        block = []  # (column bit, pivot row) of this block, in column order
+        while col < ncols and col - c0 < _BLOCK and p0 + len(block) < nr:
+            bit = 1 << col
+            col += 1
+            prow = p0 + len(block)
+            for sel in range(prow, nr):
+                w = rows[sel]
+                for pb, pw in block:
+                    if w & pb:
+                        w ^= pw
+                if w & bit:
+                    break
+            else:
                 break
-        else:
-            continue
-        rows[prow], rows[sel] = rows[sel], rows[prow]
-        pw = rows[prow]
-        for r in range(nr):
-            if r != prow and rows[r] & bit:
-                rows[r] ^= pw
-        pivots.append(col)
+            rows[sel] = rows[prow]
+            block = [(pb, pw ^ w if pw & bit else pw) for pb, pw in block]
+            block.append((bit, w))
+            pivots.append(col - 1)
+        if block:
+            table = [0]
+            for _, pw in block:
+                table += [t ^ pw for t in table]
+            mask = len(table) - 1
+            rows[:] = [w ^ table[w >> c0 & mask] for w in rows]
+            rows[p0 : p0 + len(block)] = [pw for _, pw in block]
     return pivots
 
 

@@ -19,7 +19,6 @@ from .binmat import (
     SparseBinMatrix,
     dense_gauss_solve,
     invert,
-    mul,
     mul_vec,
     rank,
 )
@@ -336,18 +335,6 @@ class RaptorCode:
     def precode(self, d: BinVector) -> BinVector:
         return precode(d, self.params, self.gl, self.gh)
 
-    def nonsystematic_generator(self) -> DenseBinMatrix:
-        """Closed form G = G_LT^I + G_LT^II G_LDPC + G_LT^III (G_H^I + G_H^II G_LDPC)."""
-        k, s, h = self.params.k, self.params.s, self.params.h
-        glt = DenseBinMatrix(self.params.n, self.params.L, self.lt_rows)
-        g1 = _slice_cols(glt, 0, k)
-        g2 = _slice_cols(glt, k, k + s)
-        g3 = _slice_cols(glt, k + s, k + s + h)
-        gh1 = _slice_cols(self.gh, 0, k)
-        gh2 = _slice_cols(self.gh, k, k + s)
-        inner = _madd(gh1, mul(gh2, self.gl))
-        return _madd(_madd(g1, mul(g2, self.gl)), mul(g3, inner))
-
     # -- decoding ------------------------------------------------------------
 
     def _recover_c(self, f: BinVector) -> BinVector:
@@ -437,34 +424,3 @@ class RaptorDecodeResult:
     @property
     def ok(self) -> bool:
         return self.status == "success"
-
-
-def symbols_to_text(received) -> str:
-    """Symbol file format: one "esi hexvalue" line per received symbol.
-
-    Symbols here are single bits; multi-bit payloads would just repeat the
-    same GF(2) math per bit plane.
-    """
-    return "\n".join(f"{esi} {sym:x}" for esi, sym in received) + "\n"
-
-
-def symbols_from_text(text: str) -> list:
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        esi, sym = line.split()
-        out.append((int(esi), int(sym, 16)))
-    return out
-
-
-def _slice_cols(m: DenseBinMatrix, lo: int, hi: int) -> DenseBinMatrix:
-    mask = (1 << hi) - (1 << lo)
-    return DenseBinMatrix(m.rows, hi - lo, [(w & mask) >> lo for w in m.row_words])
-
-
-def _madd(a: DenseBinMatrix, b: DenseBinMatrix) -> DenseBinMatrix:
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ValueError("shape mismatch")
-    return DenseBinMatrix(a.rows, a.cols, [x ^ y for x, y in zip(a.row_words, b.row_words)])

@@ -89,7 +89,7 @@ def _ldpc_trial(code: LdpcCode, decoder, channel, rng, zero_codeword=True):
     transmitted = code.transmitted
     if channel.kind == "bec":
         u01 = rng.random(len(transmitted))
-        erased = [transmitted[i] for i in np.flatnonzero(u01 < channel.epsilon)]
+        erased = [transmitted[i] for i in np.flatnonzero(u01 < channel.epsilon).tolist()]
     else:
         keep = channel.delta + code.k
         if keep > len(transmitted):

@@ -30,6 +30,31 @@ def rng():
     return np.random.default_rng(12345)
 
 
+def scalar_gauss_jordan(rows, ncols):
+    """Reference elimination, one column at a time: the loop the blocked
+    ``binmat._gauss_jordan`` replaces. Same contract: in place, returns the
+    pivot columns."""
+    nr = len(rows)
+    pivots = []
+    for col in range(ncols):
+        prow = len(pivots)
+        if prow == nr:
+            break
+        bit = 1 << col
+        for sel in range(prow, nr):
+            if rows[sel] & bit:
+                break
+        else:
+            continue
+        rows[prow], rows[sel] = rows[sel], rows[prow]
+        pw = rows[prow]
+        for r in range(nr):
+            if r != prow and rows[r] & bit:
+                rows[r] ^= pw
+        pivots.append(col)
+    return pivots
+
+
 def full_scan_triangularize(hkbar):
     """Reference inactivation: diagonal extension, and on each stall a scan
     of every unresolved unknown for the highest residual degree (lowest

@@ -40,6 +40,32 @@ def test_de_bracketing():
     assert not _de_converges(dist, 1.0)
 
 
+def _numpy_de_converges(dist, eps, iters=2000, cutoff=1e-9):
+    """Reference density evolution through the array evaluators, every
+    coefficient included: the loop `_de_converges` replaces."""
+    x = eps
+    for _ in range(iters):
+        x_next = eps * dist.lam_eval(1.0 - dist.rho_eval(1.0 - x))
+        if x_next < cutoff:
+            return True
+        if abs(x_next - x) < 1e-15:
+            return False
+        x = x_next
+    return x < cutoff
+
+
+def test_it_threshold_matches_numpy_evaluation():
+    from erasurelab.analysis import _bisect
+
+    tol = 1e-5
+    dists = [DegreeDistribution.regular(dv, dc)
+             for dv, dc in ((3, 6), (4, 8), (5, 10), (6, 12), (3, 9), (4, 12), (5, 15))]
+    dists.append(DegreeDistribution((0.0, 0.5, 0.0, 0.0, 0.5), (0.0, 0.0, 0.0, 0.0, 0.0, 0.7, 0.3)))
+    for dist in dists:
+        ref = _bisect(lambda eps: _numpy_de_converges(dist, eps), tol)
+        assert abs(it_threshold(dist, tol) - ref) <= tol
+
+
 def test_exit_curve_endpoints_and_monotonic():
     curve = exit_curve(DegreeDistribution.regular(3, 6), grid=20001)
     assert curve.p_a[-1] == pytest.approx(1.0)

@@ -1,13 +1,17 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scalar_gauss_jordan
 from erasurelab.binmat import (
+    _BLOCK,
     BinVector,
     DenseBinMatrix,
     DimensionError,
     SingularMatrixError,
     SparseBinMatrix,
+    _gauss_jordan,
     dense_from_text,
     dense_gauss_solve,
     dense_to_text,
@@ -111,8 +115,6 @@ def test_invert_iff_full_rank(m):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 30), st.integers(1, 30), st.integers(0, 2**30))
 def test_sparse_dense_roundtrip(nr, nc, seed):
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     dense = DenseBinMatrix(nr, nc, [int(b) for b in rng.integers(0, 2**nc, size=nr, dtype=np.int64)])
     sp = SparseBinMatrix.from_dense(dense)
@@ -148,3 +150,95 @@ def test_gauss_does_not_mutate_input():
     before = m.copy()
     dense_gauss_solve(m, BinVector(2))
     assert m == before
+
+
+def _random_rows(rng, nr, ncols, rank=None, aug=0, zero_cols=(), density=0.5):
+    """``nr`` packed rows over ``ncols`` columns plus ``aug`` random bits
+    above them. With ``rank`` set, the low parts are XORs of that many random
+    basis rows; the columns in ``zero_cols`` are cleared."""
+
+    def word(width, p):
+        bits = rng.random(width) < p
+        return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+    if rank is None:
+        low = [word(ncols, density) for _ in range(nr)]
+    else:
+        basis = [word(ncols, density) for _ in range(rank)]
+        low = []
+        for _ in range(nr):
+            w = 0
+            for b in basis:
+                if rng.random() < 0.5:
+                    w ^= b
+            low.append(w)
+    keep = (1 << ncols) - 1
+    for c in zero_cols:
+        keep &= ~(1 << c)
+    return [(w & keep) | word(aug, 0.5) << ncols for w in low]
+
+
+def _assert_matches_scalar(rows, ncols):
+    fast, ref = list(rows), list(rows)
+    assert _gauss_jordan(fast, ncols) == scalar_gauss_jordan(ref, ncols)
+    assert fast == ref
+
+
+K = _BLOCK
+# empty, wide, tall, A'-sized, and column counts at and around multiples of
+# the block
+SHAPES = [(0, 0), (0, 7), (7, 0), (1, 1), (3, 17), (17, 3), (40, 25), (25, 40), (160, 150)] + [
+    (nr, nc)
+    for nc in (K - 1, K, K + 1, 2 * K - 1, 2 * K, 2 * K + 1, 3 * K, 5 * K + 2)
+    for nr in (nc - 2, nc, nc + 3)
+    if nr >= 0
+]
+
+
+@pytest.mark.parametrize("nr,ncols", SHAPES)
+def test_gauss_jordan_matches_scalar(nr, ncols):
+    rng = np.random.default_rng(1000 * nr + ncols)
+    for trial in range(30):
+        rank = None if trial % 3 == 0 else int(rng.integers(0, min(nr, ncols) + 1))
+        zero_cols = [c for c in range(ncols) if rng.random() < 0.15]
+        rows = _random_rows(rng, nr, ncols, rank=rank, aug=int(rng.integers(0, 9)),
+                            zero_cols=zero_cols, density=(0.1, 0.5, 0.9)[trial % 3])
+        _assert_matches_scalar(rows, ncols)
+
+
+def test_gauss_jordan_skipped_columns_mid_block():
+    rng = np.random.default_rng(7)
+    ncols = 4 * K
+    skipped = [2, K + 1, K + 2, 3 * K - 1]
+    for _ in range(50):
+        rows = _random_rows(rng, ncols + 4, ncols, aug=3, zero_cols=skipped)
+        fast = list(rows)
+        pivots = _gauss_jordan(fast, ncols)
+        assert not set(skipped) & set(pivots)
+        assert len(pivots) == ncols - len(skipped)
+        _assert_matches_scalar(rows, ncols)
+
+
+@st.composite
+def _gauss_system(draw):
+    ncols = draw(st.integers(0, 4 * K + 1))
+    aug = draw(st.integers(0, 4))
+    basis = draw(st.lists(st.integers(0, 2**ncols - 1), max_size=ncols + 2))
+    nr = draw(st.integers(0, ncols + 4))
+    rows = []
+    for _ in range(nr):
+        pick = draw(st.integers(0, 2 ** len(basis) - 1))
+        w = 0
+        for i, b in enumerate(basis):
+            if pick >> i & 1:
+                w ^= b
+        rows.append(w | draw(st.integers(0, 2**aug - 1)) << ncols)
+    zero = draw(st.integers(0, 2**ncols - 1)) if draw(st.booleans()) else 0
+    return [w & ~zero for w in rows], ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gauss_system())
+def test_gauss_jordan_matches_scalar_property(system):
+    rows, ncols = system
+    _assert_matches_scalar(rows, ncols)
