@@ -6,6 +6,7 @@ Singleton and Berlekamp bounds, and the truncated-union error-floor estimate.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,14 +52,15 @@ class DegreeDistribution:
         den = sum(l / (i + 1) for i, l in enumerate(self.lam))
         return 1.0 - num / den
 
+    # the evaluators skip zero coefficients: such a term adds +0.0
     def lam_eval(self, x):
-        return sum(l * np.power(x, i) for i, l in enumerate(self.lam))
+        return sum(l * np.power(x, i) for i, l in enumerate(self.lam) if l)
 
     def rho_eval(self, x):
-        return sum(r * np.power(x, j) for j, r in enumerate(self.rho))
+        return sum(r * np.power(x, j) for j, r in enumerate(self.rho) if r)
 
     def node_lambda_eval(self, x):
-        return sum(L * np.power(x, i + 1) for i, L in enumerate(self.node_lambda))
+        return sum(L * np.power(x, i + 1) for i, L in enumerate(self.node_lambda) if L)
 
 
 @dataclass
@@ -87,8 +89,8 @@ class WeightSpectrumTail:
 
 def _de_converges(dist: DegreeDistribution, eps: float,
                   iters: int = 2000, cutoff: float = 1e-9) -> bool:
-    # lam(1 - rho(1 - x)) on Python floats over the non-zero terms only:
-    # lam_eval/rho_eval take numpy powers of every coefficient, ~30 us a step
+    # lam(1 - rho(1 - x)) on Python floats over the non-zero terms: cheaper
+    # per step than the numpy powers of lam_eval/rho_eval
     lam = [(i, float(l)) for i, l in enumerate(dist.lam) if l]
     rho = [(j, float(r)) for j, r in enumerate(dist.rho) if r]
     x = eps
@@ -190,46 +192,73 @@ def threshold_report(dist: DegreeDistribution) -> ThresholdReport:
 
 # --- protograph density evolution -------------------------------------------
 
-def _proto_arrays(p: Protograph):
-    b = np.asarray(p.base, dtype=float)
-    punct = np.array([j in p.punctured_cols for j in range(p.n_vars)])
-    return b, punct
+def _edge_types(p: Protograph):
+    """The base graph's edge types: (row, column, multiplicity) for each
+    non-zero entry in row-major order, plus per check row and per variable
+    column the (edge, multiplicity) pairs it holds."""
+    edges = [(i, j, float(m)) for i, row in enumerate(p.base) for j, m in enumerate(row) if m]
+    rows = [[(e, m) for e, (i, _, m) in enumerate(edges) if i == r] for r in range(p.n_checks)]
+    cols = [[(e, m) for e, (_, j, m) in enumerate(edges) if j == c] for c in range(p.n_vars)]
+    return edges, rows, cols
 
 
-def _proto_fixed_point(b, priors, v0=None, iters: int = 20000, tol: float = 1e-12):
+def _proto_fixed_point(graph, priors, v0=None, iters: int = 20000, tol: float = 1e-12):
     """Largest fixed point of per-edge-type erasure DE, reached from above.
 
-    Returns (v, c, posterior) where the products are accumulated in the log
-    domain so zero-probability messages stay harmless.
+    ``graph`` is ``_edge_types(p)`` and ``priors`` holds each base column's
+    a-priori erasure probability. Returns (v, extrinsic, posterior): v per
+    edge type, the other two per base column. The products are accumulated
+    in the log domain so zero-probability messages stay harmless. Python
+    floats over the few edge types beat numpy ufuncs on the whole base. The
+    sums run left to right, not through ``sum()``, which compensates on
+    Python 3.12 and later.
     """
-    mask = b > 0
-    v = np.where(mask, 1.0, 0.0) if v0 is None else v0.copy()
+    edges, rows, cols = graph
+    log, exp = math.log, math.exp
     tiny = 1e-300
+    log_tiny = log(tiny)
+    v = [1.0] * len(edges) if v0 is None else list(v0)
+    c = [0.0] * len(edges)
+    t = [0.0] * len(cols)
     for _ in range(iters):
-        lo = np.log(np.maximum(1.0 - v, tiny))
-        s = (b * lo).sum(axis=1, keepdims=True)
-        c = np.where(mask, 1.0 - np.exp(s - lo), 0.0)
-        lc = np.log(np.maximum(c, tiny))
-        t = (b * lc).sum(axis=0, keepdims=True)
-        v_new = np.where(mask, priors[None, :] * np.exp(t - lc), 0.0)
-        v_new = np.clip(v_new, 0.0, 1.0)
-        if np.abs(v_new - v).max() < tol:
-            v = v_new
-            break
+        # log(max(y, tiny)) and the clip to [0, 1] as conditionals: the same
+        # values without a builtin call per edge
+        lo = [log(1.0 - x) if x < 1.0 else log_tiny for x in v]
+        for row in rows:
+            s = 0.0
+            for e, m in row:
+                s += m * lo[e]
+            for e, _ in row:
+                c[e] = 1.0 - exp(s - lo[e])
+        lc = [log(x) if x > tiny else log_tiny for x in c]
+        v_new = [0.0] * len(v)
+        for j, col in enumerate(cols):
+            s = 0.0
+            for e, m in col:
+                s += m * lc[e]
+            t[j] = s
+            prior = priors[j]
+            for e, _ in col:
+                x = prior * exp(s - lc[e])
+                v_new[e] = x if 0.0 <= x <= 1.0 else (0.0 if x < 0.0 else 1.0)
+        done = max(map(abs, map(operator.sub, v_new, v))) < tol
         v = v_new
-    lc = np.log(np.maximum(np.where(mask, c, 1.0), tiny))
-    extrinsic = np.exp((b * lc).sum(axis=0))
-    posterior = priors * extrinsic
-    return v, extrinsic, posterior
+        if done:
+            break
+    extrinsic = [exp(s) for s in t]
+    return v, extrinsic, [prior * x for prior, x in zip(priors, extrinsic)]
+
+
+def _priors(p: Protograph, eps: float):
+    """Per base column a-priori erasure: eps, or 1 for punctured columns."""
+    return [1.0 if j in p.punctured_cols else float(eps) for j in range(p.n_vars)]
 
 
 def protograph_de(p: Protograph, eps: float, cutoff: float = 1e-9) -> bool:
     """Whether per-edge-type DE at channel erasure eps drives every variable
     node's posterior erasure probability to zero (punctured nodes use prior 1)."""
-    b, punct = _proto_arrays(p)
-    priors = np.where(punct, 1.0, eps)
-    _, _, post = _proto_fixed_point(b, priors)
-    return bool((post < cutoff).all())
+    _, _, post = _proto_fixed_point(_edge_types(p), _priors(p, eps))
+    return all(x < cutoff for x in post)
 
 
 def protograph_it_threshold(p: Protograph, tol: float = 1e-4) -> float:
@@ -239,14 +268,17 @@ def protograph_it_threshold(p: Protograph, tol: float = 1e-4) -> float:
 def protograph_exit_curve(p: Protograph, grid: int = 2001):
     """Average extrinsic erasure over transmitted VNs versus the a-priori
     erasure applied to transmitted VNs, swept downward with warm starts."""
-    b, punct = _proto_arrays(p)
+    graph = _edge_types(p)
+    sent = [j for j in range(p.n_vars) if j not in p.punctured_cols]
     pas = np.linspace(1.0, 0.0, grid)
     pes = np.zeros(grid)
     v = None
     for i, pa in enumerate(pas):
-        priors = np.where(punct, 1.0, pa)
-        v, extrinsic, _ = _proto_fixed_point(b, priors, v0=v)
-        pes[i] = extrinsic[~punct].mean()
+        v, extrinsic, _ = _proto_fixed_point(graph, _priors(p, pa), v0=v)
+        s = 0.0
+        for j in sent:
+            s += extrinsic[j]
+        pes[i] = s / len(sent)
     return pas[::-1], pes[::-1]
 
 
@@ -260,16 +292,17 @@ def protograph_ml_bound(p: Protograph, grid: int = 2001):
 
 # --- finite-length bounds ---------------------------------------------------
 
-def _log_binom(n: int, i: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
-
-
-def _log_term(n: int, i: int, eps: float) -> float:
+def _log_terms(n: int, eps: float, lo: int, hi: int) -> list:
+    """log P(i of n positions erased) for i in range(lo, hi), with
+    lgamma(i + 1) computed once per i."""
     if eps == 0.0:
-        return 0.0 if i == 0 else -math.inf
+        return [0.0 if i == 0 else -math.inf for i in range(lo, hi)]
     if eps == 1.0:
-        return 0.0 if i == n else -math.inf
-    return _log_binom(n, i) + i * math.log(eps) + (n - i) * math.log1p(-eps)
+        return [0.0 if i == n else -math.inf for i in range(lo, hi)]
+    lg = [math.lgamma(i + 1) for i in range(n + 1)]
+    log_eps, log_keep = math.log(eps), math.log1p(-eps)
+    return [lg[n] - lg[i] - lg[n - i] + i * log_eps + (n - i) * log_keep
+            for i in range(lo, hi)]
 
 
 def _logsumexp(terms) -> float:
@@ -289,7 +322,7 @@ def _check_code_point(n: int, k: int, eps: float) -> None:
 def singleton_bound(n: int, k: int, eps: float) -> float:
     """CER of an ideal MDS code: failure iff more than n-k erasures."""
     _check_code_point(n, k, eps)
-    terms = [_log_term(n, i, eps) for i in range(n - k + 1, n + 1)]
+    terms = _log_terms(n, eps, n - k + 1, n + 1)
     return min(1.0, math.exp(_logsumexp(terms))) if terms else 0.0
 
 
@@ -298,8 +331,9 @@ def berlekamp_bound(n: int, k: int, eps: float) -> float:
     plus rank-deficiency terms weighted by 2^-(n-k-i)."""
     _check_code_point(n, k, eps)
     ln2 = math.log(2.0)
-    terms = [_log_term(n, i, eps) - (n - k - i) * ln2 for i in range(0, n - k + 1)]
-    terms += [_log_term(n, i, eps) for i in range(n - k + 1, n + 1)]
+    terms = _log_terms(n, eps, 0, n + 1)
+    for i in range(n - k + 1):
+        terms[i] -= (n - k - i) * ln2
     return min(1.0, math.exp(_logsumexp(terms)))
 
 

@@ -44,8 +44,15 @@ class Protograph:
     def __post_init__(self):
         object.__setattr__(self, "base", tuple(tuple(r) for r in self.base))
         object.__setattr__(self, "punctured_cols", frozenset(self.punctured_cols))
+        if not self.base or not self.base[0]:
+            raise ConstructionError("base matrix must have at least one row and one column")
+        if any(len(row) != self.n_vars for row in self.base):
+            raise ConstructionError("base matrix rows must all have the same length")
         if any(e < 0 for row in self.base for e in row):
             raise ConstructionError("base matrix entries must be >= 0")
+        empty = [j for j in range(self.n_vars) if not any(row[j] for row in self.base)]
+        if empty:
+            raise ConstructionError(f"base column {empty[0]} has no edge")
         if self.n_transmitted_base <= 0 or not (0 <= self.design_rate < 1):
             raise ConstructionError("design rate must lie in [0,1)")
 

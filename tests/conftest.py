@@ -91,3 +91,28 @@ def full_scan_triangularize(hkbar):
             pivots.append(u)
             retire(u)
     return resolved, pivots
+
+
+def numpy_proto_fixed_point(b, priors, v0=None, iters=20000, tol=1e-12):
+    """Reference per-edge-type erasure DE on the whole base matrix ``b`` with
+    numpy ufuncs: the loop ``analysis._proto_fixed_point`` replaces. ``v``
+    is an array shaped like ``b``; returns (v, extrinsic, posterior)."""
+    mask = b > 0
+    v = np.where(mask, 1.0, 0.0) if v0 is None else v0.copy()
+    tiny = 1e-300
+    for _ in range(iters):
+        lo = np.log(np.maximum(1.0 - v, tiny))
+        s = (b * lo).sum(axis=1, keepdims=True)
+        c = np.where(mask, 1.0 - np.exp(s - lo), 0.0)
+        lc = np.log(np.maximum(c, tiny))
+        t = (b * lc).sum(axis=0, keepdims=True)
+        v_new = np.where(mask, priors[None, :] * np.exp(t - lc), 0.0)
+        v_new = np.clip(v_new, 0.0, 1.0)
+        if np.abs(v_new - v).max() < tol:
+            v = v_new
+            break
+        v = v_new
+    lc = np.log(np.maximum(np.where(mask, c, 1.0), tiny))
+    extrinsic = np.exp((b * lc).sum(axis=0))
+    posterior = priors * extrinsic
+    return v, extrinsic, posterior

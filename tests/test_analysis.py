@@ -1,9 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import code_from_rows
+from conftest import code_from_rows, numpy_proto_fixed_point
 from erasurelab.analysis import (
+    _edge_types,
+    _priors,
+    _proto_fixed_point,
     DegreeDistribution,
     WeightSpectrumTail,
     berlekamp_bound,
@@ -93,6 +103,96 @@ def test_protograph_de_regular_equivalence():
     val, degenerate = protograph_ml_bound(p)
     assert not degenerate
     assert abs(val - 0.4881) < 1e-3
+
+
+def test_protograph_values_exact():
+    """The values the numpy kernel gave, repr for repr."""
+    assert protograph_it_threshold(ARA) == 0.477691650390625
+    assert protograph_ml_bound(ARA) == (0.4961412773220318, False)
+    p33 = Protograph(base=((3, 3),))
+    assert protograph_it_threshold(p33) == 0.429412841796875
+    assert protograph_ml_bound(p33) == (0.48815075197760904, False)
+
+
+def _edge_matrix(p, per_edge):
+    """A per-edge-type list laid out like the base matrix, zero off the edges."""
+    out = np.zeros((p.n_checks, p.n_vars))
+    for (i, j, _), x in zip(_edge_types(p)[0], per_edge):
+        out[i, j] = x
+    return out
+
+
+def _assert_matches_numpy(p, eps, warm):
+    """Scalar and numpy DE agree on v, extrinsic and posterior within 1e-12,
+    from the all-ones start or warm from the fixed point at eps + 0.05."""
+    graph = _edge_types(p)
+    v0 = None
+    if warm:
+        v0, _, _ = _proto_fixed_point(graph, _priors(p, min(1.0, eps + 0.05)))
+    b = np.array(p.base, dtype=float)
+    priors = np.array([1.0 if j in p.punctured_cols else eps for j in range(p.n_vars)])
+    ref = numpy_proto_fixed_point(b, priors, None if v0 is None else _edge_matrix(p, v0))
+    v, extrinsic, posterior = _proto_fixed_point(graph, _priors(p, eps), v0)
+    assert np.abs(_edge_matrix(p, v) - ref[0]).max() <= 1e-12
+    assert np.abs(np.array(extrinsic) - ref[1]).max() <= 1e-12
+    assert np.abs(np.array(posterior) - ref[2]).max() <= 1e-12
+
+
+def _complete(base, rng_row):
+    """Give every column without an edge one edge of multiplicity 1."""
+    for j in range(len(base[0])):
+        if not any(row[j] for row in base):
+            base[rng_row(j)][j] = 1
+    return base
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_proto_fixed_point_matches_numpy(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 5))
+    nv = int(rng.integers(m, 7))
+    base = (rng.integers(1, 4, size=(m, nv)) * (rng.random((m, nv)) < 0.6)).tolist()
+    base = _complete(base, lambda j: int(rng.integers(m)))
+    # with a punctured column the design rate stays below 1 only with 2+ checks
+    punct = frozenset({int(rng.integers(nv))}) if m >= 2 and seed % 2 else frozenset()
+    p = Protograph(base=base, punctured_cols=punct)
+    for eps in rng.random(3):
+        for warm in (False, True):
+            _assert_matches_numpy(p, float(eps), warm)
+
+
+@pytest.mark.parametrize("eps", [0.4776, 0.4778])
+@pytest.mark.parametrize("warm", [False, True])
+def test_proto_fixed_point_matches_numpy_near_threshold(eps, warm):
+    """Next to the ARA threshold, where DE takes thousands of iterations."""
+    _assert_matches_numpy(ARA, eps, warm)
+
+
+@st.composite
+def _protograph_case(draw):
+    m = draw(st.integers(1, 4))
+    nv = draw(st.integers(m, 6))
+    row = st.lists(st.integers(0, 3), min_size=nv, max_size=nv)
+    base = _complete(draw(st.lists(row, min_size=m, max_size=m)), lambda j: j % m)
+    punct = frozenset()
+    if m >= 2 and draw(st.booleans()):
+        punct = frozenset({draw(st.integers(0, nv - 1))})
+    return Protograph(base=base, punctured_cols=punct), draw(st.floats(0.0, 1.0)), draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_protograph_case())
+def test_proto_fixed_point_matches_numpy_property(case):
+    _assert_matches_numpy(*case)
+
+
+def test_thresholds_demo_ara_line():
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, str(root / "demos" / "thresholds_and_exit.py")],
+                         capture_output=True, text=True, check=True, timeout=300,
+                         env=dict(os.environ, PYTHONPATH=path)).stdout
+    assert "eps_IT = 0.4777, eps_ML <= 0.4961" in out
 
 
 def test_protograph_de_trivial_eps0():

@@ -129,6 +129,22 @@ def test_lift_ara_shape():
     assert len(code.punctured) == 256
 
 
+@pytest.mark.parametrize("base", [(), ((),)])
+def test_protograph_rejects_empty_base(base):
+    with pytest.raises(ConstructionError, match="at least one row and one column"):
+        Protograph(base=base)
+
+
+def test_protograph_rejects_ragged_base():
+    with pytest.raises(ConstructionError, match="same length"):
+        Protograph(base=((1, 1, 1), (1, 1)))
+
+
+def test_protograph_rejects_column_without_edge():
+    with pytest.raises(ConstructionError, match="base column 2 has no edge"):
+        Protograph(base=((3, 3, 0),))
+
+
 def test_lift_multiplicity_over_lift():
     with pytest.raises(ConstructionError):
         lift_protograph(Protograph(base=((3,),), lift=2))
