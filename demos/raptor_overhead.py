@@ -23,7 +23,7 @@ for delta in range(0, 13, 2):
     errors = trials = 0
     while errors < 30 and trials < 2000:
         rng = np.random.default_rng((0, delta, trials))
-        ok, _, _ = run_trial(code, "ml", ch, rng)
+        ok, _ = run_trial(code, "ml", ch, rng)
         errors += not ok
         trials += 1
     cer = errors / trials

@@ -405,16 +405,6 @@ class SparseBinMatrix:
     def col_weight(self, c: int) -> int:
         return len(self.col_adj[c])
 
-    def submatrix_cols(self, indices) -> "SparseBinMatrix":
-        """Column selection preserving the order of the index list."""
-        pos = {c: i for i, c in enumerate(indices)}
-        if len(pos) != len(list(indices)):
-            raise ValueError("duplicate column indices")
-        row_adj = []
-        for cs in self.row_adj:
-            row_adj.append(sorted(pos[c] for c in cs if c in pos))
-        return SparseBinMatrix(self.rows, len(pos), row_adj)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SparseBinMatrix)

@@ -80,6 +80,8 @@ def _int_range(text):
     """'a:b' inclusive, or a comma list."""
     if ":" in text:
         a, b = (int(p) for p in text.split(":"))
+        if b < a:
+            raise argparse.ArgumentTypeError(f"want start <= stop, got {text!r}")
         return list(range(a, b + 1))
     return [int(p) for p in text.split(",")]
 

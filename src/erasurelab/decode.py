@@ -6,7 +6,9 @@ decoder peels until no check holds a single erased symbol, then inactivates
 a pivot, resumes the diagonal extension with every value written as an XOR
 of pivots plus a constant, and repeats; dense GE runs only on the small
 residual pivot system. The hybrid decoder (peel, then ML) is the same
-decoder under its older name.
+decoder under its older name. ``solve_inactivated`` is the one solve stage
+after triangularization, for LDPC and Raptor systems alike: gather A', solve
+it for the pivots, substitute them back.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ class ReceivedWord:
 class DecodeStats:
     peeled: int = 0
     pivots: int = 0
-    ge_dim: int = 0
     system_shape: tuple = ()
 
 
@@ -89,7 +90,7 @@ class TriangularizationState:
     symbols included.
     ``resolved`` holds the diagonal-extension order, ``pivots`` the
     inactivated unknowns, and ``anchored[r]`` marks a row consumed to resolve
-    an unknown. reduce_to_aprime fills ``aprime``/``rhs_prime``.
+    an unknown. back_substitute turns every value into the unknown's bit.
     """
 
     row_adj: list
@@ -102,8 +103,6 @@ class TriangularizationState:
     anchored: bytearray
     resolved: list = field(default_factory=list)
     pivots: list = field(default_factory=list)
-    aprime: DenseBinMatrix = None
-    rhs_prime: BinVector = None
 
     @property
     def left(self) -> int:
@@ -201,7 +200,7 @@ def peel_decode(code, word: ReceivedWord) -> DecodeResult:
     if st.left:
         residual = tuple(c for c in word.erased if st.unknown[c])
         return DecodeResult("it_stall", residual=residual, stats=stats)
-    return _finish(code, word, _filled(word, st), stats)
+    return _finish(code, word, _filled(word.values.bits, st), stats)
 
 
 def max_degree_pivot(unresolved, coldeg):
@@ -265,26 +264,36 @@ def reduce_to_aprime(state: TriangularizationState):
             if par & 1:
                 rhs_bits |= 1 << len(arows)
             arows.append(par >> 1)
-    state.aprime = DenseBinMatrix(len(arows), len(state.pivots), arows)
-    state.rhs_prime = BinVector(len(arows), rhs_bits)
-    return state.aprime, state.rhs_prime
+    return DenseBinMatrix(len(arows), len(state.pivots), arows), BinVector(len(arows), rhs_bits)
 
 
 def solve_pivots(aprime: DenseBinMatrix, rhs_prime: BinVector):
-    """Dense GE on the small pivot system; returns values or a deficiency."""
+    """Dense GE on a system; returns (solution, rank), the solution None when
+    the system is rank deficient."""
     out = dense_gauss_solve(aprime, rhs_prime)
     if not out.consistent:
-        raise InconsistentInputError("pivot system inconsistent")
+        raise InconsistentInputError("received symbols are inconsistent")
     if not out.unique:
         return None, out.rank
     return out.solution, out.rank
 
 
-def back_substitute(state: TriangularizationState, pivot_values: BinVector) -> dict:
-    """Assign all unknowns from the solved pivots by evaluating their values."""
+def back_substitute(state: TriangularizationState, pivot_values: BinVector) -> None:
+    """Set every unknown's value to its bit under the solved pivots."""
     bits = pivot_values.bits << 1 | 1
     value = state.value
-    return {u: (value[u] & bits).bit_count() & 1 for u in state.pivots + state.resolved}
+    for u in state.pivots + state.resolved:
+        value[u] = (value[u] & bits).bit_count() & 1
+
+
+def solve_inactivated(state: TriangularizationState):
+    """Finish a triangularized system: solve A' for the pivots and substitute
+    them back. Returns None, or the system's rank if it is rank deficient."""
+    pivot_values, rank = solve_pivots(*reduce_to_aprime(state))
+    if pivot_values is None:
+        return rank + len(state.resolved)
+    back_substitute(state, pivot_values)
+    return None
 
 
 def ml_decode(code, word: ReceivedWord, pivot_strategy=max_degree_pivot) -> DecodeResult:
@@ -293,18 +302,14 @@ def ml_decode(code, word: ReceivedWord, pivot_strategy=max_degree_pivot) -> Deco
     linearly independent, exactly matching oracle_decode."""
     word = _with_punctured(code, word)
     st = _peel_core(code, word)
+    rank = None
     if st.left:
         triangularize(st, None, pivot_strategy)
-        reduce_to_aprime(st)
-        pivot_values, ge_rank = solve_pivots(st.aprime, st.rhs_prime)
-    npiv = len(st.pivots)
-    stats = DecodeStats(len(st.resolved), npiv, npiv, (code.h.rows, len(word.erased)))
-    if npiv:
-        if pivot_values is None:
-            return DecodeResult("rank_deficient", rank=ge_rank + len(st.resolved), stats=stats)
-        for u, bit in back_substitute(st, pivot_values).items():
-            st.value[u] = bit
-    return _finish(code, word, _filled(word, st), stats)
+        rank = solve_inactivated(st)
+    stats = DecodeStats(len(st.resolved), len(st.pivots), (code.h.rows, len(word.erased)))
+    if rank is not None:
+        return DecodeResult("rank_deficient", rank=rank, stats=stats)
+    return _finish(code, word, _filled(word.values.bits, st), stats)
 
 
 # ML decoding peels first, so the hybrid decoder is the ML decoder.
@@ -315,14 +320,12 @@ def oracle_decode(code, word: ReceivedWord) -> DecodeResult:
     """Brute-force dense GE over all erased columns; ground truth."""
     word = _with_punctured(code, word)
     hkbar, syndrome = split_by_erasure(code, word)
-    out = dense_gauss_solve(hkbar.to_dense(), syndrome)
-    stats = DecodeStats(ge_dim=len(word.erased), system_shape=(hkbar.rows, hkbar.cols))
-    if not out.consistent:
-        raise InconsistentInputError("erasure system inconsistent")
-    if not out.unique:
-        return DecodeResult("rank_deficient", rank=out.rank, stats=stats)
+    solution, rank = solve_pivots(hkbar.to_dense(), syndrome)
+    stats = DecodeStats(system_shape=(hkbar.rows, hkbar.cols))
+    if solution is None:
+        return DecodeResult("rank_deficient", rank=rank, stats=stats)
     bits = word.values.bits
-    for li in out.solution.ones():
+    for li in solution.ones():
         bits |= 1 << word.erased[li]
     return _finish(code, word, bits, stats)
 
@@ -344,10 +347,9 @@ def _with_punctured(code, word: ReceivedWord) -> ReceivedWord:
     return ReceivedWord.from_full(word.values, word.erased + tuple(punct))
 
 
-def _filled(word: ReceivedWord, st: TriangularizationState) -> int:
-    """The received word with every unknown of ``st`` set to its value, a
-    bit once no pivot is left in it."""
-    bits = word.values.bits
+def _filled(bits: int, st: TriangularizationState) -> int:
+    """``bits`` with every unknown of ``st`` set to its value, a bit once no
+    pivot is left in it."""
     value = st.value
     for u in st.resolved + st.pivots:
         if value[u]:

@@ -178,6 +178,9 @@ def encode(code: LdpcCode, u: BinVector) -> BinVector:
 def sample_regular(dv: int, dc: int, n: int, seed: int = 0) -> LdpcCode:
     """Configuration-model sample of the (dv, dc) regular ensemble with
     post-hoc edge swaps removing parallel edges (and short cycles at small n)."""
+    for name, val in (("dv", dv), ("dc", dc), ("n", n)):
+        if val < 1:
+            raise ConstructionError(f"{name} must be >= 1, got {val}")
     if (n * dv) % dc:
         raise ConstructionError(f"n*dv = {n * dv} not divisible by dc = {dc}")
     m = n * dv // dc

@@ -10,19 +10,19 @@ ESI streams) are documented, seed-driven stand-ins with the same structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .binmat import (
     BinVector,
     DenseBinMatrix,
     SparseBinMatrix,
-    dense_gauss_solve,
     invert,
     mul_vec,
     rank,
 )
 from . import decode as _decode
+from .decode import DecodeStats
 
 _MASK64 = (1 << 64) - 1
 
@@ -297,12 +297,7 @@ class RaptorCode:
         self.gl = _g_ldpc(params)
         self.gh = _g_h(params)
         self.a_k = build_A(params, range(1, params.k + 1), self.gl, self.gh)
-        out = dense_gauss_solve(self.a_k, DenseBinMatrix.identity(params.L))
-        if not out.unique:
-            raise DecodingError(
-                f"A(1..k) is singular (rank {out.rank}); pick a systematic seed"
-            )
-        self.a_k_inv = out.solution
+        self.a_k_inv = invert(self.a_k)
         self.lt_cols = [lt_tuple(esi, params).indices for esi in range(1, params.n + 1)]
         self.lt_rows = [sum(1 << i for i in cols) for cols in self.lt_cols]
         # the pre-code rows that head every received system
@@ -372,43 +367,30 @@ class RaptorCode:
 
     def decode(self, received) -> "RaptorDecodeResult":
         """Dense-GE ML decoding of A(i1..ir) F = [0; E]."""
-        r = len(received)
-        if r < self.params.k:
-            return RaptorDecodeResult("insufficient", rank=None,
-                                      system_shape=(self.params.s + self.params.h + r, self.params.L))
         rhs = self._received_rhs(received)
+        stats = DecodeStats(system_shape=(rhs.n, self.params.L))
+        if len(received) < self.params.k:
+            return RaptorDecodeResult("insufficient", stats=stats)
         rows = self.precode_rows + [self.lt_rows[esi - 1] for esi, _ in received]
-        a = DenseBinMatrix(len(rows), self.params.L, rows)
-        out = dense_gauss_solve(a, rhs)
-        shape = (a.rows, a.cols)
-        if not out.consistent:
-            raise DecodingError("received symbols are inconsistent")
-        if not out.unique:
-            return RaptorDecodeResult("rank_deficient", rank=out.rank, system_shape=shape)
-        return RaptorDecodeResult("success", c=self._recover_c(out.solution),
-                                  f=out.solution, system_shape=shape)
+        f, ge_rank = _decode.solve_pivots(DenseBinMatrix(len(rows), self.params.L, rows), rhs)
+        if f is None:
+            return RaptorDecodeResult("rank_deficient", rank=ge_rank, stats=stats)
+        return RaptorDecodeResult("success", c=self._recover_c(f), f=f, stats=stats)
 
     def decode_structured(self, received) -> "RaptorDecodeResult":
-        """Inactivation decoding: triangularize A(i1..ir) with the same
-        machinery as the LDPC ML decoder; dense GE only on the pivot system."""
-        r = len(received)
-        shape = (self.params.s + self.params.h + r, self.params.L)
-        if r < self.params.k:
-            return RaptorDecodeResult("insufficient", rank=None, system_shape=shape)
-        state = _decode.triangularize(*self._structured_system(received))
-        _decode.reduce_to_aprime(state)
-        pivot_values, ge_rank = _decode.solve_pivots(state.aprime, state.rhs_prime)
-        stats = dict(peeled=len(state.resolved), pivots=len(state.pivots))
-        if pivot_values is None:
-            return RaptorDecodeResult("rank_deficient", rank=ge_rank + len(state.resolved),
-                                      system_shape=shape, **stats)
-        fbits = 0
-        for i, bit in _decode.back_substitute(state, pivot_values).items():
-            if bit:
-                fbits |= 1 << i
-        f = BinVector(self.params.L, fbits)
-        return RaptorDecodeResult("success", c=self._recover_c(f), f=f,
-                                  system_shape=shape, **stats)
+        """Inactivation decoding: triangularize A(i1..ir) and solve it with the
+        same stages as the LDPC ML decoder; dense GE only on the pivot system."""
+        system, rhs = self._structured_system(received)
+        shape = (system.rows, system.cols)
+        if len(received) < self.params.k:
+            return RaptorDecodeResult("insufficient", stats=DecodeStats(system_shape=shape))
+        state = _decode.triangularize(system, rhs)
+        ge_rank = _decode.solve_inactivated(state)
+        stats = DecodeStats(len(state.resolved), len(state.pivots), shape)
+        if ge_rank is not None:
+            return RaptorDecodeResult("rank_deficient", rank=ge_rank, stats=stats)
+        f = BinVector(self.params.L, _decode._filled(0, state))
+        return RaptorDecodeResult("success", c=self._recover_c(f), f=f, stats=stats)
 
 
 @dataclass
@@ -417,9 +399,7 @@ class RaptorDecodeResult:
     c: BinVector = None
     f: BinVector = None
     rank: int = None
-    system_shape: tuple = ()
-    peeled: int = 0
-    pivots: int = 0
+    stats: DecodeStats = field(default_factory=DecodeStats)
 
     @property
     def ok(self) -> bool:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,8 +59,7 @@ class SimRecord:
     errors: int
     cer: float
     ci95: float
-    mean_pivots: float
-    mean_ge_dim: float
+    mean_pivots: float  # the CSV writes it to both pivot columns
 
 
 def wilson_halfwidth(errors: int, trials: int, z: float = 1.959964) -> float:
@@ -73,7 +72,7 @@ def wilson_halfwidth(errors: int, trials: int, z: float = 1.959964) -> float:
 
 
 def run_trial(code, decoder: str, channel: ChannelModel, rng, zero_codeword=True) -> tuple:
-    """One channel realization + decode. Returns (success, pivots, ge_dim).
+    """One channel realization + decode. Returns (success, pivots).
     ``zero_codeword`` applies to LDPC codes; Raptor always draws random input."""
     if isinstance(code, RaptorCode):
         return _raptor_trial(code, decoder, channel, rng)
@@ -99,7 +98,7 @@ def _ldpc_trial(code: LdpcCode, decoder, channel, rng, zero_codeword=True):
     word = ReceivedWord.from_full(cw, erased)
     fn = {"it": peel_decode, "ml": ml_decode, "hybrid": hybrid_decode}[decoder]
     res = fn(code, word)
-    return res.ok and res.recovered == cw, res.stats.pivots, res.stats.ge_dim
+    return res.ok and res.recovered == cw, res.stats.pivots
 
 
 def _raptor_trial(code: RaptorCode, decoder, channel, rng):
@@ -118,7 +117,7 @@ def _raptor_trial(code: RaptorCode, decoder, channel, rng):
     else:
         raise ValueError("Raptor simulation supports ML decoding only")
     ok = res.ok and res.c == c
-    return ok, res.pivots, res.pivots
+    return ok, res.stats.pivots
 
 
 def _trial_block(code, decoder, channel, seed, point_idx, t0, t1, zero_codeword):
@@ -134,7 +133,7 @@ def run_point(plan: SimPlan, point_idx: int, value, executor=None) -> SimRecord:
     )
     block = 256
     trials = errors = 0
-    piv_sum = ge_sum = 0.0
+    piv_sum = 0.0
     t = 0
     stop = False
     while not stop and t < plan.max_trials:
@@ -151,10 +150,9 @@ def run_point(plan: SimPlan, point_idx: int, value, executor=None) -> SimRecord:
             ]
             results = [r for f in futures for r in f.result()]
         # scan in trial-index order so the stop point is worker-independent
-        for ok, piv, ge in results:
+        for ok, piv in results:
             trials += 1
             piv_sum += piv
-            ge_sum += ge
             if not ok:
                 errors += 1
                 if errors >= plan.target_errors:
@@ -163,8 +161,7 @@ def run_point(plan: SimPlan, point_idx: int, value, executor=None) -> SimRecord:
         t = t1
     cer = errors / trials if trials else 0.0
     return SimRecord(value, trials, errors, cer, wilson_halfwidth(errors, trials),
-                     piv_sum / trials if trials else 0.0,
-                     ge_sum / trials if trials else 0.0)
+                     piv_sum / trials if trials else 0.0)
 
 
 def _split_span(t0, t1, workers):
@@ -188,6 +185,6 @@ def records_to_csv(records, header: dict = None) -> str:
     for r in records:
         lines.append(
             f"{r.sweep_value:g},{r.trials},{r.errors},{r.cer:.8g},"
-            f"{r.ci95:.8g},{r.mean_pivots:.8g},{r.mean_ge_dim:.8g}"
+            f"{r.ci95:.8g},{r.mean_pivots:.8g},{r.mean_pivots:.8g}"
         )
     return "\n".join(lines) + "\n"

@@ -234,7 +234,7 @@ def test_acceptance_7_raptor():
             esis = (trng.choice(p.n, size=p.k + delta, replace=False) + 1).tolist()
             received = [(esi, e[esi - 1]) for esi in esis]
             res = big.decode_structured(received)
-            assert res.system_shape == (p.k + delta + p.s + p.h, p.k + p.s + p.h)
+            assert res.stats.system_shape == (p.k + delta + p.s + p.h, p.k + p.s + p.h)
             errors += not (res.ok and res.c == c)
             trials += 1
         curve.append((delta, errors / trials, wilson_halfwidth(errors, trials),

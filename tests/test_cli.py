@@ -125,26 +125,35 @@ def test_replay_byte_identical(tmp_path, capsys):
 BAD_K_CODE = "ldpc 4 3\n2 4\n1100\n0011\n"
 
 
-@pytest.mark.parametrize("args, files", [
-    (["bounds", "--n", "64", "--k", "32", "--eps", "0.1:0.2:0"], {}),
-    (["bounds", "--n", "64", "--k", "32", "--eps", "0.2:0.1:-0.05"], {}),
-    (["bounds", "--n", "64", "--k", "32", "--eps", "0.2:0.1:0.05"], {}),
-    (["bounds", "--n", "64", "--k", "32", "--config", "run.cfg"], {"run.cfg": "eps=0.1:0.2:0\n"}),
-    (["raptor-sim", "--k", "16", "--n", "32", "--delta", "16", "--workers", "0"], {}),
+@pytest.mark.parametrize("args, files, says", [
+    (["bounds", "--n", "64", "--k", "32", "--eps", "0.1:0.2:0"], {}, ""),
+    (["bounds", "--n", "64", "--k", "32", "--eps", "0.2:0.1:-0.05"], {}, ""),
+    (["bounds", "--n", "64", "--k", "32", "--eps", "0.2:0.1:0.05"], {}, ""),
+    (["bounds", "--n", "64", "--k", "32", "--config", "run.cfg"],
+     {"run.cfg": "eps=0.1:0.2:0\n"}, ""),
+    (["raptor-sim", "--k", "16", "--n", "32", "--delta", "16", "--workers", "0"], {}, ""),
     (["raptor-sim", "--k", "16", "--n", "32", "--delta", "16", "--config", "run.cfg"],
-     {"run.cfg": "workers=0\n"}),
-    (["mindist", "--code", "code.txt"], {"code.txt": BAD_K_CODE}),
-    (["bounds", "--n", "64", "--k", "80", "--eps", "0.1"], {}),
-    (["simulate", "--regular", "3,6", "--n", "24", "--eps", "0.3", "--target-errors", "0"], {}),
-    (["simulate", "--regular", "3,6", "--n", "24", "--eps", "0.3", "--max-trials", "0"], {}),
-    (["simulate", "--geira", "8,16", "--taps", "0,20", "--eps", "0.3"], {}),
-    (["simulate", "--code", "/nonexistent", "--eps", "0.3"], {}),
+     {"run.cfg": "workers=0\n"}, ""),
+    (["mindist", "--code", "code.txt"], {"code.txt": BAD_K_CODE}, ""),
+    (["bounds", "--n", "64", "--k", "80", "--eps", "0.1"], {}, ""),
+    (["simulate", "--regular", "3,6", "--n", "24", "--eps", "0.3", "--target-errors", "0"],
+     {}, ""),
+    (["simulate", "--regular", "3,6", "--n", "24", "--eps", "0.3", "--max-trials", "0"], {}, ""),
+    (["simulate", "--geira", "8,16", "--taps", "0,20", "--eps", "0.3"], {}, ""),
+    (["simulate", "--code", "/nonexistent", "--eps", "0.3"], {}, ""),
     (["simulate", "--regular", "3,6", "--n", "24", "--eps", "0.3", "--config", "run.cfg"],
-     {"run.cfg": "decoder=bogus\n"}),
+     {"run.cfg": "decoder=bogus\n"}, ""),
+    (["simulate", "--regular", "3,6", "--n", "24", "--delta", "5:1"], {}, "5:1"),
+    (["raptor-sim", "--k", "16", "--n", "32", "--delta", "3:1"], {}, "3:1"),
+    (["simulate", "--regular", "0,6", "--n", "12", "--eps", "0.3"], {}, "dv must be >= 1"),
+    (["construct", "--regular", "3,6", "--n", "-6"], {}, "n must be >= 1, got -6"),
 ], ids=["step-zero", "step-negative", "stop-below-start", "step-config", "workers-flag",
         "workers-config", "code-header-k", "bounds-k-above-n", "target-errors-zero",
-        "max-trials-zero", "geira-tap-too-large", "code-file-missing", "decoder-config"])
-def test_bad_range_is_a_usage_error(tmp_path, capsys, args, files):
+        "max-trials-zero", "geira-tap-too-large", "code-file-missing", "decoder-config",
+        "simulate-delta-stop-below-start", "raptor-delta-stop-below-start",
+        "regular-dv-zero", "regular-n-negative"])
+def test_bad_range_is_a_usage_error(tmp_path, capsys, args, files, says):
+    """Exit 2 with one error line; ``says`` is a fragment that line must hold."""
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     args = [str(tmp_path / a) if a in files else a for a in args]
@@ -153,4 +162,5 @@ def test_bad_range_is_a_usage_error(tmp_path, capsys, args, files):
     assert code == 2
     assert captured.out == ""
     assert captured.err.splitlines()[-1].startswith("erasurelab: error: ")
+    assert says in captured.err.splitlines()[-1]
     assert "Traceback" not in captured.err

@@ -148,11 +148,10 @@ def test_back_substitute_stall_witness():
     hk, syn = split_by_erasure(code, word(code, [0, 0, 0], [0, 1, 2]))
     state = triangularize(hk, syn)
     assert state.pivots  # peeling alone stalls here
-    reduce_to_aprime(state)
-    pivot_values, _ = solve_pivots(state.aprime, state.rhs_prime)
+    pivot_values, _ = solve_pivots(*reduce_to_aprime(state))
     assert pivot_values is not None
-    values = back_substitute(state, pivot_values)
-    assert set(values.values()) == {0}
+    back_substitute(state, pivot_values)
+    assert {state.value[u] for u in state.pivots + state.resolved} == {0}
 
 
 def test_ml_hamming_independent_columns(hamming74):
@@ -230,8 +229,6 @@ def test_is_stopping_set():
 def test_stats_system_shape():
     code = code_from_rows(STALL_ML_OK)
     res = ml_decode(code, word(code, [0, 0, 0], [0, 1, 2]))
-    npiv = res.stats.pivots
-    assert res.stats.ge_dim == npiv
     assert res.stats.system_shape == (4, 3)  # checks x erased positions
 
 

@@ -13,7 +13,7 @@ from erasurelab.binmat import (
     rank,
     submatrix_rows,
 )
-from erasurelab.decode import triangularize
+from erasurelab.decode import InconsistentInputError, triangularize
 from erasurelab.raptor import (
     RaptorCode,
     RaptorParams,
@@ -235,8 +235,8 @@ def test_structured_matches_dense(code16, rng):
         assert a.status == b.status
         if a.ok:
             assert a.c == b.c == c
-        assert b.system_shape == (p.s + p.h + r, p.L)
-        assert b.pivots <= p.L - b.peeled
+        assert b.stats.system_shape == (p.s + p.h + r, p.L)
+        assert b.stats.pivots <= p.L - b.stats.peeled
 
 
 def test_decoded_c_reencodes(code16, rng):
@@ -307,9 +307,28 @@ def test_structured_matches_dense_at_low_overhead(code64):
     assert statuses == {"success", "rank_deficient"}
 
 
-@pytest.mark.parametrize("esis", [[1, 2, 2], [0, 1, 2], [1, 2, 33]])
+_TAIL = list(range(3, 19))
+
+
+@pytest.mark.parametrize("esis", [
+    [1, 2, 2] + _TAIL, [0, 1, 2] + _TAIL, [1, 2, 33] + _TAIL,
+    # fewer than k symbols: the ESIs are checked before the early return
+    [1, 2, 2], [0] + list(range(1, 11)), [1, 2, 33],
+])
 def test_bad_esis_rejected(code16, esis):
-    received = [(esi, 0) for esi in esis] + [(esi, 0) for esi in range(3, 19)]
+    received = [(esi, 0) for esi in esis]
     for decoder in (code16.decode, code16.decode_structured):
         with pytest.raises(ValueError):
+            decoder(received)
+
+
+def test_flipped_symbol_is_inconsistent(code16, rng):
+    """With every symbol received (overhead n - k), a flipped one contradicts
+    the rest, and both decoders report corrupted input."""
+    p = code16.params
+    e = code16.encode(random_vector(p.k, rng))
+    received = [(i + 1, e[i]) for i in range(p.n)]
+    received[0] = (1, 1 - e[0])
+    for decoder in (code16.decode, code16.decode_structured):
+        with pytest.raises(InconsistentInputError):
             decoder(received)

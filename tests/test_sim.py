@@ -32,21 +32,21 @@ def test_channel_validation():
 def test_trial_eps0_always_succeeds(small_code):
     ch = ChannelModel("bec", epsilon=0.0)
     for t in range(20):
-        ok, _, _ = run_trial(small_code, "ml", ch, np.random.default_rng(t))
+        ok, _ = run_trial(small_code, "ml", ch, np.random.default_rng(t))
         assert ok
 
 
 def test_trial_eps1_always_fails(small_code):
     ch = ChannelModel("bec", epsilon=1.0)
     for t in range(20):
-        ok, _, _ = run_trial(small_code, "ml", ch, np.random.default_rng(t))
+        ok, _ = run_trial(small_code, "ml", ch, np.random.default_rng(t))
         assert not ok
 
 
 def test_trial_full_overhead_equals_eps0(small_code):
     ch = ChannelModel("overhead", delta=small_code.n - small_code.k)
     for t in range(20):
-        ok, _, _ = run_trial(small_code, "hybrid", ch, np.random.default_rng(t))
+        ok, _ = run_trial(small_code, "hybrid", ch, np.random.default_rng(t))
         assert ok
 
 
@@ -95,7 +95,7 @@ def test_csv_format():
     plan_header = {"decoder": "ml", "seed": 3}
     from erasurelab.sim import SimRecord
 
-    rec = SimRecord(0.3, 100, 7, 0.07, 0.049, 1.5, 1.5)
+    rec = SimRecord(0.3, 100, 7, 0.07, 0.049, 1.5)
     text = records_to_csv([rec], plan_header)
     lines = text.splitlines()
     assert lines[0] == "# decoder=ml"
@@ -108,7 +108,7 @@ def test_raptor_overhead_trials():
     code = RaptorCode.build(16, 32, seed=0)
     ch = ChannelModel("overhead", delta=16)  # all n symbols received
     for t in range(10):
-        ok, _, _ = run_trial(code, "ml", ch, np.random.default_rng(t))
+        ok, _ = run_trial(code, "ml", ch, np.random.default_rng(t))
         assert ok
 
 
@@ -125,9 +125,9 @@ def test_wrong_recovered_word_counts_as_error(small_code, monkeypatch):
     monkeypatch.setattr(sim, "ml_decode",
                         lambda code, word: DecodeResult("success", recovered=zero))
     ch = ChannelModel("bec", epsilon=0.1)
-    ok, _, _ = run_trial(small_code, "ml", ch, np.random.default_rng(1), zero_codeword=True)
+    ok, _ = run_trial(small_code, "ml", ch, np.random.default_rng(1), zero_codeword=True)
     assert ok
-    ok, _, _ = run_trial(small_code, "ml", ch, np.random.default_rng(1), zero_codeword=False)
+    ok, _ = run_trial(small_code, "ml", ch, np.random.default_rng(1), zero_codeword=False)
     assert not ok
     plan = SimPlan(code=small_code, decoder="ml", channel_kind="bec", sweep=[0.1],
                    target_errors=10**6, max_trials=20, seed=1, zero_codeword=False)
