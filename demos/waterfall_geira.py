@@ -14,7 +14,7 @@ from erasurelab.sim import SimPlan, run_sweep
 
 spec = GeiraSpec(k=512, n=1024, taps=frozenset({0, 1, 4, 10, 20}), wc=5, seed=7)
 code = build_geira(spec)
-mean_row = sum(code.h.row_weight(r) for r in range(code.h.rows)) / code.h.rows
+mean_row = sum(len(code.h.row_adj[r]) for r in range(code.h.rows)) / code.h.rows
 print(f"# GeIRA (1024,512), taps {{0,1,4,10,20}}, wc=5, "
       f"mean check degree {mean_row:.2f}")
 

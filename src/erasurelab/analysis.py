@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,7 +78,6 @@ class ThresholdReport:
     eps_ml_bound: float
     eps_sh: float
     degenerate: bool = False
-    diagnostics: dict = field(default_factory=dict)
 
 
 @dataclass

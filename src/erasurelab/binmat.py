@@ -3,6 +3,11 @@ and dense Gaussian elimination used as the brute-force oracle everywhere else.
 
 Dense rows are stored as Python integers (bit j of a row word is column j),
 so row XOR and row-vector products run at word speed regardless of width.
+Every linear map in the package is held as such row words, and callers work
+on ``row_words`` (or the sparse ``row_adj``/``col_adj`` lists) directly; this
+module keeps only what the package calls: the matrix-vector product,
+elimination (solve with a vector right-hand side, rank, inverse), sparse
+conversion and the text format.
 """
 
 from __future__ import annotations
@@ -51,19 +56,6 @@ class BinVector:
             raise IndexError(i)
         return (self.bits >> i) & 1
 
-    def set(self, i: int, value: int) -> None:
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        if value:
-            self.bits |= 1 << i
-        else:
-            self.bits &= ~(1 << i)
-
-    def __xor__(self, other: "BinVector") -> "BinVector":
-        if self.n != other.n:
-            raise DimensionError(f"length mismatch {self.n} vs {other.n}")
-        return BinVector(self.n, self.bits ^ other.bits)
-
     def weight(self) -> int:
         return self.bits.bit_count()
 
@@ -73,9 +65,6 @@ class BinVector:
     def ones(self) -> list:
         """Positions of the set bits, increasing."""
         return [i for i, ch in enumerate(bin(self.bits)[:1:-1]) if ch == "1"]
-
-    def copy(self) -> "BinVector":
-        return BinVector(self.n, self.bits)
 
     def __eq__(self, other) -> bool:
         return (
@@ -93,65 +82,12 @@ class DenseBinMatrix:
 
     __slots__ = ("rows", "cols", "row_words")
 
-    def __init__(self, rows: int, cols: int, row_words=None):
+    def __init__(self, rows: int, cols: int, row_words):
         self.rows = rows
         self.cols = cols
-        if row_words is None:
-            row_words = [0] * rows
         if len(row_words) != rows:
             raise DimensionError("row_words length does not match row count")
         self.row_words = list(row_words)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "DenseBinMatrix":
-        return cls(rows, cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "DenseBinMatrix":
-        return cls(n, n, [1 << i for i in range(n)])
-
-    @classmethod
-    def from_rows(cls, rowlists) -> "DenseBinMatrix":
-        rowlists = [list(r) for r in rowlists]
-        if not rowlists:
-            return cls(0, 0)
-        cols = len(rowlists[0])
-        words = []
-        for r in rowlists:
-            if len(r) != cols:
-                raise DimensionError("ragged rows")
-            w = 0
-            for j, b in enumerate(r):
-                if b:
-                    w |= 1 << j
-            words.append(w)
-        return cls(len(rowlists), cols, words)
-
-    def get(self, r: int, c: int) -> int:
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise IndexError((r, c))
-        return (self.row_words[r] >> c) & 1
-
-    def set(self, r: int, c: int, value: int) -> None:
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise IndexError((r, c))
-        if value:
-            self.row_words[r] |= 1 << c
-        else:
-            self.row_words[r] &= ~(1 << c)
-
-    def row(self, r: int) -> BinVector:
-        return BinVector(self.cols, self.row_words[r])
-
-    def xor_row_into(self, src: int, dst: int) -> None:
-        """row[dst] ^= row[src]; involutive."""
-        self.row_words[dst] ^= self.row_words[src]
-
-    def copy(self) -> "DenseBinMatrix":
-        return DenseBinMatrix(self.rows, self.cols, self.row_words)
-
-    def to_lists(self) -> list:
-        return [[(w >> j) & 1 for j in range(self.cols)] for w in self.row_words]
 
     def __eq__(self, other) -> bool:
         return (
@@ -165,21 +101,6 @@ class DenseBinMatrix:
         return f"DenseBinMatrix({self.rows}x{self.cols})"
 
 
-def mul(m: DenseBinMatrix, n: DenseBinMatrix) -> DenseBinMatrix:
-    if m.cols != n.rows:
-        raise DimensionError(f"cannot multiply {m.cols}-col by {n.rows}-row")
-    out = []
-    for w in m.row_words:
-        acc = 0
-        ww = w
-        while ww:
-            j = (ww & -ww).bit_length() - 1
-            acc ^= n.row_words[j]
-            ww &= ww - 1
-        out.append(acc)
-    return DenseBinMatrix(m.rows, n.cols, out)
-
-
 def mul_vec(m: DenseBinMatrix, v: BinVector) -> BinVector:
     if m.cols != v.n:
         raise DimensionError(f"cannot apply {m.cols}-col matrix to length-{v.n} vector")
@@ -190,47 +111,19 @@ def mul_vec(m: DenseBinMatrix, v: BinVector) -> BinVector:
     return BinVector(m.rows, bits)
 
 
-def submatrix_rows(m: DenseBinMatrix, indices) -> DenseBinMatrix:
-    words = []
-    for i in indices:
-        if not 0 <= i < m.rows:
-            raise IndexError(i)
-        words.append(m.row_words[i])
-    return DenseBinMatrix(len(words), m.cols, words)
-
-
-def submatrix_cols(m: DenseBinMatrix, indices) -> DenseBinMatrix:
-    indices = list(indices)
-    for j in indices:
-        if not 0 <= j < m.cols:
-            raise IndexError(j)
-    words = []
-    for w in m.row_words:
-        nw = 0
-        for pos, j in enumerate(indices):
-            if (w >> j) & 1:
-                nw |= 1 << pos
-        words.append(nw)
-    return DenseBinMatrix(m.rows, len(indices), words)
-
-
 @dataclass
 class SolveOutcome:
     """Result of GF(2) Gaussian elimination on M x = rhs.
 
-    ``solution`` is a particular solution with free variables set to zero
-    (BinVector for a vector rhs, DenseBinMatrix for a matrix rhs), or None
-    when the system is inconsistent.
+    ``solution`` is a particular solution with free variables set to zero,
+    or None when the system is inconsistent; ``unique`` means consistent
+    with full column rank.
     """
 
     rank: int
-    free_cols: tuple
     consistent: bool
-    solution: object
-
-    @property
-    def unique(self) -> bool:
-        return self.consistent and not self.free_cols
+    unique: bool
+    solution: BinVector
 
 
 # Columns per elimination block; 6 and 7 measured fastest among 4-10 on the
@@ -285,39 +178,22 @@ def _gauss_jordan(rows: list, ncols: int) -> list:
     return pivots
 
 
-def dense_gauss_solve(m: DenseBinMatrix, rhs) -> SolveOutcome:
+def dense_gauss_solve(m: DenseBinMatrix, rhs: BinVector) -> SolveOutcome:
     """Brute-force Gaussian elimination; the input matrix is not mutated."""
-    if isinstance(rhs, BinVector):
-        if rhs.n != m.rows:
-            raise DimensionError(f"rhs length {rhs.n} != row count {m.rows}")
-        rhs_words = [(rhs.bits >> i) & 1 for i in range(m.rows)]
-        rhs_cols = 1
-    elif isinstance(rhs, DenseBinMatrix):
-        if rhs.rows != m.rows:
-            raise DimensionError(f"rhs rows {rhs.rows} != row count {m.rows}")
-        rhs_words = rhs.row_words
-        rhs_cols = rhs.cols
-    else:
-        raise TypeError("rhs must be BinVector or DenseBinMatrix")
-
+    if rhs.n != m.rows:
+        raise DimensionError(f"rhs length {rhs.n} != row count {m.rows}")
     nc = m.cols
-    aug = [w | (r << nc) for w, r in zip(m.row_words, rhs_words)]
+    aug = [w | ((rhs.bits >> i) & 1) << nc for i, w in enumerate(m.row_words)]
     pivots = _gauss_jordan(aug, nc)
     rank = len(pivots)
-    pivot_set = set(pivots)
-    free = tuple(c for c in range(nc) if c not in pivot_set)
     consistent = all(w >> nc == 0 for w in aug[rank:])
-
     solution = None
     if consistent:
-        sol_words = [0] * nc
+        bits = 0
         for i, col in enumerate(pivots):
-            sol_words[col] = aug[i] >> nc
-        if isinstance(rhs, BinVector):
-            solution = BinVector.from_bits(sol_words)
-        else:
-            solution = DenseBinMatrix(nc, rhs_cols, sol_words)
-    return SolveOutcome(rank, free, consistent, solution)
+            bits |= (aug[i] >> nc) << col
+        solution = BinVector(nc, bits)
+    return SolveOutcome(rank, consistent, consistent and rank == nc, solution)
 
 
 def rank(m: DenseBinMatrix) -> int:
@@ -325,12 +201,15 @@ def rank(m: DenseBinMatrix) -> int:
 
 
 def invert(m: DenseBinMatrix) -> DenseBinMatrix:
-    if m.rows != m.cols:
+    """Gauss-Jordan on [M | I]: the right half of row i ends as row i of M^-1."""
+    n = m.rows
+    if n != m.cols:
         raise DimensionError("only square matrices can be inverted")
-    out = dense_gauss_solve(m, DenseBinMatrix.identity(m.rows))
-    if not out.unique:
-        raise SingularMatrixError(m.rows, out.rank)
-    return out.solution
+    aug = [w | 1 << (n + i) for i, w in enumerate(m.row_words)]
+    r = len(_gauss_jordan(aug, n))
+    if r < n:
+        raise SingularMatrixError(n, r)
+    return DenseBinMatrix(n, n, [w >> n for w in aug])
 
 
 class SparseBinMatrix:
@@ -395,15 +274,6 @@ class SparseBinMatrix:
                 w |= 1 << c
             words.append(w)
         return DenseBinMatrix(self.rows, self.cols, words)
-
-    def get(self, r: int, c: int) -> int:
-        return 1 if c in self.row_adj[r] else 0
-
-    def row_weight(self, r: int) -> int:
-        return len(self.row_adj[r])
-
-    def col_weight(self, c: int) -> int:
-        return len(self.col_adj[c])
 
     def __eq__(self, other) -> bool:
         return (

@@ -121,6 +121,9 @@ def _emit(text, out_path):
 
 
 def _build_code(args, parser):
+    given = [f"--{key}" for key in ("code", "regular", "geira") if getattr(args, key)]
+    if len(given) > 1:
+        parser.error(f"give one of --code, --regular or --geira, not {' and '.join(given)}")
     if args.code:
         return ldpc.load_code(args.code)
     if args.regular:
@@ -143,13 +146,10 @@ def _cmd_construct(args, parser):
 
 
 def _cmd_simulate(args, parser):
+    if (args.eps is None) == (args.delta is None):
+        parser.error("give one of --eps or --delta")
+    kind, sweep = ("bec", args.eps) if args.eps is not None else ("overhead", args.delta)
     code = _build_code(args, parser)
-    if args.eps is not None:
-        kind, sweep = "bec", args.eps
-    elif args.delta is not None:
-        kind, sweep = "overhead", args.delta
-    else:
-        parser.error("give --eps or --delta")
     plan = sim.SimPlan(code=code, decoder=args.decoder, channel_kind=kind,
                        sweep=sweep, target_errors=args.target_errors,
                        max_trials=args.max_trials, seed=args.seed,
@@ -263,11 +263,11 @@ def _make_parser():
 
     sp = subs.add_parser("bounds", help="Singleton/Berlekamp bound grid")
     common(sp)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_positive, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--eps", type=_float_range, metavar="A:B:STEP")
-    sp.add_argument("--dmin", type=int, help="floor estimate: minimum distance")
-    sp.add_argument("--amin", type=int, help="floor estimate: multiplicity")
+    sp.add_argument("--dmin", type=_positive, help="floor estimate: minimum distance")
+    sp.add_argument("--amin", type=_positive, help="floor estimate: multiplicity")
 
     sp = subs.add_parser("thresholds", help="ensemble threshold report")
     common(sp)

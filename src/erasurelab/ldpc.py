@@ -73,32 +73,10 @@ class Protograph:
         return (self.n_vars - self.n_checks) / self.n_transmitted_base
 
 
-class _GeiraEncoder:
-    """Forward substitution through the accumulator: O(n * taps)."""
-
-    def __init__(self, hu_masks, taps, k, m):
-        self.hu_masks = hu_masks  # per parity row, mask over the k info bits
-        self.taps = sorted(taps)
-        self.k = k
-        self.m = m
-
-    def encode(self, u: BinVector) -> BinVector:
-        bits = u.bits
-        out = bits
-        parity = 0
-        for r in range(self.m):
-            p = (self.hu_masks[r] & bits).bit_count() & 1
-            for t in self.taps:
-                if t and r - t >= 0:
-                    p ^= (parity >> (r - t)) & 1
-            if p:
-                parity |= 1 << r
-        return BinVector(self.k + self.m, out | (parity << self.k))
-
-
 class _GenericEncoder:
-    """Solves H·c = 0 for the pivot positions given the info positions,
-    using the reduced row echelon form of H computed at build time."""
+    """Solves H·c = 0 for the pivot positions given the info positions: the
+    bit at pivot position i is the parity of ``u & pmap[i]``. The masks come
+    from the reduced row echelon form of H, or for GeIRA from the accumulator."""
 
     def __init__(self, n, info_positions, pivot_positions, pmap):
         self.n = n
@@ -303,11 +281,17 @@ def build_geira(spec: GeiraSpec) -> LdpcCode:
             if r - t >= 0:
                 entries.append((r, k + r - t))
     h = SparseBinMatrix.from_entries(m, n, entries)
-    hu_masks = [0] * m
+    # forward substitution through the accumulator: parity bit r is H_u row
+    # r plus parity bits r - t over the taps t > 0, as a mask over the info bits
+    pmap = [0] * m
     for r, j in entries:
         if j < k:
-            hu_masks[r] |= 1 << j
-    encoder = _GeiraEncoder(hu_masks, taps, k, m)
+            pmap[r] |= 1 << j
+    for r in range(m):
+        for t in taps:
+            if t and r - t >= 0:
+                pmap[r] ^= pmap[r - t]
+    encoder = _GenericEncoder(n, range(k), range(k, n), pmap)
     return LdpcCode(n, k, h, encoder=encoder, meta={"geira": spec})
 
 
@@ -344,7 +328,7 @@ def puncture(code: LdpcCode, positions, allow_systematic: bool = False) -> LdpcC
     if not positions:
         return code
     if not allow_systematic:
-        systematic = set(getattr(code.encoder, "info_positions", range(code.k)))
+        systematic = set(code.encoder.info_positions)
         clash = positions & systematic
         if clash:
             raise ConstructionError(f"puncturing systematic positions {sorted(clash)[:5]}")
@@ -364,7 +348,7 @@ def _bit_reversal_order(m: int):
 def rate_family(mother: LdpcCode, rates) -> list:
     """Nested rate-compatible family: transmitted count round(k/R); punctured
     parity positions drawn from a fixed bit-reversal spreading order."""
-    systematic = set(getattr(mother.encoder, "info_positions", range(mother.k)))
+    systematic = set(mother.encoder.info_positions)
     parity = [i for i in mother.transmitted if i not in systematic]
     order = [parity[i] for i in _bit_reversal_order(len(parity))]
     family = []

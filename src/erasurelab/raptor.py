@@ -202,50 +202,32 @@ def lt_tuple(esi: int, params: RaptorParams) -> LtTuple:
     return LtTuple(esi, d, tuple(sorted(chosen)))
 
 
-def _g_ldpc(params: RaptorParams) -> DenseBinMatrix:
-    """s x k pre-code generator: distinct weight-3 columns, seeded placement."""
+def _precode_rows(params: RaptorParams) -> list:
+    """The s+h pre-code constraint rows of the encoding matrix, as L-bit words:
+    [G_LDPC | I_s | Z] on top of [G_H | I_h]. G_LDPC (s x k) has distinct
+    weight-3 columns at seeded rows; the columns of G_H (h x (k+s)) are the
+    Gray half-weight words."""
+    k, s, h = params.k, params.s, params.h
+    rows = [1 << (k + r) for r in range(s + h)]
     st = _Stream(params.seed, 0xC0DE)
-    cols = []
     seen = set()
-    for _ in range(params.k):
+    for j in range(k):
         for _ in range(10000):
-            rows = set()
-            while len(rows) < 3:
-                rows.add(st.randbelow(params.s))
-            key = frozenset(rows)
-            if key not in seen or len(seen) >= math.comb(params.s, 3):
+            picked = set()
+            while len(picked) < 3:
+                picked.add(st.randbelow(s))
+            key = frozenset(picked)
+            if key not in seen or len(seen) >= math.comb(s, 3):
                 seen.add(key)
-                cols.append(sorted(rows))
                 break
         else:
             raise AssertionError("could not place a distinct weight-3 column")
-    m = DenseBinMatrix.zeros(params.s, params.k)
-    for j, rows in enumerate(cols):
-        for r in rows:
-            m.set(r, j, 1)
-    return m
-
-
-def _g_h(params: RaptorParams) -> DenseBinMatrix:
-    """h x (k+s) half-symbol generator from the Gray sequence."""
-    cols = gray_half_columns(params.h, params.k + params.s)
-    m = DenseBinMatrix.zeros(params.h, params.k + params.s)
-    for j, g in enumerate(cols):
-        for r in range(params.h):
-            if (g >> r) & 1:
-                m.set(r, j, 1)
-    return m
-
-
-def _precode_rows(params: RaptorParams, gl: DenseBinMatrix, gh: DenseBinMatrix) -> list:
-    """The s+h pre-code constraint rows of the encoding matrix, as L-bit words:
-    [G_LDPC | I_s | Z] on top of [G_H | I_h]."""
-    k, s, h = params.k, params.s, params.h
-    rows = []
-    for r in range(s):
-        rows.append(gl.row_words[r] | (1 << (k + r)))
-    for r in range(h):
-        rows.append(gh.row_words[r] | (1 << (k + s + r)))
+        for r in picked:
+            rows[r] |= 1 << j
+    for j, g in enumerate(gray_half_columns(h, k + s)):
+        for r in range(h):
+            if g >> r & 1:
+                rows[s + r] |= 1 << j
     return rows
 
 
@@ -256,27 +238,23 @@ def _lt_row(params: RaptorParams, esi: int) -> int:
     return w
 
 
-def build_A(params: RaptorParams, esis, gl=None, gh=None) -> DenseBinMatrix:
+def build_A(params: RaptorParams, esis) -> DenseBinMatrix:
     """Encoding-matrix submatrix A(esis): pre-code constraints stacked over
     the selected LT rows; shape (s+h+r) x L."""
-    gl = gl if gl is not None else _g_ldpc(params)
-    gh = gh if gh is not None else _g_h(params)
-    rows = _precode_rows(params, gl, gh)
-    for esi in esis:
-        rows.append(_lt_row(params, esi))
+    rows = _precode_rows(params) + [_lt_row(params, esi) for esi in esis]
     return DenseBinMatrix(len(rows), params.L, rows)
 
 
-def precode(d: BinVector, params: RaptorParams, gl=None, gh=None) -> BinVector:
+def precode(d: BinVector, params: RaptorParams) -> BinVector:
     """Intermediate symbols F = [D; D_s; D_h] from the pre-code relations."""
     if len(d) != params.k:
         raise ValueError(f"message length {len(d)} != k = {params.k}")
-    gl = gl if gl is not None else _g_ldpc(params)
-    gh = gh if gh is not None else _g_h(params)
-    ds = mul_vec(gl, d)
-    dh = mul_vec(gh, BinVector(params.k + params.s, d.bits | (ds.bits << params.k)))
-    bits = d.bits | (ds.bits << params.k) | (dh.bits << (params.k + params.s))
-    return BinVector(params.L, bits)
+    f = d.bits
+    for r, w in enumerate(_precode_rows(params)):
+        # row r's one unknown is its identity bit k + r; the bits it reads
+        # below that are already set
+        f |= ((w & f).bit_count() & 1) << (params.k + r)
+    return BinVector(params.L, f)
 
 
 def find_systematic_seed(k: int, n: int, seed: int = 0, cap: int = 10000) -> int:
@@ -294,14 +272,13 @@ class RaptorCode:
 
     def __init__(self, params: RaptorParams):
         self.params = params
-        self.gl = _g_ldpc(params)
-        self.gh = _g_h(params)
-        self.a_k = build_A(params, range(1, params.k + 1), self.gl, self.gh)
-        self.a_k_inv = invert(self.a_k)
+        # the pre-code rows that head every received system
+        self.precode_rows = _precode_rows(params)
         self.lt_cols = [lt_tuple(esi, params).indices for esi in range(1, params.n + 1)]
         self.lt_rows = [sum(1 << i for i in cols) for cols in self.lt_cols]
-        # the pre-code rows that head every received system
-        self.precode_rows = _precode_rows(params, self.gl, self.gh)
+        self.a_k = DenseBinMatrix(params.s + params.h + params.k, params.L,
+                                  self.precode_rows + self.lt_rows[: params.k])
+        self.a_k_inv = invert(self.a_k)
         self.precode_sparse = SparseBinMatrix.from_dense(
             DenseBinMatrix(len(self.precode_rows), params.L, self.precode_rows))
 
@@ -326,9 +303,6 @@ class RaptorCode:
             if (w & f.bits).bit_count() & 1:
                 bits |= 1 << i
         return BinVector(self.params.n, bits)
-
-    def precode(self, d: BinVector) -> BinVector:
-        return precode(d, self.params, self.gl, self.gh)
 
     # -- decoding ------------------------------------------------------------
 

@@ -7,9 +7,53 @@ from erasurelab.binmat import BinVector, DenseBinMatrix, SparseBinMatrix
 from erasurelab.ldpc import LdpcCode, _generic_encoder_from_h
 
 
+def from_rows(rowlists):
+    """DenseBinMatrix from 0/1 row lists."""
+    words = [sum(b << j for j, b in enumerate(r)) for r in rowlists]
+    return DenseBinMatrix(len(words), len(rowlists[0]) if words else 0, words)
+
+
+def to_lists(m):
+    return [[(w >> j) & 1 for j in range(m.cols)] for w in m.row_words]
+
+
+def identity(n):
+    return DenseBinMatrix(n, n, [1 << i for i in range(n)])
+
+
+def submatrix_rows(m, indices):
+    return DenseBinMatrix(len(indices), m.cols, [m.row_words[i] for i in indices])
+
+
+def mul(m, n):
+    """GF(2) product: row i XORs the rows of ``n`` that row i of ``m`` selects."""
+    words = [0] * m.rows
+    for i, w in enumerate(m.row_words):
+        for j in range(n.rows):
+            if w >> j & 1:
+                words[i] ^= n.row_words[j]
+    return DenseBinMatrix(m.rows, n.cols, words)
+
+
+def geira_accumulate(code, u):
+    """Reference GeIRA encoder: forward substitution through the accumulator,
+    one parity bit at a time, reading H_u and the taps off the code."""
+    spec = code.meta["geira"]
+    k, m = spec.k, spec.n - spec.k
+    parity = 0
+    for r in range(m):
+        hu = sum(1 << c for c in code.h.row_adj[r] if c < k)
+        p = (hu & u.bits).bit_count() & 1
+        for t in spec.taps:
+            if t and r - t >= 0:
+                p ^= (parity >> (r - t)) & 1
+        parity |= p << r
+    return BinVector(spec.n, u.bits | (parity << k))
+
+
 def code_from_rows(rowlists, punctured=frozenset()):
     """LdpcCode straight from explicit parity-check rows."""
-    h = SparseBinMatrix.from_dense(DenseBinMatrix.from_rows(rowlists))
+    h = SparseBinMatrix.from_dense(from_rows(rowlists))
     encoder, k = _generic_encoder_from_h(h)
     return LdpcCode(h.cols, k, h, punctured=frozenset(punctured), encoder=encoder)
 

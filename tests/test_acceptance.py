@@ -176,7 +176,7 @@ def test_acceptance_6_geira_waterfall_near_bound():
     spec = GeiraSpec(k=512, n=1024, taps=frozenset({0, 1, 4, 10, 20}), wc=5, seed=7)
     code = build_geira(spec)
     m = code.h.rows
-    mean_row = sum(code.h.row_weight(r) for r in range(m)) / m
+    mean_row = sum(len(code.h.row_adj[r]) for r in range(m)) / m
     assert mean_row >= 9
 
     lo, hi = 0.3, 0.5  # bisect for Berlekamp(eps) = 1e-2

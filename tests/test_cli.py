@@ -123,6 +123,8 @@ def test_replay_byte_identical(tmp_path, capsys):
 
 # a rank-2 H under a header that claims k=3
 BAD_K_CODE = "ldpc 4 3\n2 4\n1100\n0011\n"
+# the (3,2) single parity check code
+SPC_CODE = "ldpc 3 2\n1 3\n111\n"
 
 
 @pytest.mark.parametrize("args, files, says", [
@@ -147,11 +149,26 @@ BAD_K_CODE = "ldpc 4 3\n2 4\n1100\n0011\n"
     (["raptor-sim", "--k", "16", "--n", "32", "--delta", "3:1"], {}, "3:1"),
     (["simulate", "--regular", "0,6", "--n", "12", "--eps", "0.3"], {}, "dv must be >= 1"),
     (["construct", "--regular", "3,6", "--n", "-6"], {}, "n must be >= 1, got -6"),
+    (["simulate", "--regular", "3,6", "--n", "24", "--eps", "0.3", "--delta", "1:2"], {},
+     "one of --eps or --delta"),
+    (["simulate", "--regular", "3,6", "--n", "24", "--eps", "0.3", "--config", "run.cfg"],
+     {"run.cfg": "delta=1:2\n"}, "one of --eps or --delta"),
+    (["construct", "--regular", "3,6", "--n", "24", "--geira", "12,24"], {},
+     "not --regular and --geira"),
+    (["simulate", "--code", "code.txt", "--eps", "0.3", "--config", "run.cfg"],
+     {"code.txt": SPC_CODE, "run.cfg": "regular=3,6\nn=24\n"}, "not --code and --regular"),
+    (["bounds", "--n", "0", "--k", "0", "--eps", "0.5"], {}, "got 0"),
+    (["bounds", "--n", "64", "--k", "32", "--eps", "0.1", "--dmin", "0", "--amin", "3"], {},
+     "got 0"),
+    (["bounds", "--n", "64", "--k", "32", "--eps", "0.1", "--dmin", "11", "--amin", "-3"], {},
+     "got -3"),
 ], ids=["step-zero", "step-negative", "stop-below-start", "step-config", "workers-flag",
         "workers-config", "code-header-k", "bounds-k-above-n", "target-errors-zero",
         "max-trials-zero", "geira-tap-too-large", "code-file-missing", "decoder-config",
         "simulate-delta-stop-below-start", "raptor-delta-stop-below-start",
-        "regular-dv-zero", "regular-n-negative"])
+        "regular-dv-zero", "regular-n-negative", "simulate-eps-and-delta",
+        "simulate-delta-in-config", "construct-regular-and-geira", "simulate-regular-in-config",
+        "bounds-n-zero", "bounds-dmin-zero", "bounds-amin-negative"])
 def test_bad_range_is_a_usage_error(tmp_path, capsys, args, files, says):
     """Exit 2 with one error line; ``says`` is a fragment that line must hold."""
     for name, text in files.items():

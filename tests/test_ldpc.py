@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_vector
+from conftest import geira_accumulate, random_vector
 from erasurelab.binmat import BinVector, mul_vec
 from erasurelab.ldpc import (
     ConstructionError,
@@ -30,14 +30,14 @@ def test_regular_degrees_3_6():
     code = sample_regular(3, 6, 24, seed=0)
     h = code.h
     assert h.rows == 12 and h.cols == 24
-    assert all(h.col_weight(c) == 3 for c in range(24))
-    assert all(h.row_weight(r) == 6 for r in range(12))
+    assert all(len(h.col_adj[c]) == 3 for c in range(24))
+    assert all(len(h.row_adj[r]) == 6 for r in range(12))
 
 
 def test_regular_degrees_2_3():
     code = sample_regular(2, 3, 9, seed=1)
     assert code.h.rows == 6 and code.h.cols == 9
-    assert all(code.h.col_weight(c) == 2 for c in range(9))
+    assert all(len(code.h.col_adj[c]) == 2 for c in range(9))
 
 
 def test_regular_infeasible():
@@ -50,8 +50,8 @@ def test_regular_infeasible():
 def test_regular_no_parallel_edges(seed):
     code = sample_regular(3, 6, 48, seed=seed)
     # adjacency lists are strictly sorted, so duplicates would collapse
-    assert all(code.h.row_weight(r) == 6 for r in range(code.h.rows))
-    assert all(code.h.col_weight(c) == 3 for c in range(48))
+    assert all(len(code.h.row_adj[r]) == 6 for r in range(code.h.rows))
+    assert all(len(code.h.col_adj[c]) == 3 for c in range(48))
 
 
 def test_encode_zero_and_random(rng):
@@ -65,7 +65,7 @@ def test_encode_zero_and_random(rng):
 def test_geira_accumulator_structure():
     spec = GeiraSpec(k=4, n=8, taps=frozenset({0, 1}), wc=2, seed=0)
     code = build_geira(spec)
-    hp = [[code.h.get(r, 4 + c) for c in range(4)] for r in range(4)]
+    hp = [[int(4 + c in code.h.row_adj[r]) for c in range(4)] for r in range(4)]
     expected = [[1, 0, 0, 0], [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]
     assert hp == expected
 
@@ -76,12 +76,25 @@ def test_geira_running_xor_single_tap_pair(rng):
     u = BinVector.from_bits([1, 0, 0, 0])
     cw = encode(code, u)
     # with taps {0,1} each parity bit is the running XOR of H_u row sums
-    hu_col0 = [code.h.get(r, 0) for r in range(4)]
+    hu_col0 = [int(0 in code.h.row_adj[r]) for r in range(4)]
     acc = 0
     for r in range(4):
         acc ^= hu_col0[r]
         assert cw[4 + r] == acc
     assert syndrome(code, cw).weight() == 0
+
+
+@pytest.mark.parametrize("spec", [
+    GeiraSpec(k=512, n=1024, taps=frozenset({0, 1, 4, 10, 20}), wc=5, seed=7),
+    GeiraSpec(k=16, n=40, taps=frozenset({0, 3, 23}), wc=3, seed=1),
+    GeiraSpec(k=64, n=128, taps=frozenset({0, 1}), wc=3, seed=2),
+], ids=["1024-512", "largest-tap-n-k-1", "taps-0-1"])
+def test_geira_encoder_matches_accumulator(spec, rng):
+    """The parity masks built once equal the accumulator run bit by bit."""
+    code = build_geira(spec)
+    for _ in range(200):
+        u = random_vector(code.k, rng)
+        assert encode(code, u) == geira_accumulate(code, u)
 
 
 def test_geira_1160_1044_profile(rng):
@@ -97,7 +110,7 @@ def test_geira_mean_row_weight_target():
     spec = GeiraSpec(k=502, n=1004, taps=frozenset({0, 1, 4, 10, 20}), wc=5, seed=0)
     code = build_geira(spec)
     m = code.h.rows
-    mean_row = sum(code.h.row_weight(r) for r in range(m)) / m
+    mean_row = sum(len(code.h.row_adj[r]) for r in range(m)) / m
     assert mean_row >= 9
 
 
@@ -110,15 +123,15 @@ def test_lift_single_edge_permutation():
     code = lift_protograph(Protograph(base=((1,),), lift=4))
     h = code.h
     assert h.rows == 4 and h.cols == 4
-    assert all(h.row_weight(r) == 1 for r in range(4))
-    assert all(h.col_weight(c) == 1 for c in range(4))
+    assert all(len(h.row_adj[r]) == 1 for r in range(4))
+    assert all(len(h.col_adj[c]) == 1 for c in range(4))
 
 
 def test_lift_double_edge_no_parallel():
     code = lift_protograph(Protograph(base=((2,),), lift=8))
     h = code.h
-    assert all(h.row_weight(r) == 2 for r in range(8))
-    assert all(h.col_weight(c) == 2 for c in range(8))
+    assert all(len(h.row_adj[r]) == 2 for r in range(8))
+    assert all(len(h.col_adj[c]) == 2 for c in range(8))
 
 
 def test_lift_ara_shape():

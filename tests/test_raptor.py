@@ -3,16 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import full_scan_triangularize, random_vector
-from erasurelab.binmat import (
-    BinVector,
-    DenseBinMatrix,
-    SparseBinMatrix,
-    mul,
-    mul_vec,
-    rank,
-    submatrix_rows,
-)
+from conftest import full_scan_triangularize, mul, random_vector, submatrix_rows
+from erasurelab.binmat import BinVector, DenseBinMatrix, SparseBinMatrix, mul_vec, rank
 from erasurelab.decode import InconsistentInputError, triangularize
 from erasurelab.raptor import (
     RaptorCode,
@@ -45,10 +37,13 @@ def nonsystematic_generator(code: RaptorCode) -> DenseBinMatrix:
     g1 = _slice_cols(glt, 0, k)
     g2 = _slice_cols(glt, k, k + s)
     g3 = _slice_cols(glt, k + s, k + s + h)
-    gh1 = _slice_cols(code.gh, 0, k)
-    gh2 = _slice_cols(code.gh, k, k + s)
-    inner = _madd(gh1, mul(gh2, code.gl))
-    return _madd(_madd(g1, mul(g2, code.gl)), mul(g3, inner))
+    pre = DenseBinMatrix(s + h, code.params.L, code.precode_rows)
+    gl = _slice_cols(submatrix_rows(pre, range(s)), 0, k)
+    gh = submatrix_rows(pre, range(s, s + h))
+    gh1 = _slice_cols(gh, 0, k)
+    gh2 = _slice_cols(gh, k, k + s)
+    inner = _madd(gh1, mul(gh2, gl))
+    return _madd(_madd(g1, mul(g2, gl)), mul(g3, inner))
 
 
 def symbols_to_text(received) -> str:
@@ -145,9 +140,9 @@ def test_build_A_structure(code16):
     assert a_empty.rows == p.s + p.h and a_empty.cols == p.L
     # top-left: weight-3 LDPC columns; Z block (top-right h columns) all zero
     for c in range(p.k):
-        assert sum(a_empty.get(r, c) for r in range(p.s)) == 3
+        assert sum((w >> c) & 1 for w in a_empty.row_words[: p.s]) == 3
     for c in range(p.k + p.s, p.L):
-        assert all(a_empty.get(r, c) == 0 for r in range(p.s))
+        assert all((w >> c) & 1 == 0 for w in a_empty.row_words[: p.s])
     a_full = build_A(p, list(range(1, 6)))
     assert a_full.rows == p.s + p.h + 5
 
@@ -190,11 +185,11 @@ def test_generator_route_agreement(code16, rng):
     p = code16.params
     g = nonsystematic_generator(code16)
     assert (g.rows, g.cols) == (p.n, p.k)
-    a = build_A(p, list(range(1, p.n + 1)), code16.gl, code16.gh)
+    a = build_A(p, list(range(1, p.n + 1)))
     lt_block = submatrix_rows(a, list(range(p.s + p.h, p.s + p.h + p.n)))
     for _ in range(100):
         d = random_vector(p.k, rng)
-        f = precode(d, p, code16.gl, code16.gh)
+        f = precode(d, p)
         # closed-form generator vs the precode + LT route
         assert mul_vec(lt_block, f) == mul_vec(g, d)
     # full rank of the systematic submatrix == seed validity
@@ -287,10 +282,20 @@ def test_structured_system_pivots_match_full_scan(code64):
     for delta in (0, 2, 10, 64):
         for _ in range(25):
             received = _received(code64, rng, delta)
-            a = build_A(p, [esi for esi, _ in received], code64.gl, code64.gh)
+            a = build_A(p, [esi for esi, _ in received])
             ref = full_scan_triangularize(SparseBinMatrix.from_dense(a))
             st = triangularize(*code64._structured_system(received))
             assert (st.resolved, st.pivots) == ref
+
+
+@pytest.mark.parametrize("name", ["code16", "code64"])
+def test_code_rows_match_build_A(name, request):
+    """The pre-code and LT rows that RaptorCode builds once agree with
+    build_A, which draws them afresh."""
+    code = request.getfixturevalue(name)
+    p = code.params
+    assert code.precode_rows == build_A(p, []).row_words
+    assert code.a_k == build_A(p, range(1, p.k + 1))
 
 
 def test_structured_matches_dense_at_low_overhead(code64):
