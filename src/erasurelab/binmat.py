@@ -13,6 +13,9 @@ conversion and the text format.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 
 class DimensionError(ValueError):
@@ -127,8 +130,11 @@ class SolveOutcome:
 
 
 # Columns per elimination block; 6 and 7 measured fastest among 4-10 on the
-# pivot systems of GeIRA (1024,512) ML decoding.
+# pivot systems of GeIRA (1024,512) ML decoding. Systems of fewer rows than
+# _BLOCK_ROWS eliminate one column at a time: there a block's pivot search
+# and table cost more than they save.
 _BLOCK = 6
+_BLOCK_ROWS = 32
 
 
 def _gauss_jordan(rows: list, ncols: int) -> list:
@@ -144,14 +150,17 @@ def _gauss_jordan(rows: list, ncols: int) -> list:
     against each other; at its end, a table of all XORs of those pivot rows
     clears the block's columns of every other row with one lookup. Each row
     then is the unique vector in (row + span of the pivot rows) that is zero
-    on the pivot columns, as after eliminating one column at a time."""
+    on the pivot columns, as after eliminating one column at a time. A block
+    of one pivot clears its column in place, without a table; systems of
+    fewer than ``_BLOCK_ROWS`` rows use blocks of one column only."""
     nr = len(rows)
+    width = _BLOCK if nr >= _BLOCK_ROWS else 1
     pivots = []
     col = 0
     while col < ncols and len(pivots) < nr:
         c0, p0 = col, len(pivots)
         block = []  # (column bit, pivot row) of this block, in column order
-        while col < ncols and col - c0 < _BLOCK and p0 + len(block) < nr:
+        while col < ncols and col - c0 < width and p0 + len(block) < nr:
             bit = 1 << col
             col += 1
             prow = p0 + len(block)
@@ -165,10 +174,17 @@ def _gauss_jordan(rows: list, ncols: int) -> list:
             else:
                 break
             rows[sel] = rows[prow]
-            block = [(pb, pw ^ w if pw & bit else pw) for pb, pw in block]
+            if block:
+                block = [(pb, pw ^ w if pw & bit else pw) for pb, pw in block]
             block.append((bit, w))
             pivots.append(col - 1)
-        if block:
+        if len(block) == 1:
+            (bit, pw), = block
+            for r in range(nr):
+                if rows[r] & bit:
+                    rows[r] ^= pw
+            rows[p0] = pw
+        elif block:
             table = [0]
             for _, pw in block:
                 table += [t ^ pw for t in table]
@@ -219,11 +235,12 @@ class SparseBinMatrix:
     serve the peeling decoder's residual-degree queries.
     """
 
-    __slots__ = ("rows", "cols", "row_adj", "col_adj")
+    __slots__ = ("rows", "cols", "row_adj", "col_adj", "_edges")
 
     def __init__(self, rows: int, cols: int, row_adj=None):
         self.rows = rows
         self.cols = cols
+        self._edges = None
         self.row_adj = [[] for _ in range(rows)]
         self.col_adj = [[] for _ in range(cols)]
         if row_adj is not None:
@@ -246,7 +263,18 @@ class SparseBinMatrix:
         m.cols = cols
         m.row_adj = row_adj
         m.col_adj = col_adj
+        m._edges = None
         return m
+
+    def edges(self) -> tuple:
+        """The (row, column) index arrays of the set entries, row by row;
+        built on the first call and kept, as the matrix does not change."""
+        if self._edges is None:
+            lengths = [len(cs) for cs in self.row_adj]
+            rows = np.repeat(np.arange(self.rows), lengths)
+            cols = np.fromiter(chain.from_iterable(self.row_adj), np.intp, len(rows))
+            self._edges = rows, cols
+        return self._edges
 
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries) -> "SparseBinMatrix":

@@ -120,23 +120,36 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
+# the code selectors and the code flags each one takes
+_CODE_FLAGS = {"code": (), "regular": ("n",), "geira": ("taps", "wc")}
+_GEIRA_DEFAULTS = {"taps": "0,1", "wc": 3}
+
+
 def _build_code(args, parser):
-    given = [f"--{key}" for key in ("code", "regular", "geira") if getattr(args, key)]
+    given = [key for key in _CODE_FLAGS if getattr(args, key)]
+    if not given:
+        parser.error("give one of --code, --regular or --geira")
     if len(given) > 1:
-        parser.error(f"give one of --code, --regular or --geira, not {' and '.join(given)}")
-    if args.code:
+        parser.error(f"give one of --code, --regular or --geira, not "
+                     f"{' and '.join('--' + key for key in given)}")
+    kind = given[0]
+    stray = [f"--{key}" for key in ("n", "taps", "wc")
+             if getattr(args, key) is not None and key not in _CODE_FLAGS[kind]]
+    if stray:
+        parser.error(f"--{kind} does not take {' or '.join(stray)}")
+    if kind == "code":
         return ldpc.load_code(args.code)
-    if args.regular:
-        dv, dc = args.regular
-        if not args.n:
+    if kind == "regular":
+        if args.n is None:
             parser.error("--regular needs --n")
+        dv, dc = args.regular
         return ldpc.sample_regular(dv, dc, args.n, seed=args.seed)
-    if args.geira:
-        k, n = args.geira
-        taps = frozenset(_int_range(args.taps))
-        return ldpc.build_geira(ldpc.GeiraSpec(k=k, n=n, taps=taps,
-                                               wc=args.wc, seed=args.seed))
-    parser.error("give one of --code, --regular or --geira")
+    for key, default in _GEIRA_DEFAULTS.items():  # resolved, so the header echoes them
+        if getattr(args, key) is None:
+            setattr(args, key, default)
+    k, n = args.geira
+    return ldpc.build_geira(ldpc.GeiraSpec(k=k, n=n, taps=frozenset(_int_range(args.taps)),
+                                           wc=args.wc, seed=args.seed))
 
 
 def _cmd_construct(args, parser):
@@ -238,9 +251,9 @@ def _make_parser():
         sp.add_argument("--code", help="path to a stored code file")
         sp.add_argument("--regular", type=_pair, metavar="DV,DC")
         sp.add_argument("--geira", type=_pair, metavar="K,N")
-        sp.add_argument("--taps", default="0,1", help="accumulator taps")
-        sp.add_argument("--wc", type=int, default=3, help="GeIRA column weight")
-        sp.add_argument("--n", type=int, default=0, help="block length")
+        sp.add_argument("--taps", help="GeIRA accumulator taps (default 0,1)")
+        sp.add_argument("--wc", type=int, help="GeIRA column weight (default 3)")
+        sp.add_argument("--n", type=int, help="block length of a --regular code")
 
     def sweep_flags(sp):
         sp.add_argument("--target-errors", type=_positive, default=100)

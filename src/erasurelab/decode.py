@@ -15,6 +15,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from operator import lt
+
+import numpy as np
 
 from .binmat import (
     BinVector,
@@ -43,7 +47,10 @@ class ReceivedWord:
     erased: tuple  # ordered erased positions (includes punctured ones)
 
     def __post_init__(self):
-        erased = sorted(set(self.erased))
+        erased = self.erased
+        # a strictly increasing list (as the simulator draws it) needs no sort
+        if not (isinstance(erased, (list, tuple)) and all(map(lt, erased, erased[1:]))):
+            erased = sorted(set(erased))
         if erased and type(erased[-1]) is not int:  # numpy integers shift to 0
             erased = [int(i) for i in erased]
         self.erased = tuple(erased)
@@ -90,7 +97,9 @@ class TriangularizationState:
     symbols included.
     ``resolved`` holds the diagonal-extension order, ``pivots`` the
     inactivated unknowns, and ``anchored[r]`` marks a row consumed to resolve
-    an unknown. back_substitute turns every value into the unknown's bit.
+    an unknown. ``pairs`` is a heap of the rows that reached two unknowns;
+    an entry goes stale once its row drops below two and stays until popped.
+    back_substitute turns every value into the unknown's bit.
     """
 
     row_adj: list
@@ -101,6 +110,7 @@ class TriangularizationState:
     rowpar: list
     value: list  # per column; 0 for a column that was never unknown
     anchored: bytearray
+    pairs: list
     resolved: list = field(default_factory=list)
     pivots: list = field(default_factory=list)
 
@@ -112,13 +122,14 @@ class TriangularizationState:
 
 def _parities(h: SparseBinMatrix, v: BinVector) -> list:
     """Per row of ``h``, the parity of the set bits of ``v`` it holds: the
-    syndrome H·v as a list. Costs nothing for a zero word."""
-    par = [0] * h.rows
-    col_adj = h.col_adj
-    for c in v.ones():
-        for r in col_adj[c]:
-            par[r] ^= 1
-    return par
+    syndrome H·v as a list, from one bincount over H's edge arrays. Costs
+    nothing for a zero word."""
+    if not v.bits:
+        return [0] * h.rows
+    edge_rows, edge_cols = h.edges()
+    ones = np.unpackbits(np.frombuffer(v.bits.to_bytes((v.n + 7) // 8, "little"), np.uint8),
+                         count=v.n, bitorder="little").view(np.bool_)
+    return (np.bincount(edge_rows[ones[edge_cols]], minlength=h.rows) & 1).tolist()
 
 
 def split_by_erasure(code, word: ReceivedWord):
@@ -141,44 +152,63 @@ def split_by_erasure(code, word: ReceivedWord):
     return hkbar, BinVector.from_bits(_parities(h, word.values))
 
 
-def _extend(st: TriangularizationState, queue) -> None:
+def _extend(st: TriangularizationState, queue, pivot_strategy=None) -> None:
     """Diagonal extension: resolve every unknown left alone in a queued row,
-    queueing the rows this leaves with a single unknown. This loop is the
-    whole peeling decoder."""
+    queueing the rows this leaves with a single unknown and pushing those it
+    leaves with two onto ``st.pairs``. This loop is the whole peeling
+    decoder. With a ``pivot_strategy`` it does not stop at a stall but
+    inactivates the unknown the strategy names, a pivot whose value is its
+    own bit, and goes on until no unknown is left."""
     row_adj, col_adj, unknown = st.row_adj, st.col_adj, st.unknown
     rowcnt, rowpar, value = st.rowcnt, st.rowpar, st.value
-    anchored, resolved = st.anchored, st.resolved
-    while queue:
-        r = queue.popleft()
-        if rowcnt[r] != 1:
-            continue
-        for u in row_adj[r]:
-            if unknown[u]:
-                break
-        v = value[u] = rowpar[r]
+    anchored, resolved, pairs, pivots = st.anchored, st.resolved, st.pairs, st.pivots
+    size = len(st.columns)
+    while True:
+        if queue:
+            r = queue.popleft()
+            if rowcnt[r] != 1:
+                continue
+            for u in row_adj[r]:
+                if unknown[u]:
+                    break
+            v = rowpar[r]
+            anchored[r] = 1
+            resolved.append(u)
+        elif pivot_strategy is not None and len(resolved) + len(pivots) < size:
+            u = pivot_strategy(st)
+            v = 2 << len(pivots)
+            pivots.append(u)
+        else:
+            return
+        value[u] = v
         unknown[u] = 0
-        anchored[r] = 1
-        resolved.append(u)
         for r2 in col_adj[u]:
-            rowcnt[r2] -= 1
+            cnt = rowcnt[r2] = rowcnt[r2] - 1
             rowpar[r2] ^= v
-            if rowcnt[r2] == 1:
+            if cnt == 1:
                 queue.append(r2)
+            elif cnt == 2:
+                heappush(pairs, r2)
 
 
 def _start(matrix, columns, rowpar) -> TriangularizationState:
     """Peel matrix·x = rowpar over the unknown ``columns`` until no row holds
-    a single unknown."""
-    col_adj = matrix.col_adj
-    unknown = bytearray(matrix.cols)
-    rowcnt = [0] * matrix.rows
-    for c in columns:
-        unknown[c] = 1
-        for r in col_adj[c]:
-            rowcnt[r] += 1
-    st = TriangularizationState(matrix.row_adj, col_adj, columns, unknown, rowcnt,
-                                rowpar, [0] * matrix.cols, bytearray(matrix.rows))
-    _extend(st, deque(r for r, cnt in enumerate(rowcnt) if cnt == 1))
+    a single unknown. A fresh system (``columns`` a range over all of them)
+    counts each row's length; otherwise one bincount over the matrix's edge
+    arrays counts each row's unknowns."""
+    if isinstance(columns, range):
+        unknown = bytearray(b"\1") * matrix.cols
+        counts = np.fromiter(map(len, matrix.row_adj), np.intp, matrix.rows)
+    else:
+        edge_rows, edge_cols = matrix.edges()
+        mask = np.zeros(matrix.cols, np.bool_)
+        mask[list(columns)] = True
+        unknown = bytearray(mask.tobytes())
+        counts = np.bincount(edge_rows[mask[edge_cols]], minlength=matrix.rows)
+    st = TriangularizationState(matrix.row_adj, matrix.col_adj, columns, unknown,
+                                counts.tolist(), rowpar, [0] * matrix.cols,
+                                bytearray(matrix.rows), np.flatnonzero(counts == 2).tolist())
+    _extend(st, deque(np.flatnonzero(counts == 1).tolist()))
     return st
 
 
@@ -203,14 +233,38 @@ def peel_decode(code, word: ReceivedWord) -> DecodeResult:
     return _finish(code, word, _filled(word.values.bits, st), stats)
 
 
-def max_degree_pivot(unresolved, coldeg):
-    """Default inactivation strategy: max residual degree, lowest index ties.
-    triangularize hands over ``unresolved`` in that order, so this is its
-    first unknown."""
-    return next(iter(unresolved))
+def min_row_pivot(st: TriangularizationState) -> int:
+    """Row-driven inactivation, the minimum-row-degree rule of inactivation
+    decoding (RFC 6330, 5.4.2.2): the unanchored row with the fewest
+    unknowns, two or more, lowest index first, gives up its unknown of
+    highest column weight, lowest index on ties. A row of two unknowns is
+    then left with one, so such a pivot resolves at least one more unknown;
+    rows of three or more (a plain scan) almost never remain at a stall."""
+    rowcnt, pairs, unknown, col_adj = st.rowcnt, st.pairs, st.unknown, st.col_adj
+    while pairs:
+        r = heappop(pairs)
+        if rowcnt[r] == 2:
+            break
+    else:  # no row holds exactly two unknowns: scan for the fewest
+        r = min(((cnt, r) for r, cnt in enumerate(rowcnt) if cnt > 1), default=(0, -1))[1]
+        if r < 0:  # no unanchored row holds an unknown
+            return next(u for u in st.columns if unknown[u])
+    best = weight = -1
+    for u in st.row_adj[r]:  # increasing, so the first of the heaviest wins
+        if unknown[u] and len(col_adj[u]) > weight:
+            best, weight = u, len(col_adj[u])
+    return best
 
 
-def triangularize(system, syndrome, pivot_strategy=max_degree_pivot) -> TriangularizationState:
+def max_degree_pivot(st: TriangularizationState) -> int:
+    """The column-driven rule: the unknown of highest column weight, lowest
+    index on ties, whether or not inactivating it leaves some row with a
+    single unknown. A scan over the unknowns."""
+    unknown, col_adj = st.unknown, st.col_adj
+    return min((u for u in st.columns if unknown[u]), key=lambda u: (-len(col_adj[u]), u))
+
+
+def triangularize(system, syndrome, pivot_strategy=min_row_pivot) -> TriangularizationState:
     """Greedy diagonal extension with pivot inactivation on stalls.
 
     ``system`` is a SparseBinMatrix whose columns are all unknown, with
@@ -219,38 +273,16 @@ def triangularize(system, syndrome, pivot_strategy=max_degree_pivot) -> Triangul
     Terminates with every unknown either resolved (lower-triangular part)
     or designated a pivot for the dense stage.
 
-    ``pivot_strategy(unresolved, coldeg)`` is called once per pivot and
-    returns a key of ``unresolved``: a dict of the unresolved unknowns,
-    ordered by decreasing residual degree (the number of unanchored rows
-    holding the unknown), then increasing index. ``coldeg[u]`` is u's
-    residual degree. The order holds for the whole decode: a row is anchored
-    only by the one unresolved unknown it still holds, so the residual degree
-    of an unresolved unknown is its column weight.
+    ``pivot_strategy(state)`` is called once per pivot and returns an
+    unknown column of the stalled ``state``. A row is anchored only by the
+    one unknown it still holds, so every row of an unknown is unanchored and
+    its column weight is its residual degree.
     """
     if isinstance(system, TriangularizationState):
         st = system
     else:
         st = _start(system, range(system.cols), syndrome.to_list())
-    col_adj, rowcnt, rowpar = st.col_adj, st.rowcnt, st.rowpar
-    resolved, pivots = st.resolved, st.pivots
-    coldeg = {u: len(col_adj[u]) for u in st.columns if st.unknown[u]}
-    unresolved = dict.fromkeys(sorted(coldeg, key=lambda u: -coldeg[u]))
-    while unresolved:
-        p = pivot_strategy(unresolved, coldeg)
-        del unresolved[p]
-        v = st.value[p] = 2 << len(pivots)
-        st.unknown[p] = 0
-        pivots.append(p)
-        queue = deque()
-        for r in col_adj[p]:
-            rowcnt[r] -= 1
-            rowpar[r] ^= v
-            if rowcnt[r] == 1:
-                queue.append(r)
-        done = len(resolved)
-        _extend(st, queue)
-        for u in resolved[done:]:
-            del unresolved[u]
+    _extend(st, deque(), pivot_strategy)
     return st
 
 
@@ -296,7 +328,7 @@ def solve_inactivated(state: TriangularizationState):
     return None
 
 
-def ml_decode(code, word: ReceivedWord, pivot_strategy=max_degree_pivot) -> DecodeResult:
+def ml_decode(code, word: ReceivedWord, pivot_strategy=min_row_pivot) -> DecodeResult:
     """Structured-GE ML decoding: peel, and on a stall inactivate pivots and
     solve for them by dense GE. Succeeds iff the erased columns of H are
     linearly independent, exactly matching oracle_decode."""

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -76,22 +77,28 @@ class Protograph:
 class _GenericEncoder:
     """Solves H·c = 0 for the pivot positions given the info positions: the
     bit at pivot position i is the parity of ``u & pmap[i]``. The masks come
-    from the reduced row echelon form of H, or for GeIRA from the accumulator."""
+    from the reduced row echelon form of H, or for GeIRA from the accumulator.
+    The info bits are scattered run by run: each run of consecutive info
+    positions moves as one shifted slice of ``u`` (a single run, ``u``
+    itself, when the info positions are 0..k-1)."""
 
     def __init__(self, n, info_positions, pivot_positions, pmap):
         self.n = n
         self.info_positions = info_positions
         self.pivot_positions = pivot_positions
         self.pmap = pmap  # per pivot, mask over info bits (in info order)
+        self.runs = []  # (first info bit, first position, mask of the run)
+        for _, run in groupby(enumerate(info_positions), key=lambda ip: ip[1] - ip[0]):
+            run = list(run)
+            self.runs.append((*run[0], (1 << len(run)) - 1))
 
     def encode(self, u: BinVector) -> BinVector:
-        bits = 0
-        for i, pos in enumerate(self.info_positions):
-            if u[i]:
-                bits |= 1 << pos
         ub = u.bits
-        for i, pos in enumerate(self.pivot_positions):
-            if (self.pmap[i] & ub).bit_count() & 1:
+        bits = 0
+        for i0, p0, mask in self.runs:
+            bits |= (ub >> i0 & mask) << p0
+        for mask, pos in zip(self.pmap, self.pivot_positions):
+            if (mask & ub).bit_count() & 1:
                 bits |= 1 << pos
         return BinVector(self.n, bits)
 
@@ -118,6 +125,11 @@ class LdpcCode:
     def transmitted(self) -> tuple:
         """The positions sent over the channel, increasing; computed once."""
         return tuple(i for i in range(self.n) if i not in self.punctured)
+
+    @cached_property
+    def transmitted_array(self) -> np.ndarray:
+        """``transmitted`` as an index array, for drawing erasures by mask."""
+        return np.array(self.transmitted, dtype=np.intp)
 
     @property
     def n_transmitted(self):

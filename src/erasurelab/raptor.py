@@ -358,7 +358,7 @@ class RaptorCode:
         shape = (system.rows, system.cols)
         if len(received) < self.params.k:
             return RaptorDecodeResult("insufficient", stats=DecodeStats(system_shape=shape))
-        state = _decode.triangularize(system, rhs)
+        state = _decode.triangularize(system, rhs, _decode.min_row_pivot)
         ge_rank = _decode.solve_inactivated(state)
         stats = DecodeStats(len(state.resolved), len(state.pivots), shape)
         if ge_rank is not None:

@@ -85,20 +85,24 @@ def _ldpc_trial(code: LdpcCode, decoder, channel, rng, zero_codeword=True):
     else:
         u = BinVector(code.k, int.from_bytes(rng.bytes((code.k + 7) // 8), "little"))
         cw = encode(code, u)
-    transmitted = code.transmitted
-    if channel.kind == "bec":
-        u01 = rng.random(len(transmitted))
-        erased = [transmitted[i] for i in np.flatnonzero(u01 < channel.epsilon).tolist()]
-    else:
-        keep = channel.delta + code.k
-        if keep > len(transmitted):
-            keep = len(transmitted)
-        kept = set(rng.choice(len(transmitted), size=max(keep, 0), replace=False).tolist())
-        erased = [p for i, p in enumerate(transmitted) if i not in kept]
-    word = ReceivedWord.from_full(cw, erased)
+    word = ReceivedWord.from_full(cw, _erased_positions(code, channel, rng))
     fn = {"it": peel_decode, "ml": ml_decode, "hybrid": hybrid_decode}[decoder]
     res = fn(code, word)
     return res.ok and res.recovered == cw, res.stats.pivots
+
+
+def _erased_positions(code: LdpcCode, channel, rng) -> list:
+    """The positions one channel use erases: increasing Python ints, drawn
+    over the transmitted positions by mask (the punctured ones are added
+    later, by the decoder)."""
+    ntx = code.n_transmitted
+    if channel.kind == "bec":
+        mask = rng.random(ntx) < channel.epsilon
+    else:
+        keep = min(channel.delta + code.k, ntx)
+        mask = np.ones(ntx, np.bool_)
+        mask[rng.choice(ntx, size=max(keep, 0), replace=False)] = False
+    return code.transmitted_array[mask].tolist()
 
 
 def _raptor_trial(code: RaptorCode, decoder, channel, rng):

@@ -3,6 +3,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from erasurelab import decode
 from erasurelab.binmat import BinVector, DenseBinMatrix, SparseBinMatrix
 from erasurelab.ldpc import LdpcCode, _generic_encoder_from_h
 
@@ -99,10 +100,14 @@ def scalar_gauss_jordan(rows, ncols):
     return pivots
 
 
-def full_scan_triangularize(hkbar):
+def full_scan_triangularize(hkbar, rule="max_degree"):
     """Reference inactivation: diagonal extension, and on each stall a scan
-    of every unresolved unknown for the highest residual degree (lowest
-    index on ties). Returns (resolved, pivots)."""
+    for the pivot. Under ``rule`` "max_degree" it scans every unresolved
+    unknown for the highest residual degree (lowest index on ties). Under
+    "row" it scans every active row for the fewest unresolved unknowns, two
+    or more (lowest row index on ties), and takes that row's unknown of
+    highest residual degree (lowest index on ties), or the lowest unknown
+    when no such row is left. Returns (resolved, pivots)."""
     row_adj, col_adj = hkbar.row_adj, hkbar.col_adj
     rowcnt = [len(cs) for cs in row_adj]
     coldeg = [len(rs) for rs in col_adj]
@@ -131,10 +136,74 @@ def full_scan_triangularize(hkbar):
                 coldeg[c] -= 1
             retire(u)
         if unresolved:
-            u = min(unresolved, key=lambda c: (-coldeg[c], c))
+            candidates = unresolved
+            if rule == "row":
+                rows = [(rowcnt[r], r) for r in range(hkbar.rows) if active[r] and rowcnt[r] >= 2]
+                if rows:
+                    candidates = [c for c in row_adj[min(rows)[1]] if c in unresolved]
+            u = min(candidates, key=lambda c: (-coldeg[c], c))
             pivots.append(u)
             retire(u)
     return resolved, pivots
+
+
+def loop_parities(h, v):
+    """Reference syndrome: the loop over the set bits of ``v`` and their
+    columns that ``decode._parities`` replaces with one bincount."""
+    par = [0] * h.rows
+    for c in range(v.n):
+        if v.bits >> c & 1:
+            for r in h.col_adj[c]:
+                par[r] ^= 1
+    return par
+
+
+def loop_peel_core(code, word):
+    """Reference peel start: the loops over the erased columns' adjacency
+    lists and over the known symbols that ``decode._start`` and
+    ``decode._parities`` replace with bincounts over H's edge arrays, then
+    the same diagonal extension."""
+    h = code.h
+    unknown = bytearray(h.cols)
+    rowcnt = [0] * h.rows
+    for c in word.erased:
+        unknown[c] = 1
+        for r in h.col_adj[c]:
+            rowcnt[r] += 1
+    st = decode.TriangularizationState(
+        h.row_adj, h.col_adj, word.erased, unknown, rowcnt,
+        loop_parities(h, word.values), [0] * h.cols, bytearray(h.rows),
+        [r for r, cnt in enumerate(rowcnt) if cnt == 2])
+    decode._extend(st, deque(r for r, cnt in enumerate(rowcnt) if cnt == 1))
+    return st
+
+
+def list_erased_positions(code, channel, rng):
+    """Reference channel draw: the per-index list comprehensions over
+    ``code.transmitted`` that ``sim._erased_positions`` replaces with numpy
+    indexing. Consumes the generator exactly as it does."""
+    transmitted = code.transmitted
+    if channel.kind == "bec":
+        u01 = rng.random(len(transmitted))
+        return [transmitted[i] for i in np.flatnonzero(u01 < channel.epsilon).tolist()]
+    keep = min(channel.delta + code.k, len(transmitted))
+    kept = set(rng.choice(len(transmitted), size=max(keep, 0), replace=False).tolist())
+    return [p for i, p in enumerate(transmitted) if i not in kept]
+
+
+def bitwise_encode(code, u):
+    """Reference encoder: scatter the info bits one at a time through
+    ``BinVector.__getitem__``, the loop the encoder's run scatter replaces,
+    then the same parity masks."""
+    enc = code.encoder
+    bits = 0
+    for i, pos in enumerate(enc.info_positions):
+        if u[i]:
+            bits |= 1 << pos
+    for mask, pos in zip(enc.pmap, enc.pivot_positions):
+        if (mask & u.bits).bit_count() & 1:
+            bits |= 1 << pos
+    return BinVector(code.n, bits)
 
 
 def numpy_proto_fixed_point(b, priors, v0=None, iters=20000, tol=1e-12):

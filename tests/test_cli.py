@@ -68,6 +68,17 @@ def test_simulate_echoes_config(tmp_path, capsys):
     assert data_rows(out)[0].startswith("sweep_value,")
 
 
+def test_header_echoes_only_the_chosen_code_flags(capsys):
+    code, out = run_cli(["simulate", "--geira", "8,16", "--eps", "0.3",
+                         "--max-trials", "5"], capsys)
+    assert code == 0
+    assert "# taps=0,1" in out and "# wc=3" in out and "# n=" not in out
+    code, out = run_cli(["simulate", "--regular", "3,6", "--n", "24", "--eps", "0.3",
+                         "--max-trials", "5"], capsys)
+    assert code == 0
+    assert "# n=24" in out and "# taps=" not in out and "# wc=" not in out
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cpath = tmp_path / "code.txt"
     run_cli(["construct", "--regular", "3,6", "--n", "24", "--out", str(cpath)], capsys)
@@ -162,13 +173,26 @@ SPC_CODE = "ldpc 3 2\n1 3\n111\n"
      "got 0"),
     (["bounds", "--n", "64", "--k", "32", "--eps", "0.1", "--dmin", "11", "--amin", "-3"], {},
      "got -3"),
+    (["construct", "--geira", "8,16", "--n", "24"], {}, "--geira does not take --n"),
+    (["construct", "--geira", "8,16", "--config", "run.cfg"], {"run.cfg": "n=24\n"},
+     "--geira does not take --n"),
+    (["construct", "--regular", "3,6", "--n", "12", "--taps", "0,5"], {},
+     "--regular does not take --taps"),
+    (["construct", "--regular", "3,6", "--n", "12", "--wc", "9"], {},
+     "--regular does not take --wc"),
+    (["simulate", "--regular", "3,6", "--n", "24", "--eps", "0.3", "--config", "run.cfg"],
+     {"run.cfg": "taps=0,5\nwc=9\n"}, "--regular does not take --taps or --wc"),
+    (["simulate", "--code", "code.txt", "--n", "3", "--eps", "0.3"], {"code.txt": SPC_CODE},
+     "--code does not take --n"),
 ], ids=["step-zero", "step-negative", "stop-below-start", "step-config", "workers-flag",
         "workers-config", "code-header-k", "bounds-k-above-n", "target-errors-zero",
         "max-trials-zero", "geira-tap-too-large", "code-file-missing", "decoder-config",
         "simulate-delta-stop-below-start", "raptor-delta-stop-below-start",
         "regular-dv-zero", "regular-n-negative", "simulate-eps-and-delta",
         "simulate-delta-in-config", "construct-regular-and-geira", "simulate-regular-in-config",
-        "bounds-n-zero", "bounds-dmin-zero", "bounds-amin-negative"])
+        "bounds-n-zero", "bounds-dmin-zero", "bounds-amin-negative", "geira-with-n",
+        "geira-n-in-config", "regular-with-taps", "regular-with-wc",
+        "regular-taps-wc-in-config", "code-with-n"])
 def test_bad_range_is_a_usage_error(tmp_path, capsys, args, files, says):
     """Exit 2 with one error line; ``says`` is a fragment that line must hold."""
     for name, text in files.items():

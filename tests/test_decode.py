@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import code_from_rows, from_rows, full_scan_triangularize, random_vector, to_lists
+from conftest import (
+    code_from_rows,
+    from_rows,
+    full_scan_triangularize,
+    loop_parities,
+    loop_peel_core,
+    random_vector,
+    to_lists,
+)
 from erasurelab import decode
 from erasurelab.binmat import BinVector
 from erasurelab.decode import (
@@ -13,6 +21,7 @@ from erasurelab.decode import (
     hybrid_decode,
     is_stopping_set,
     max_degree_pivot,
+    min_row_pivot,
     ml_decode,
     oracle_decode,
     peel_decode,
@@ -40,6 +49,13 @@ def test_received_word_reads_zero_at_erasures():
     w = ReceivedWord.from_full(BinVector.from_bits([0, 1, 1]), np.array([2, 1]))
     assert w.erased == (1, 2) and all(type(i) is int for i in w.erased)
     assert w.values.to_list() == [0, 0, 0]
+    # a sorted list of numpy integers skips the sort but still becomes ints
+    w = ReceivedWord.from_full(BinVector.from_bits([1, 1, 1]), list(np.array([0, 2])))
+    assert w.erased == (0, 2) and all(type(i) is int for i in w.erased)
+    assert w.values.to_list() == [0, 1, 0]
+    for erased in ([1, 3], (1, 3), [3, 1], (3, 3, 1), [1, 1, 3]):
+        w = ReceivedWord.from_full(BinVector.from_bits([1, 1, 0, 1]), erased)
+        assert w.erased == (1, 3) and w.values.to_list() == [1, 0, 0, 0]
     with pytest.raises(ValueError):
         ReceivedWord(4, BinVector(3), ())
 
@@ -266,20 +282,20 @@ def _seeded_systems():
         yield code, np.flatnonzero(rng.random(code.n) < 0.6).tolist()
 
 
-def test_fixed_pivot_order_matches_full_scan():
+def _assert_matches_full_scan(strategy, rule):
     """Both routes into triangularize, the split erased submatrix and the
     ML decoder's stalled peel, resolve and inactivate exactly the unknowns,
-    in exactly the order, of a scan over every unresolved unknown."""
+    in exactly the order, of the full-scan reference for ``rule``."""
     checked = 0
     for code, erased in _seeded_systems():
         w = ReceivedWord.from_full(BinVector(code.n), erased)
         hk, syn = split_by_erasure(code, w)
-        ref_resolved, ref_pivots = full_scan_triangularize(hk)
-        fresh = triangularize(hk, syn)
+        ref_resolved, ref_pivots = full_scan_triangularize(hk, rule)
+        fresh = triangularize(hk, syn, strategy)
         assert (fresh.resolved, fresh.pivots) == (ref_resolved, ref_pivots)
         peeled = decode._peel_core(code, w)
         if peeled.left:
-            triangularize(peeled, None)
+            triangularize(peeled, None, strategy)
         local = {c: i for i, c in enumerate(w.erased)}
         assert [local[u] for u in peeled.resolved] == ref_resolved
         assert [local[u] for u in peeled.pivots] == ref_pivots
@@ -287,18 +303,79 @@ def test_fixed_pivot_order_matches_full_scan():
     assert checked > 150  # most systems need pivots
 
 
+def test_fixed_pivot_order_matches_full_scan():
+    _assert_matches_full_scan(max_degree_pivot, "max_degree")
+
+
+def test_row_pivot_order_matches_full_scan():
+    _assert_matches_full_scan(min_row_pivot, "row")
+
+
+def test_peel_start_matches_loop():
+    """The bincount start of the peel leaves exactly the state of the loop
+    over the erased columns, before and after triangularization."""
+    from erasurelab.ldpc import encode
+
+    rng = np.random.default_rng(3)
+    for code, erased in _seeded_systems():
+        w = ReceivedWord.from_full(encode(code, random_vector(code.k, rng)), erased)
+        fast, ref = decode._peel_core(code, w), loop_peel_core(code, w)
+        assert fast == ref
+        if fast.left:
+            triangularize(fast, None)
+            triangularize(ref, None)
+            assert fast == ref
+
+
+def test_parities_match_loop():
+    """The bincount syndrome equals the loop over the word's set bits, on
+    codewords, words with erasures cleared and random words."""
+    from erasurelab.ldpc import encode
+
+    rng = np.random.default_rng(4)
+    for code, erased in _seeded_systems():
+        cw = encode(code, random_vector(code.k, rng))
+        for v in (cw, ReceivedWord.from_full(cw, erased).values, random_vector(code.n, rng),
+                  BinVector(code.n, 1 << (code.n - 1))):
+            assert decode._parities(code.h, v) == loop_parities(code.h, v)
+
+
+def test_row_pivot_from_a_two_unknown_row_resolves_an_unknown():
+    """Under the row rule, a pivot taken while some row holds two unknowns
+    leaves that row with one, so the diagonal extension after it resolves
+    at least one unknown."""
+    pairs = 0
+    for code, erased in _seeded_systems():
+        st = decode._peel_core(code, ReceivedWord.from_full(BinVector(code.n), erased))
+        seen = []  # per pivot: unknowns resolved so far, whether a row held two
+
+        def strategy(state):
+            seen.append((len(state.resolved), 2 in state.rowcnt))
+            return min_row_pivot(state)
+
+        if st.left:
+            triangularize(st, None, strategy)
+        seen.append((len(st.resolved), False))
+        for (done, pair), (after, _) in zip(seen, seen[1:]):
+            assert after > done or not pair
+            pairs += pair
+    assert pairs > 1000
+
+
 def test_pivot_strategy_called_once_per_pivot():
     # column weights 2, 3, 3 and no check with a single erased symbol
     code = code_from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1], [0, 1, 1]])
     calls = []
 
-    def strategy(unresolved, coldeg):
-        calls.append((list(unresolved), {u: coldeg[u] for u in unresolved}))
-        return max_degree_pivot(unresolved, coldeg)
+    def strategy(state):
+        p = min_row_pivot(state)
+        calls.append((state.rowcnt[:], p))
+        return p
 
     res = ml_decode(code, word(code, [0, 0, 0], [0, 1, 2]), strategy)
     assert len(calls) == res.stats.pivots == 1
-    assert calls[0] == ([1, 2, 0], {0: 2, 1: 3, 2: 3})
+    # every row holds two unknowns; row 0's are 0 and 1, and 1 weighs more
+    assert calls == [([2, 2, 2, 2], 1)]
 
 
 @st.composite

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import geira_accumulate, random_vector
+from conftest import bitwise_encode, geira_accumulate, random_vector
 from erasurelab.binmat import BinVector, mul_vec
 from erasurelab.ldpc import (
     ConstructionError,
@@ -95,6 +95,21 @@ def test_geira_encoder_matches_accumulator(spec, rng):
     for _ in range(200):
         u = random_vector(code.k, rng)
         assert encode(code, u) == geira_accumulate(code, u)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sample_regular(3, 6, 1024, seed=3),
+    lambda: build_geira(GeiraSpec(k=512, n=1024, taps=frozenset({0, 1, 4, 10, 20}), wc=5,
+                                  seed=7)),
+    lambda: lift_protograph(Protograph(base=ARA_BASE, punctured_cols=frozenset({0}), lift=64)),
+], ids=["regular", "geira", "ara-punctured"])
+def test_run_scatter_matches_bitwise_encode(build, rng):
+    """Scattering the info bits run by run gives the codeword of the loop
+    that scatters them one bit at a time."""
+    code = build()
+    for _ in range(200):
+        u = random_vector(code.k, rng)
+        assert encode(code, u) == bitwise_encode(code, u)
 
 
 def test_geira_1160_1044_profile(rng):

@@ -5,7 +5,12 @@ import pytest
 
 from conftest import full_scan_triangularize, mul, random_vector, submatrix_rows
 from erasurelab.binmat import BinVector, DenseBinMatrix, SparseBinMatrix, mul_vec, rank
-from erasurelab.decode import InconsistentInputError, triangularize
+from erasurelab.decode import (
+    InconsistentInputError,
+    max_degree_pivot,
+    min_row_pivot,
+    triangularize,
+)
 from erasurelab.raptor import (
     RaptorCode,
     RaptorParams,
@@ -274,18 +279,26 @@ def _received(code, rng, delta):
     return [(esi, e[esi - 1]) for esi in esis]
 
 
-def test_structured_system_pivots_match_full_scan(code64):
+def _assert_structured_matches_full_scan(code, strategy, rule):
     """The cached-adjacency system inactivates the same pivots as a full scan
     over A(i1..ir) assembled by build_A."""
     rng = np.random.default_rng(11)
-    p = code64.params
+    p = code.params
     for delta in (0, 2, 10, 64):
         for _ in range(25):
-            received = _received(code64, rng, delta)
+            received = _received(code, rng, delta)
             a = build_A(p, [esi for esi, _ in received])
-            ref = full_scan_triangularize(SparseBinMatrix.from_dense(a))
-            st = triangularize(*code64._structured_system(received))
+            ref = full_scan_triangularize(SparseBinMatrix.from_dense(a), rule)
+            st = triangularize(*code._structured_system(received), strategy)
             assert (st.resolved, st.pivots) == ref
+
+
+def test_structured_system_pivots_match_full_scan(code64):
+    _assert_structured_matches_full_scan(code64, max_degree_pivot, "max_degree")
+
+
+def test_structured_system_row_pivots_match_full_scan(code64):
+    _assert_structured_matches_full_scan(code64, min_row_pivot, "row")
 
 
 @pytest.mark.parametrize("name", ["code16", "code64"])

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import list_erased_positions
 from erasurelab import sim
 from erasurelab.binmat import BinVector
 from erasurelab.decode import DecodeResult
-from erasurelab.ldpc import sample_regular
+from erasurelab.ldpc import puncture, rate_family, sample_regular
 from erasurelab.raptor import RaptorCode
 from erasurelab.sim import (
     CSV_COLUMNS,
@@ -20,6 +21,45 @@ from erasurelab.sim import (
 @pytest.fixture(scope="module")
 def small_code():
     return sample_regular(3, 6, 48, seed=0)
+
+
+@pytest.fixture(scope="module")
+def punctured_code():
+    """The rate-3/4 member of a rate-compatible family: 32 of 96 punctured."""
+    return rate_family(sample_regular(3, 6, 96, seed=5), [0.5, 0.6, 0.75])[2]
+
+
+def test_erased_positions_match_the_list_draw(small_code, punctured_code):
+    """The numpy draw erases exactly the positions of the per-index list
+    draw, as Python ints, for unpunctured and punctured codes alike."""
+    codes = [small_code, punctured_code,
+             puncture(small_code, [40, 41, 47], allow_systematic=True)]
+    channels = [ChannelModel("bec", epsilon=e) for e in (0.0, 0.1, 0.45, 1.0)] + [
+        ChannelModel("overhead", delta=d) for d in (-30, 0, 3, 100)]
+    for code in codes:
+        for channel in channels:
+            for seed in range(10):
+                new = sim._erased_positions(code, channel, np.random.default_rng(seed))
+                old = list_erased_positions(code, channel, np.random.default_rng(seed))
+                assert new == old
+                assert all(type(i) is int for i in new)
+
+
+# it-decoder sweeps of ``punctured_code`` with random codewords, seed 13, 200
+# trials per point, as the per-index list draw produced them
+PUNCTURED_IT_CSV = {
+    "bec": ("sweep_value,trials,errors,cer,ci95,mean_pivots,mean_ge_dim\n"
+            "0.1,200,93,0.465,0.068473945,0,0\n0.2,200,190,0.95,0.031097752,0,0\n"),
+    "overhead": ("sweep_value,trials,errors,cer,ci95,mean_pivots,mean_ge_dim\n"
+                 "2,200,200,1,0.0094226633,0,0\n8,200,136,0.68,0.064126826,0,0\n"),
+}
+
+
+@pytest.mark.parametrize("kind,sweep", [("bec", [0.1, 0.2]), ("overhead", [2, 8])])
+def test_punctured_csv_pinned(punctured_code, kind, sweep):
+    plan = SimPlan(code=punctured_code, decoder="it", channel_kind=kind, sweep=sweep,
+                   target_errors=10**9, max_trials=200, seed=13, zero_codeword=False)
+    assert records_to_csv(run_sweep(plan)) == PUNCTURED_IT_CSV[kind]
 
 
 def test_channel_validation():
