@@ -130,11 +130,8 @@ class SolveOutcome:
 
 
 # Columns per elimination block; 6 and 7 measured fastest among 4-10 on the
-# pivot systems of GeIRA (1024,512) ML decoding. Systems of fewer rows than
-# _BLOCK_ROWS eliminate one column at a time: there a block's pivot search
-# and table cost more than they save.
+# pivot systems of GeIRA (1024,512) ML decoding.
 _BLOCK = 6
-_BLOCK_ROWS = 32
 
 
 def _gauss_jordan(rows: list, ncols: int) -> list:
@@ -151,16 +148,14 @@ def _gauss_jordan(rows: list, ncols: int) -> list:
     clears the block's columns of every other row with one lookup. Each row
     then is the unique vector in (row + span of the pivot rows) that is zero
     on the pivot columns, as after eliminating one column at a time. A block
-    of one pivot clears its column in place, without a table; systems of
-    fewer than ``_BLOCK_ROWS`` rows use blocks of one column only."""
+    of one pivot clears its column in place, without a table."""
     nr = len(rows)
-    width = _BLOCK if nr >= _BLOCK_ROWS else 1
     pivots = []
     col = 0
     while col < ncols and len(pivots) < nr:
         c0, p0 = col, len(pivots)
         block = []  # (column bit, pivot row) of this block, in column order
-        while col < ncols and col - c0 < width and p0 + len(block) < nr:
+        while col < ncols and col - c0 < _BLOCK and p0 + len(block) < nr:
             bit = 1 << col
             col += 1
             prow = p0 + len(block)
@@ -174,8 +169,7 @@ def _gauss_jordan(rows: list, ncols: int) -> list:
             else:
                 break
             rows[sel] = rows[prow]
-            if block:
-                block = [(pb, pw ^ w if pw & bit else pw) for pb, pw in block]
+            block = [(pb, pw ^ w if pw & bit else pw) for pb, pw in block]
             block.append((bit, w))
             pivots.append(col - 1)
         if len(block) == 1:

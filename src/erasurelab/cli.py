@@ -251,8 +251,9 @@ def _make_parser():
         sp.add_argument("--code", help="path to a stored code file")
         sp.add_argument("--regular", type=_pair, metavar="DV,DC")
         sp.add_argument("--geira", type=_pair, metavar="K,N")
-        sp.add_argument("--taps", help="GeIRA accumulator taps (default 0,1)")
-        sp.add_argument("--wc", type=int, help="GeIRA column weight (default 3)")
+        taps, wc = _GEIRA_DEFAULTS["taps"], _GEIRA_DEFAULTS["wc"]
+        sp.add_argument("--taps", help=f"GeIRA accumulator taps (default {taps})")
+        sp.add_argument("--wc", type=int, help=f"GeIRA column weight (default {wc})")
         sp.add_argument("--n", type=int, help="block length of a --regular code")
 
     def sweep_flags(sp):

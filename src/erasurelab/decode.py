@@ -122,14 +122,13 @@ class TriangularizationState:
 
 def _parities(h: SparseBinMatrix, v: BinVector) -> list:
     """Per row of ``h``, the parity of the set bits of ``v`` it holds: the
-    syndrome H·v as a list, from one bincount over H's edge arrays. Costs
-    nothing for a zero word."""
-    if not v.bits:
-        return [0] * h.rows
-    edge_rows, edge_cols = h.edges()
-    ones = np.unpackbits(np.frombuffer(v.bits.to_bytes((v.n + 7) // 8, "little"), np.uint8),
-                         count=v.n, bitorder="little").view(np.bool_)
-    return (np.bincount(edge_rows[ones[edge_cols]], minlength=h.rows) & 1).tolist()
+    syndrome H·v as a list. Costs nothing for a zero word."""
+    par = [0] * h.rows
+    col_adj = h.col_adj
+    for c in v.ones():
+        for r in col_adj[c]:
+            par[r] ^= 1
+    return par
 
 
 def split_by_erasure(code, word: ReceivedWord):
@@ -194,8 +193,9 @@ def _extend(st: TriangularizationState, queue, pivot_strategy=None) -> None:
 def _start(matrix, columns, rowpar) -> TriangularizationState:
     """Peel matrix·x = rowpar over the unknown ``columns`` until no row holds
     a single unknown. A fresh system (``columns`` a range over all of them)
-    counts each row's length; otherwise one bincount over the matrix's edge
-    arrays counts each row's unknowns."""
+    counts each row's length: it is built per decode, and building its edge
+    arrays would cost more than the count. Otherwise one bincount over the
+    matrix's edge arrays, kept on the matrix, counts each row's unknowns."""
     if isinstance(columns, range):
         unknown = bytearray(b"\1") * matrix.cols
         counts = np.fromiter(map(len, matrix.row_adj), np.intp, matrix.rows)

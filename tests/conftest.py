@@ -147,22 +147,10 @@ def full_scan_triangularize(hkbar, rule="max_degree"):
     return resolved, pivots
 
 
-def loop_parities(h, v):
-    """Reference syndrome: the loop over the set bits of ``v`` and their
-    columns that ``decode._parities`` replaces with one bincount."""
-    par = [0] * h.rows
-    for c in range(v.n):
-        if v.bits >> c & 1:
-            for r in h.col_adj[c]:
-                par[r] ^= 1
-    return par
-
-
 def loop_peel_core(code, word):
-    """Reference peel start: the loops over the erased columns' adjacency
-    lists and over the known symbols that ``decode._start`` and
-    ``decode._parities`` replace with bincounts over H's edge arrays, then
-    the same diagonal extension."""
+    """Reference peel start: the loop over the erased columns' adjacency
+    lists that ``decode._start`` replaces with a bincount over H's edge
+    arrays, then the same diagonal extension."""
     h = code.h
     unknown = bytearray(h.cols)
     rowcnt = [0] * h.rows
@@ -172,7 +160,7 @@ def loop_peel_core(code, word):
             rowcnt[r] += 1
     st = decode.TriangularizationState(
         h.row_adj, h.col_adj, word.erased, unknown, rowcnt,
-        loop_parities(h, word.values), [0] * h.cols, bytearray(h.rows),
+        decode._parities(h, word.values), [0] * h.cols, bytearray(h.rows),
         [r for r, cnt in enumerate(rowcnt) if cnt == 2])
     decode._extend(st, deque(r for r, cnt in enumerate(rowcnt) if cnt == 1))
     return st

@@ -7,7 +7,6 @@ from conftest import (
     code_from_rows,
     from_rows,
     full_scan_triangularize,
-    loop_parities,
     loop_peel_core,
     random_vector,
     to_lists,
@@ -325,19 +324,6 @@ def test_peel_start_matches_loop():
             triangularize(fast, None)
             triangularize(ref, None)
             assert fast == ref
-
-
-def test_parities_match_loop():
-    """The bincount syndrome equals the loop over the word's set bits, on
-    codewords, words with erasures cleared and random words."""
-    from erasurelab.ldpc import encode
-
-    rng = np.random.default_rng(4)
-    for code, erased in _seeded_systems():
-        cw = encode(code, random_vector(code.k, rng))
-        for v in (cw, ReceivedWord.from_full(cw, erased).values, random_vector(code.n, rng),
-                  BinVector(code.n, 1 << (code.n - 1))):
-            assert decode._parities(code.h, v) == loop_parities(code.h, v)
 
 
 def test_row_pivot_from_a_two_unknown_row_resolves_an_unknown():
