@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from operator import lt
+from operator import gt, index, lt
 
 import numpy as np
 
@@ -39,8 +39,9 @@ class InternalConsistencyError(AssertionError):
 
 @dataclass
 class ReceivedWord:
-    """Channel output: the length-n word with every erased position reading
-    0, and the erased positions."""
+    """Channel output, for LDPC and Raptor codes alike: the length-n word with
+    every erased position reading 0, and the erased positions, each in
+    0..n-1. Position i of a Raptor word holds the symbol of ESI i+1."""
 
     n: int
     values: BinVector  # length n; the erased positions are cleared here
@@ -52,13 +53,17 @@ class ReceivedWord:
         if not (isinstance(erased, (list, tuple)) and all(map(lt, erased, erased[1:]))):
             erased = sorted(set(erased))
         if erased and type(erased[-1]) is not int:  # numpy integers shift to 0
-            erased = [int(i) for i in erased]
+            erased = list(map(index, erased))
+        if erased and (erased[0] < 0 or erased[-1] >= self.n):
+            raise ValueError(f"erased positions must lie in 0..{self.n - 1}")
         self.erased = tuple(erased)
         if self.values.n != self.n:
             raise ValueError(f"values length {self.values.n} != n = {self.n}")
         bits = self.values.bits
-        if bits:  # a zero word needs no mask
-            bits &= ~sum(1 << i for i in self.erased)
+        if bits and erased:  # a zero word needs no mask
+            mask = np.zeros(self.n, np.bool_)
+            mask[list(erased)] = True
+            bits &= ~int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
         self.values = BinVector(self.n, bits)
 
     @classmethod
@@ -216,9 +221,11 @@ def _peel_core(code, word: ReceivedWord) -> TriangularizationState:
     """Peel H over the erased positions of ``word``, the known symbols giving
     the row parities."""
     st = _start(code.h, word.erased, _parities(code.h, word.values))
-    for r, (cnt, par) in enumerate(zip(st.rowcnt, st.rowpar)):
-        if par and not cnt:
-            raise InconsistentInputError(f"check row {r} violated by known symbols")
+    # before any pivot each parity is 0 or 1 and no count is negative, so
+    # par > cnt is exactly a row with no unknown left and a violated parity
+    if any(map(gt, st.rowpar, st.rowcnt)):
+        r = list(map(gt, st.rowpar, st.rowcnt)).index(True)
+        raise InconsistentInputError(f"check row {r} violated by known symbols")
     return st
 
 

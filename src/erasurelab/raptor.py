@@ -1,6 +1,7 @@
 """Fixed-rate systematic Raptor codec: LDPC + Gray-sequence half-symbol
 pre-code, LT layer with a pluggable deterministic tuple generator, encoding
-matrix assembly, systematic transform, and ML decoding from any ESI subset.
+matrix assembly, systematic transform, and ML decoding from any ESI subset,
+received as a ``decode.ReceivedWord`` whose position i holds ESI i+1.
 
 The exact MBMS tuple generators and degree tables are deliberately not
 reproduced; the defaults below (truncated robust-soliton degrees, splitmix
@@ -13,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+import numpy as np
+
 from .binmat import (
     BinVector,
     DenseBinMatrix,
@@ -22,7 +25,7 @@ from .binmat import (
     rank,
 )
 from . import decode as _decode
-from .decode import DecodeStats
+from .decode import DecodeStats, ReceivedWord
 
 _MASK64 = (1 << 64) - 1
 
@@ -281,6 +284,9 @@ class RaptorCode:
         self.a_k_inv = invert(self.a_k)
         self.precode_sparse = SparseBinMatrix.from_dense(
             DenseBinMatrix(len(self.precode_rows), params.L, self.precode_rows))
+        # what the channel draw reads, as on an LdpcCode: every position is sent
+        self.k, self.n, self.n_transmitted = params.k, params.n, params.n
+        self.transmitted_array = np.arange(params.n)
 
     @classmethod
     def build(cls, k: int, n: int, seed: int = 0) -> "RaptorCode":
@@ -313,50 +319,49 @@ class RaptorCode:
                 bits |= 1 << i
         return BinVector(self.params.k, bits)
 
-    def _received_rhs(self, received) -> BinVector:
-        """Check the ESIs; return the right-hand side [0; E] of A(i1..ir) F."""
-        esis = [e for e, _ in received]
-        if len(set(esis)) != len(esis):
-            raise ValueError("duplicate ESIs")
-        rhs_bits = 0
-        base = self.params.s + self.params.h
-        for i, (esi, sym) in enumerate(received):
-            if not 1 <= esi <= self.params.n:
-                raise ValueError(f"ESI {esi} outside 1..{self.params.n}")
-            if sym:
-                rhs_bits |= 1 << (base + i)
-        return BinVector(base + len(received), rhs_bits)
+    def _received(self, word: ReceivedWord):
+        """The received positions of ``word`` (its ESIs less one), increasing,
+        and the right-hand side [0; E] of A(i1..ir) F."""
+        n, base = self.params.n, self.params.s + self.params.h
+        if word.n != n:
+            raise ValueError(f"word length {word.n} != n = {n}")
+        got = np.ones(n, np.bool_)
+        got[list(word.erased)] = False
+        syms = np.unpackbits(np.frombuffer(word.values.bits.to_bytes(-(-n // 8), "little"),
+                                           np.uint8), count=n, bitorder="little")[got]
+        rhs_bits = int.from_bytes(np.packbits(syms, bitorder="little").tobytes(), "little")
+        return np.flatnonzero(got).tolist(), BinVector(base + len(syms), rhs_bits << base)
 
-    def _structured_system(self, received):
+    def _structured_system(self, word: ReceivedWord):
         """A(i1..ir) as a sparse matrix over the cached adjacency lists, and
         its right-hand side."""
-        rhs = self._received_rhs(received)
+        received, rhs = self._received(word)
         pre = self.precode_sparse
-        row_adj = pre.row_adj + [self.lt_cols[esi - 1] for esi, _ in received]
+        row_adj = pre.row_adj + [self.lt_cols[i] for i in received]
         col_adj = [rs[:] for rs in pre.col_adj]
         for r in range(pre.rows, len(row_adj)):
             for c in row_adj[r]:
                 col_adj[c].append(r)
         return SparseBinMatrix._raw(len(row_adj), self.params.L, row_adj, col_adj), rhs
 
-    def decode(self, received) -> "RaptorDecodeResult":
+    def decode(self, word: ReceivedWord) -> "RaptorDecodeResult":
         """Dense-GE ML decoding of A(i1..ir) F = [0; E]."""
-        rhs = self._received_rhs(received)
+        received, rhs = self._received(word)
         stats = DecodeStats(system_shape=(rhs.n, self.params.L))
         if len(received) < self.params.k:
             return RaptorDecodeResult("insufficient", stats=stats)
-        rows = self.precode_rows + [self.lt_rows[esi - 1] for esi, _ in received]
+        rows = self.precode_rows + [self.lt_rows[i] for i in received]
         f, ge_rank = _decode.solve_pivots(DenseBinMatrix(len(rows), self.params.L, rows), rhs)
         if f is None:
             return RaptorDecodeResult("rank_deficient", rank=ge_rank, stats=stats)
         return RaptorDecodeResult("success", c=self._recover_c(f), f=f, stats=stats)
 
-    def decode_structured(self, received) -> "RaptorDecodeResult":
+    def decode_structured(self, word: ReceivedWord) -> "RaptorDecodeResult":
         """Inactivation decoding: triangularize A(i1..ir) and solve it with the
         same stages as the LDPC ML decoder; dense GE only on the pivot system."""
-        system, rhs = self._structured_system(received)
+        system, rhs = self._structured_system(word)
         shape = (system.rows, system.cols)
-        if len(received) < self.params.k:
+        if system.rows - len(self.precode_rows) < self.params.k:
             return RaptorDecodeResult("insufficient", stats=DecodeStats(system_shape=shape))
         state = _decode.triangularize(system, rhs, _decode.min_row_pivot)
         ge_rank = _decode.solve_inactivated(state)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .binmat import BinVector
 from .decode import ReceivedWord, hybrid_decode, ml_decode, peel_decode
-from .ldpc import LdpcCode, encode
+from .ldpc import encode
 from .raptor import RaptorCode
 
 CSV_COLUMNS = "sweep_value,trials,errors,cer,ci95,mean_pivots,mean_ge_dim"
@@ -47,6 +47,12 @@ class SimPlan:
     workers: int = 1
 
     def __post_init__(self):
+        if self.channel_kind not in ("bec", "overhead"):
+            raise ValueError(f"unknown channel kind {self.channel_kind!r}")
+        if self.decoder not in ("it", "ml", "hybrid"):
+            raise ValueError(f"unknown decoder {self.decoder!r}")
+        if self.decoder == "it" and isinstance(self.code, RaptorCode):
+            raise ValueError("Raptor simulation supports ML decoding only")
         if self.target_errors < 1:
             raise ValueError("target_errors must be >= 1")
         self.sweep = sorted(self.sweep)
@@ -72,29 +78,26 @@ def wilson_halfwidth(errors: int, trials: int, z: float = 1.959964) -> float:
 
 
 def run_trial(code, decoder: str, channel: ChannelModel, rng, zero_codeword=True) -> tuple:
-    """One channel realization + decode. Returns (success, pivots).
-    ``zero_codeword`` applies to LDPC codes; Raptor always draws random input."""
-    if isinstance(code, RaptorCode):
-        return _raptor_trial(code, decoder, channel, rng)
-    return _ldpc_trial(code, decoder, channel, rng, zero_codeword)
-
-
-def _ldpc_trial(code: LdpcCode, decoder, channel, rng, zero_codeword=True):
-    if zero_codeword:
-        cw = BinVector(code.n)
-    else:
-        u = BinVector(code.k, int.from_bytes(rng.bytes((code.k + 7) // 8), "little"))
-        cw = encode(code, u)
+    """One channel realization + decode, the same steps for LDPC and Raptor
+    codes. Returns (success, pivots). ``zero_codeword`` applies to LDPC
+    codes; Raptor always draws random input and decodes by structured ML."""
+    raptor = isinstance(code, RaptorCode)
+    msg = cw = BinVector(code.n)  # the all-zero codeword
+    if raptor or not zero_codeword:
+        msg = BinVector(code.k, int.from_bytes(rng.bytes((code.k + 7) // 8), "little"))
+        cw = code.encode(msg) if raptor else encode(code, msg)
     word = ReceivedWord.from_full(cw, _erased_positions(code, channel, rng))
-    fn = {"it": peel_decode, "ml": ml_decode, "hybrid": hybrid_decode}[decoder]
-    res = fn(code, word)
+    if raptor:  # no peeling decoder: "it" is a KeyError here, as "xx" is below
+        res = {"ml": code.decode_structured, "hybrid": code.decode_structured}[decoder](word)
+        return res.ok and res.c == msg, res.stats.pivots
+    res = {"it": peel_decode, "ml": ml_decode, "hybrid": hybrid_decode}[decoder](code, word)
     return res.ok and res.recovered == cw, res.stats.pivots
 
 
-def _erased_positions(code: LdpcCode, channel, rng) -> list:
+def _erased_positions(code, channel, rng) -> list:
     """The positions one channel use erases: increasing Python ints, drawn
-    over the transmitted positions by mask (the punctured ones are added
-    later, by the decoder)."""
+    over the transmitted positions by mask (the punctured ones of an LDPC
+    code are added later, by the decoder)."""
     ntx = code.n_transmitted
     if channel.kind == "bec":
         mask = rng.random(ntx) < channel.epsilon
@@ -103,25 +106,6 @@ def _erased_positions(code: LdpcCode, channel, rng) -> list:
         mask = np.ones(ntx, np.bool_)
         mask[rng.choice(ntx, size=max(keep, 0), replace=False)] = False
     return code.transmitted_array[mask].tolist()
-
-
-def _raptor_trial(code: RaptorCode, decoder, channel, rng):
-    p = code.params
-    c = BinVector(p.k, int.from_bytes(rng.bytes((p.k + 7) // 8), "little"))
-    e = code.encode(c)
-    if channel.kind == "bec":
-        u01 = rng.random(p.n)
-        esis = (np.flatnonzero(u01 >= channel.epsilon) + 1).tolist()
-    else:
-        keep = min(max(p.k + channel.delta, 0), p.n)
-        esis = sorted((rng.choice(p.n, size=keep, replace=False) + 1).tolist())
-    received = [(esi, e[esi - 1]) for esi in esis]
-    if decoder in ("ml", "hybrid"):
-        res = code.decode_structured(received)
-    else:
-        raise ValueError("Raptor simulation supports ML decoding only")
-    ok = res.ok and res.c == c
-    return ok, res.stats.pivots
 
 
 def _trial_block(code, decoder, channel, seed, point_idx, t0, t1, zero_codeword):

@@ -179,6 +179,34 @@ def list_erased_positions(code, channel, rng):
     return [p for i, p in enumerate(transmitted) if i not in kept]
 
 
+def raptor_esi_draw(code, channel, rng):
+    """Reference Raptor channel draw: the received ESIs, increasing, drawn
+    per code over 1..n (kept where u01 >= epsilon, or a sorted choice of
+    k + delta of them). ``sim._erased_positions`` erases exactly the other
+    positions and consumes the generator the same way."""
+    p = code.params
+    if channel.kind == "bec":
+        u01 = rng.random(p.n)
+        return (np.flatnonzero(u01 >= channel.epsilon) + 1).tolist()
+    keep = min(max(p.k + channel.delta, 0), p.n)
+    return sorted((rng.choice(p.n, size=keep, replace=False) + 1).tolist())
+
+
+def raptor_word(e, esis):
+    """The word a Raptor decoder receives when the ESIs ``esis`` (in any
+    order) of the codeword ``e`` arrive: position i holds ESI i+1, and every
+    position whose ESI did not arrive is erased."""
+    got = {esi - 1 for esi in esis}
+    return decode.ReceivedWord.from_full(e, [i for i in range(e.n) if i not in got])
+
+
+def sum_cleared(values, erased):
+    """Reference erasure clearing: ``values`` less one generator-built mask
+    bit per erased position, the sum ``decode.ReceivedWord`` replaces with a
+    numpy mask."""
+    return values.bits & ~sum(1 << i for i in erased)
+
+
 def bitwise_encode(code, u):
     """Reference encoder: scatter the info bits one at a time through
     ``BinVector.__getitem__``, the loop the encoder's run scatter replaces,

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_vector
+from conftest import random_vector, raptor_word
 from erasurelab.analysis import (
     DegreeDistribution,
     WeightSpectrumTail,
@@ -220,7 +220,7 @@ def test_acceptance_7_raptor():
     e = big.encode(c)
     for _ in range(5):
         esis = (rng.choice(p.n, size=p.k - 1, replace=False) + 1).tolist()
-        received = [(esi, e[esi - 1]) for esi in esis]
+        received = raptor_word(e, esis)
         assert not big.decode_structured(received).ok
 
     # CER vs overhead delta: nonincreasing within confidence, shapes as claimed
@@ -232,7 +232,7 @@ def test_acceptance_7_raptor():
             c = random_vector(p.k, trng)
             e = big.encode(c)
             esis = (trng.choice(p.n, size=p.k + delta, replace=False) + 1).tolist()
-            received = [(esi, e[esi - 1]) for esi in esis]
+            received = raptor_word(e, esis)
             res = big.decode_structured(received)
             assert res.stats.system_shape == (p.k + delta + p.s + p.h, p.k + p.s + p.h)
             errors += not (res.ok and res.c == c)
@@ -253,7 +253,7 @@ def test_acceptance_7_raptor():
         e = small.encode(c)
         r = int(trng.integers(sp.k - 2, sp.n + 1))
         esis = (trng.choice(sp.n, size=r, replace=False) + 1).tolist()
-        received = [(esi, e[esi - 1]) for esi in esis]
+        received = raptor_word(e, esis)
         a = small.decode(received)
         b = small.decode_structured(received)
         assert a.status == b.status
@@ -264,7 +264,7 @@ def test_acceptance_7_raptor():
         c = random_vector(p.k, trng)
         e = big.encode(c)
         esis = (trng.choice(p.n, size=p.k + 3, replace=False) + 1).tolist()
-        received = [(esi, e[esi - 1]) for esi in esis]
+        received = raptor_word(e, esis)
         a = big.decode(received)
         b = big.decode_structured(received)
         assert a.status == b.status and (not a.ok or a.c == b.c)

@@ -9,6 +9,7 @@ from conftest import (
     full_scan_triangularize,
     loop_peel_core,
     random_vector,
+    sum_cleared,
     to_lists,
 )
 from erasurelab import decode
@@ -29,6 +30,8 @@ from erasurelab.decode import (
     split_by_erasure,
     triangularize,
 )
+from erasurelab.ldpc import sample_regular
+from erasurelab.raptor import RaptorCode
 
 SPC3 = [[1, 1, 1]]
 CHAIN = [[1, 1, 0], [0, 1, 1]]
@@ -57,6 +60,43 @@ def test_received_word_reads_zero_at_erasures():
         assert w.erased == (1, 3) and w.values.to_list() == [1, 0, 0, 0]
     with pytest.raises(ValueError):
         ReceivedWord(4, BinVector(3), ())
+    with pytest.raises(TypeError):  # not truncated to position 1
+        ReceivedWord.from_full(BinVector(4), [1.5])
+
+
+def test_erasure_mask_matches_the_generator():
+    """The numpy mask clears exactly the bits the per-position generator
+    sum clears, on random words with no, some and all positions erased."""
+    rng = np.random.default_rng(17)
+    for n in (1, 7, 8, 9, 64, 200, 1024):
+        for share in (0.0, 0.05, 0.4, 0.9, 1.0):
+            for _ in range(5):
+                full = random_vector(n, rng)
+                erased = np.flatnonzero(rng.random(n) < share).tolist()
+                if share == 1.0:
+                    assert erased == list(range(n))
+                w = ReceivedWord.from_full(full, erased)
+                assert w.values.bits == sum_cleared(full, erased)
+
+
+_LDPC = sample_regular(3, 6, 48, seed=0)
+_RAPTOR = RaptorCode.build(16, 32, seed=0)
+
+
+@pytest.mark.parametrize("code, decoder", [
+    (_LDPC, peel_decode), (_LDPC, ml_decode), (_LDPC, hybrid_decode), (_LDPC, oracle_decode),
+    (_RAPTOR, RaptorCode.decode), (_RAPTOR, RaptorCode.decode_structured),
+], ids=["peel", "ml", "hybrid", "oracle", "raptor-dense", "raptor-structured"])
+@pytest.mark.parametrize("where", ["below", "above"])
+@pytest.mark.parametrize("zero", [True, False], ids=["zero-word", "random-word"])
+def test_out_of_range_erasures_rejected(code, decoder, where, zero):
+    """An erased position outside 0..n-1 is a ValueError, not a wrapped
+    numpy index, an IndexError or a negative shift."""
+    n = code.n
+    values = BinVector(n) if zero else random_vector(n, np.random.default_rng(n))
+    erased = [-1, 3] if where == "below" else [3, n]
+    with pytest.raises(ValueError, match="erased positions"):
+        decoder(code, ReceivedWord.from_full(values, erased))
 
 
 def test_split_no_erasures():
@@ -109,7 +149,7 @@ def test_peel_4cycle_stall():
 def test_peel_inconsistent_input():
     # two checks force the erased bit to both 1 and 0: corrupted input
     code = code_from_rows([[1, 1], [1, 0]])
-    with pytest.raises(InconsistentInputError):
+    with pytest.raises(InconsistentInputError, match="check row 1 "):
         peel_decode(code, word(code, [0, 1], [0]))
 
 

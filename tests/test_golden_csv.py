@@ -22,9 +22,9 @@ RAPTOR_CSV = (
 )
 
 
-def _csv(code, decoder, kind, sweep):
+def _csv(code, decoder, kind, sweep, workers=1):
     plan = sim.SimPlan(code=code, decoder=decoder, channel_kind=kind, sweep=sweep,
-                       target_errors=10**9, max_trials=32, seed=5)
+                       target_errors=10**9, max_trials=32, seed=5, workers=workers)
     return sim.records_to_csv(sim.run_sweep(plan))
 
 
@@ -37,4 +37,5 @@ def test_geira_csv_pinned(decoder):
 
 def test_raptor_csv_pinned():
     code = raptor.RaptorCode.build(256, 512, seed=0)
-    assert _csv(code, "ml", "overhead", [0, 5]) == RAPTOR_CSV
+    for workers in (1, 2):
+        assert _csv(code, "ml", "overhead", [0, 5], workers) == RAPTOR_CSV

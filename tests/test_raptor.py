@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import full_scan_triangularize, mul, random_vector, submatrix_rows
+from conftest import full_scan_triangularize, mul, random_vector, raptor_word, submatrix_rows
 from erasurelab.binmat import BinVector, DenseBinMatrix, SparseBinMatrix, mul_vec, rank
 from erasurelab.decode import (
     InconsistentInputError,
+    ReceivedWord,
     max_degree_pivot,
     min_row_pivot,
     triangularize,
@@ -206,7 +207,7 @@ def test_decode_all_symbols(code16, rng):
     p = code16.params
     c = random_vector(p.k, rng)
     e = code16.encode(c)
-    received = [(i + 1, e[i]) for i in range(p.n)]
+    received = raptor_word(e, range(1, p.n + 1))
     res = code16.decode(received)
     assert res.ok and res.c == c
     res2 = code16.decode_structured(received)
@@ -217,7 +218,7 @@ def test_decode_insufficient(code16, rng):
     p = code16.params
     c = random_vector(p.k, rng)
     e = code16.encode(c)
-    received = [(i + 1, e[i]) for i in range(p.k - 1)]
+    received = raptor_word(e, range(1, p.k))
     assert code16.decode(received).status == "insufficient"
     assert code16.decode_structured(received).status == "insufficient"
 
@@ -229,7 +230,7 @@ def test_structured_matches_dense(code16, rng):
         e = code16.encode(c)
         r = int(rng.integers(p.k, p.n + 1))
         esis = (rng.choice(p.n, size=r, replace=False) + 1).tolist()
-        received = [(esi, e[esi - 1]) for esi in esis]
+        received = raptor_word(e, esis)
         a = code16.decode(received)
         b = code16.decode_structured(received)
         assert a.status == b.status
@@ -245,7 +246,7 @@ def test_decoded_c_reencodes(code16, rng):
     e = code16.encode(c)
     esis = (rng.choice(p.n, size=p.k + 6, replace=False) + 1).tolist()
     received = [(esi, e[esi - 1]) for esi in esis]
-    res = code16.decode(received)
+    res = code16.decode(raptor_word(e, esis))
     if res.ok:
         e2 = code16.encode(res.c)
         assert all(e2[esi - 1] == sym for esi, sym in received)
@@ -276,7 +277,7 @@ def _received(code, rng, delta):
     p = code.params
     e = code.encode(random_vector(p.k, rng))
     esis = (rng.choice(p.n, size=p.k + delta, replace=False) + 1).tolist()
-    return [(esi, e[esi - 1]) for esi in esis]
+    return raptor_word(e, esis)
 
 
 def _assert_structured_matches_full_scan(code, strategy, rule):
@@ -287,7 +288,8 @@ def _assert_structured_matches_full_scan(code, strategy, rule):
     for delta in (0, 2, 10, 64):
         for _ in range(25):
             received = _received(code, rng, delta)
-            a = build_A(p, [esi for esi, _ in received])
+            erased = set(received.erased)
+            a = build_A(p, [i + 1 for i in range(p.n) if i not in erased])
             ref = full_scan_triangularize(SparseBinMatrix.from_dense(a), rule)
             st = triangularize(*code._structured_system(received), strategy)
             assert (st.resolved, st.pivots) == ref
@@ -329,15 +331,25 @@ _TAIL = list(range(3, 19))
 
 
 @pytest.mark.parametrize("esis", [
-    [1, 2, 2] + _TAIL, [0, 1, 2] + _TAIL, [1, 2, 33] + _TAIL,
-    # fewer than k symbols: the ESIs are checked before the early return
-    [1, 2, 2], [0] + list(range(1, 11)), [1, 2, 33],
+    pytest.param([0, 1, 2] + _TAIL, id="esis1"),
+    pytest.param([1, 2, 33] + _TAIL, id="esis2"),
+    pytest.param([0] + list(range(1, 11)), id="esis4"),
+    pytest.param([1, 2, 33], id="esis5"),
 ])
 def test_bad_esis_rejected(code16, esis):
-    received = [(esi, 0) for esi in esis]
+    """A word names its symbols by position, so it cannot hold a duplicate
+    ESI; an ESI outside 1..n is a position outside the word, and erasing it
+    (ESI 0 is position -1, ESI n+1 position n) fails the range check."""
+    n = code16.params.n
+    with pytest.raises(ValueError, match="erased positions"):
+        ReceivedWord(n, BinVector(n), [esi - 1 for esi in esis])
+
+
+@pytest.mark.parametrize("length", [31, 33])
+def test_word_length_must_be_n(code16, length):
     for decoder in (code16.decode, code16.decode_structured):
-        with pytest.raises(ValueError):
-            decoder(received)
+        with pytest.raises(ValueError, match="word length"):
+            decoder(ReceivedWord(length, BinVector(length), []))
 
 
 def test_flipped_symbol_is_inconsistent(code16, rng):
@@ -345,8 +357,7 @@ def test_flipped_symbol_is_inconsistent(code16, rng):
     the rest, and both decoders report corrupted input."""
     p = code16.params
     e = code16.encode(random_vector(p.k, rng))
-    received = [(i + 1, e[i]) for i in range(p.n)]
-    received[0] = (1, 1 - e[0])
+    received = raptor_word(BinVector(p.n, e.bits ^ 1), range(1, p.n + 1))
     for decoder in (code16.decode, code16.decode_structured):
         with pytest.raises(InconsistentInputError):
             decoder(received)

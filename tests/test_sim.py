@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import list_erased_positions
+from conftest import list_erased_positions, raptor_esi_draw
 from erasurelab import sim
 from erasurelab.binmat import BinVector
 from erasurelab.decode import DecodeResult
@@ -24,9 +24,18 @@ def small_code():
 
 
 @pytest.fixture(scope="module")
+def raptor_code():
+    return RaptorCode.build(16, 32, seed=0)
+
+
+@pytest.fixture(scope="module")
 def punctured_code():
     """The rate-3/4 member of a rate-compatible family: 32 of 96 punctured."""
     return rate_family(sample_regular(3, 6, 96, seed=5), [0.5, 0.6, 0.75])[2]
+
+
+CHANNELS = [ChannelModel("bec", epsilon=e) for e in (0.0, 0.1, 0.45, 1.0)] + [
+    ChannelModel("overhead", delta=d) for d in (-30, 0, 3, 100)]
 
 
 def test_erased_positions_match_the_list_draw(small_code, punctured_code):
@@ -34,15 +43,27 @@ def test_erased_positions_match_the_list_draw(small_code, punctured_code):
     draw, as Python ints, for unpunctured and punctured codes alike."""
     codes = [small_code, punctured_code,
              puncture(small_code, [40, 41, 47], allow_systematic=True)]
-    channels = [ChannelModel("bec", epsilon=e) for e in (0.0, 0.1, 0.45, 1.0)] + [
-        ChannelModel("overhead", delta=d) for d in (-30, 0, 3, 100)]
     for code in codes:
-        for channel in channels:
+        for channel in CHANNELS:
             for seed in range(10):
                 new = sim._erased_positions(code, channel, np.random.default_rng(seed))
                 old = list_erased_positions(code, channel, np.random.default_rng(seed))
                 assert new == old
                 assert all(type(i) is int for i in new)
+
+
+def test_raptor_erased_positions_match_the_esi_draw(raptor_code):
+    """On a Raptor code the shared draw erases exactly the positions whose
+    ESIs the per-code ESI draw does not receive, from the same generator
+    calls."""
+    n = raptor_code.params.n
+    for channel in CHANNELS:
+        for seed in range(10):
+            erased = sim._erased_positions(raptor_code, channel, np.random.default_rng(seed))
+            esis = raptor_esi_draw(raptor_code, channel, np.random.default_rng(seed))
+            received = {esi - 1 for esi in esis}
+            assert erased == [i for i in range(n) if i not in received]
+            assert all(type(i) is int for i in erased)
 
 
 # it-decoder sweeps of ``punctured_code`` with random codewords, seed 13, 200
@@ -105,11 +126,16 @@ def test_replay_identical_csv(small_code):
     assert a == b
 
 
-def test_worker_count_does_not_change_csv(small_code):
+def test_worker_count_does_not_change_csv(small_code, raptor_code):
     base = dict(code=small_code, decoder="ml", channel_kind="bec",
                 sweep=[0.35], target_errors=5, max_trials=300, seed=4)
     serial = records_to_csv(run_sweep(SimPlan(**base, workers=1)))
     parallel = records_to_csv(run_sweep(SimPlan(**base, workers=3)))
+    assert serial == parallel
+    base = dict(code=raptor_code, decoder="ml", channel_kind="overhead",
+                sweep=[0, 2], target_errors=5, max_trials=300, seed=4)
+    serial = records_to_csv(run_sweep(SimPlan(**base, workers=1)))
+    parallel = records_to_csv(run_sweep(SimPlan(**base, workers=2)))
     assert serial == parallel
 
 
@@ -144,19 +170,26 @@ def test_csv_format():
     assert lines[3].startswith("0.3,100,7,0.07,")
 
 
-def test_raptor_overhead_trials():
-    code = RaptorCode.build(16, 32, seed=0)
+def test_raptor_overhead_trials(raptor_code):
     ch = ChannelModel("overhead", delta=16)  # all n symbols received
     for t in range(10):
-        ok, _ = run_trial(code, "ml", ch, np.random.default_rng(t))
+        ok, _ = run_trial(raptor_code, "ml", ch, np.random.default_rng(t))
         assert ok
 
 
-def test_raptor_it_rejected():
-    code = RaptorCode.build(16, 32, seed=0)
-    with pytest.raises(ValueError):
-        run_trial(code, "it", ChannelModel("bec", epsilon=0.1),
-                  np.random.default_rng(0))
+def test_raptor_it_rejected(raptor_code):
+    with pytest.raises(ValueError, match="ML decoding only"):
+        SimPlan(code=raptor_code, decoder="it", channel_kind="bec", sweep=[0.1])
+
+
+@pytest.mark.parametrize("field, value", [("channel_kind", "BEC"), ("decoder", "xx")])
+def test_plan_rejects_unknown_names(small_code, field, value):
+    """A misspelt channel kind or decoder fails at plan construction, not as
+    another channel or at the first trial in a pool worker."""
+    plan = dict(code=small_code, decoder="ml", channel_kind="bec", sweep=[0.4])
+    plan[field] = value
+    with pytest.raises(ValueError, match=repr(value)):
+        SimPlan(**plan)
 
 
 def test_wrong_recovered_word_counts_as_error(small_code, monkeypatch):
