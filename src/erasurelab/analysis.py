@@ -31,9 +31,14 @@ class DegreeDistribution:
                 raise ValueError(f"{name} coefficients must be >= 0 and sum to 1")
         object.__setattr__(self, "lam", tuple(lam))
         object.__setattr__(self, "rho", tuple(rho))
+        if self.rate < -1e-12:
+            raise ValueError(f"design rate {self.rate:g} is negative")
 
     @classmethod
     def regular(cls, dv: int, dc: int) -> "DegreeDistribution":
+        for name, val in (("dv", dv), ("dc", dc)):
+            if val < 1:
+                raise ValueError(f"{name} must be >= 1, got {val}")
         lam = [0.0] * dv
         lam[dv - 1] = 1.0
         rho = [0.0] * dc

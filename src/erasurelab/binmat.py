@@ -5,9 +5,8 @@ Dense rows are stored as Python integers (bit j of a row word is column j),
 so row XOR and row-vector products run at word speed regardless of width.
 Every linear map in the package is held as such row words, and callers work
 on ``row_words`` (or the sparse ``row_adj``/``col_adj`` lists) directly; this
-module keeps only what the package calls: the matrix-vector product,
-elimination (solve with a vector right-hand side, rank, inverse), sparse
-conversion and the text format.
+module keeps only what the package calls: elimination (solve with a vector
+right-hand side, rank), sparse conversion and the text format.
 """
 
 from __future__ import annotations
@@ -20,17 +19,6 @@ import numpy as np
 
 class DimensionError(ValueError):
     """Operands with non-conforming shapes."""
-
-
-class SingularMatrixError(ValueError):
-    def __init__(self, dim: int, rank: int):
-        super().__init__(f"matrix of dimension {dim} is singular (rank {rank})")
-        self.dim = dim
-        self.rank = rank
-
-
-def _parity(x: int) -> int:
-    return x.bit_count() & 1
 
 
 class BinVector:
@@ -102,16 +90,6 @@ class DenseBinMatrix:
 
     def __repr__(self) -> str:
         return f"DenseBinMatrix({self.rows}x{self.cols})"
-
-
-def mul_vec(m: DenseBinMatrix, v: BinVector) -> BinVector:
-    if m.cols != v.n:
-        raise DimensionError(f"cannot apply {m.cols}-col matrix to length-{v.n} vector")
-    bits = 0
-    for i, w in enumerate(m.row_words):
-        if _parity(w & v.bits):
-            bits |= 1 << i
-    return BinVector(m.rows, bits)
 
 
 @dataclass
@@ -208,18 +186,6 @@ def dense_gauss_solve(m: DenseBinMatrix, rhs: BinVector) -> SolveOutcome:
 
 def rank(m: DenseBinMatrix) -> int:
     return len(_gauss_jordan(list(m.row_words), m.cols))
-
-
-def invert(m: DenseBinMatrix) -> DenseBinMatrix:
-    """Gauss-Jordan on [M | I]: the right half of row i ends as row i of M^-1."""
-    n = m.rows
-    if n != m.cols:
-        raise DimensionError("only square matrices can be inverted")
-    aug = [w | 1 << (n + i) for i, w in enumerate(m.row_words)]
-    r = len(_gauss_jordan(aug, n))
-    if r < n:
-        raise SingularMatrixError(n, r)
-    return DenseBinMatrix(n, n, [w >> n for w in aug])
 
 
 class SparseBinMatrix:

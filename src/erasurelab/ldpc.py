@@ -34,6 +34,8 @@ class GeiraSpec:
             raise ConstructionError(f"tap {max(self.taps)} exceeds n-k-1 = {m - 1}")
         if self.wc < 2:
             raise ConstructionError("column weight must be >= 2")
+        if self.wc >= m:
+            raise ConstructionError(f"column weight wc = {self.wc} must be below n-k = {m}")
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,8 @@ class Protograph:
 class _GenericEncoder:
     """Solves H·c = 0 for the pivot positions given the info positions: the
     bit at pivot position i is the parity of ``u & pmap[i]``. The masks come
-    from the reduced row echelon form of H, or for GeIRA from the accumulator.
+    from the reduced row echelon form of H, for GeIRA from the accumulator,
+    and for a Raptor code from A(1..k) (``RaptorCode._parity_masks``).
     The info bits are scattered run by run: each run of consecutive info
     positions moves as one shifted slice of ``u`` (a single run, ``u``
     itself, when the info positions are 0..k-1)."""

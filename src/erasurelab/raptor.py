@@ -1,7 +1,8 @@
 """Fixed-rate systematic Raptor codec: LDPC + Gray-sequence half-symbol
 pre-code, LT layer with a pluggable deterministic tuple generator, encoding
-matrix assembly, systematic transform, and ML decoding from any ESI subset,
-received as a ``decode.ReceivedWord`` whose position i holds ESI i+1.
+matrix assembly, systematic encoding by the parity-mask encoder of the LDPC
+codes, and ML decoding from any ESI subset, received as a
+``decode.ReceivedWord`` whose position i holds ESI i+1.
 
 The exact MBMS tuple generators and degree tables are deliberately not
 reproduced; the defaults below (truncated robust-soliton degrees, splitmix
@@ -16,16 +17,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .binmat import (
-    BinVector,
-    DenseBinMatrix,
-    SparseBinMatrix,
-    invert,
-    mul_vec,
-    rank,
-)
+from .binmat import BinVector, DenseBinMatrix, SparseBinMatrix, _gauss_jordan, rank
 from . import decode as _decode
 from .decode import DecodeStats, ReceivedWord
+from .ldpc import _GenericEncoder
 
 _MASK64 = (1 << 64) - 1
 
@@ -248,18 +243,6 @@ def build_A(params: RaptorParams, esis) -> DenseBinMatrix:
     return DenseBinMatrix(len(rows), params.L, rows)
 
 
-def precode(d: BinVector, params: RaptorParams) -> BinVector:
-    """Intermediate symbols F = [D; D_s; D_h] from the pre-code relations."""
-    if len(d) != params.k:
-        raise ValueError(f"message length {len(d)} != k = {params.k}")
-    f = d.bits
-    for r, w in enumerate(_precode_rows(params)):
-        # row r's one unknown is its identity bit k + r; the bits it reads
-        # below that are already set
-        f |= ((w & f).bit_count() & 1) << (params.k + r)
-    return BinVector(params.L, f)
-
-
 def find_systematic_seed(k: int, n: int, seed: int = 0, cap: int = 10000) -> int:
     """Smallest LT seed making A(1..k) full rank L."""
     for lt_seed in range(cap):
@@ -279,9 +262,8 @@ class RaptorCode:
         self.precode_rows = _precode_rows(params)
         self.lt_cols = [lt_tuple(esi, params).indices for esi in range(1, params.n + 1)]
         self.lt_rows = [sum(1 << i for i in cols) for cols in self.lt_cols]
-        self.a_k = DenseBinMatrix(params.s + params.h + params.k, params.L,
-                                  self.precode_rows + self.lt_rows[: params.k])
-        self.a_k_inv = invert(self.a_k)
+        self.encoder = _GenericEncoder(params.n, range(params.k), range(params.k, params.n),
+                                       self._parity_masks())
         self.precode_sparse = SparseBinMatrix.from_dense(
             DenseBinMatrix(len(self.precode_rows), params.L, self.precode_rows))
         # what the channel draw reads, as on an LdpcCode: every position is sent
@@ -295,20 +277,29 @@ class RaptorCode:
 
     # -- encoding ------------------------------------------------------------
 
-    def systematic_transform(self, c: BinVector) -> BinVector:
-        """Solve A(1..k) F = [0; C] for the intermediate symbols."""
-        if len(c) != self.params.k:
-            raise ValueError("wrong message length")
-        rhs = BinVector(self.a_k.rows, c.bits << (self.params.s + self.params.h))
-        return mul_vec(self.a_k_inv, rhs)
+    def _parity_masks(self) -> list:
+        """Each ESI past k as a mask over the message bits. Gauss-Jordan on
+        A(1..k) against [0; I_k] leaves row i holding intermediate symbol F_i
+        of A(1..k) F = [0; C] as such a mask, and an ESI is the XOR of the
+        symbols in its LT tuple; ESIs 1..k come out as the message itself."""
+        p = self.params
+        aug = self.precode_rows + [w | 1 << (p.L + i) for i, w in enumerate(self.lt_rows[: p.k])]
+        if len(_gauss_jordan(aug, p.L)) < p.L:
+            raise ValueError(f"lt_seed {p.lt_seed} is not systematic: A(1..k) is singular")
+        f = [w >> p.L for w in aug]
+        masks = []
+        for cols in self.lt_cols[p.k :]:
+            mask = 0
+            for i in cols:
+                mask ^= f[i]
+            masks.append(mask)
+        return masks
 
     def encode(self, c: BinVector) -> BinVector:
-        f = self.systematic_transform(c)
-        bits = 0
-        for i, w in enumerate(self.lt_rows):
-            if (w & f.bits).bit_count() & 1:
-                bits |= 1 << i
-        return BinVector(self.params.n, bits)
+        """The codeword of message ``c``, whose first k positions carry it."""
+        if len(c) != self.params.k:
+            raise ValueError(f"message length {len(c)} != k = {self.params.k}")
+        return self.encoder.encode(c)
 
     # -- decoding ------------------------------------------------------------
 

@@ -82,15 +82,24 @@ def run_trial(code, decoder: str, channel: ChannelModel, rng, zero_codeword=True
     codes. Returns (success, pivots). ``zero_codeword`` applies to LDPC
     codes; Raptor always draws random input and decodes by structured ML."""
     raptor = isinstance(code, RaptorCode)
+    # looked up per call, so a decoder patched on this module or on the
+    # class is the one that runs
+    if raptor:  # no peeling decoder
+        decoders = {"ml": RaptorCode.decode_structured, "hybrid": RaptorCode.decode_structured}
+    else:
+        decoders = {"it": peel_decode, "ml": ml_decode, "hybrid": hybrid_decode}
+    try:
+        dec = decoders[decoder]
+    except KeyError:
+        family = "Raptor" if raptor else "LDPC"
+        raise ValueError(f"no decoder {decoder!r} for {family} codes") from None
     msg = cw = BinVector(code.n)  # the all-zero codeword
     if raptor or not zero_codeword:
         msg = BinVector(code.k, int.from_bytes(rng.bytes((code.k + 7) // 8), "little"))
         cw = code.encode(msg) if raptor else encode(code, msg)
-    word = ReceivedWord.from_full(cw, _erased_positions(code, channel, rng))
-    if raptor:  # no peeling decoder: "it" is a KeyError here, as "xx" is below
-        res = {"ml": code.decode_structured, "hybrid": code.decode_structured}[decoder](word)
+    res = dec(code, ReceivedWord.from_full(cw, _erased_positions(code, channel, rng)))
+    if raptor:
         return res.ok and res.c == msg, res.stats.pivots
-    res = {"it": peel_decode, "ml": ml_decode, "hybrid": hybrid_decode}[decoder](code, word)
     return res.ok and res.recovered == cw, res.stats.pivots
 
 

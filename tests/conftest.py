@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from erasurelab import decode
-from erasurelab.binmat import BinVector, DenseBinMatrix, SparseBinMatrix
+from erasurelab.binmat import (
+    BinVector,
+    DenseBinMatrix,
+    DimensionError,
+    SparseBinMatrix,
+    _gauss_jordan,
+)
 from erasurelab.ldpc import LdpcCode, _generic_encoder_from_h
+from erasurelab.raptor import _precode_rows
 
 
 def from_rows(rowlists):
@@ -34,6 +41,55 @@ def mul(m, n):
             if w >> j & 1:
                 words[i] ^= n.row_words[j]
     return DenseBinMatrix(m.rows, n.cols, words)
+
+
+def mul_vec(m, v):
+    """GF(2) matrix-vector product: bit i is the parity of row i of ``m``
+    over ``v``."""
+    if m.cols != v.n:
+        raise DimensionError(f"cannot apply {m.cols}-col matrix to length-{v.n} vector")
+    bits = 0
+    for i, w in enumerate(m.row_words):
+        if (w & v.bits).bit_count() & 1:
+            bits |= 1 << i
+    return BinVector(m.rows, bits)
+
+
+def invert(m):
+    """Gauss-Jordan on [M | I]: the right half of row i ends as row i of
+    M^-1. A singular M is a ValueError that names its rank."""
+    n = m.rows
+    if n != m.cols:
+        raise DimensionError("only square matrices can be inverted")
+    aug = [w | 1 << (n + i) for i, w in enumerate(m.row_words)]
+    r = len(_gauss_jordan(aug, n))
+    if r < n:
+        raise ValueError(f"matrix of dimension {n} is singular (rank {r})")
+    return DenseBinMatrix(n, n, [w >> n for w in aug])
+
+
+def precode(d, params):
+    """Non-systematic reference route into a Raptor code: the intermediate
+    symbols F = [D; D_s; D_h] that the pre-code relations give the source
+    symbols D."""
+    if len(d) != params.k:
+        raise ValueError(f"message length {len(d)} != k = {params.k}")
+    f = d.bits
+    for r, w in enumerate(_precode_rows(params)):
+        # row r's one unknown is its identity bit k + r; the bits it reads
+        # below that are already set
+        f |= ((w & f).bit_count() & 1) << (params.k + r)
+    return BinVector(params.L, f)
+
+
+def transform_encode(code, c):
+    """Reference systematic Raptor encoder, the route the parity-mask encoder
+    replaces: F = A(1..k)^-1 [0; C] for the intermediate symbols, then one
+    parity per LT row over all n rows."""
+    p = code.params
+    a_k = DenseBinMatrix(p.L, p.L, code.precode_rows + code.lt_rows[: p.k])
+    f = mul_vec(invert(a_k), BinVector(p.L, c.bits << (p.s + p.h)))
+    return mul_vec(DenseBinMatrix(p.n, p.L, code.lt_rows), f)
 
 
 def geira_accumulate(code, u):

@@ -248,6 +248,15 @@ def test_degree_distribution_rate():
     assert dist.rho_eval(1.0) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("dv, dc, says", [
+    (0, 6, "dv must be >= 1"), (3, 0, "dc must be >= 1"), (3, 2, "design rate -0.5"),
+])
+def test_degree_distribution_rejects_bad_degrees(dv, dc, says):
+    with pytest.raises(ValueError, match=says):
+        DegreeDistribution.regular(dv, dc)
+    assert DegreeDistribution.regular(3, 3).rate == 0.0
+
+
 def test_bounds_nondecreasing_in_eps():
     prev_s = prev_b = 0.0
     for i in range(101):

@@ -1,6 +1,6 @@
-"""Every public function, class and method that ``binmat`` defines is named
-somewhere in the package, so matrix API that only tests call cannot creep
-back in.
+"""Every public function, class and method that ``binmat`` or ``raptor``
+defines is named somewhere in the package, so API that only tests call
+cannot creep back in.
 
 The check works by name over the AST of ``src/erasurelab/*.py``: a definition
 passes when its name appears anywhere in the package as a variable, an
@@ -11,6 +11,8 @@ named like a builtin, therefore passes even when nothing calls this one.
 
 import ast
 from pathlib import Path
+
+import pytest
 
 PKG = Path(__file__).resolve().parent.parent / "src" / "erasurelab"
 
@@ -28,11 +30,11 @@ def _names_in_package():
     return names
 
 
-def _binmat_public_defs():
+def _public_defs(module):
     """(qualified name, bare name) of each public module-level function or
     class and each public method of a module-level class."""
     defs = []
-    for node in ast.parse((PKG / "binmat.py").read_text()).body:
+    for node in ast.parse((PKG / f"{module}.py").read_text()).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             defs.append((node.name, node.name))
         if isinstance(node, ast.ClassDef):
@@ -41,6 +43,7 @@ def _binmat_public_defs():
     return [(q, name) for q, name in defs if not name.startswith("_")]
 
 
-def test_binmat_public_api_is_named_in_the_package():
+@pytest.mark.parametrize("module", ["binmat", "raptor"])
+def test_public_api_is_named_in_the_package(module):
     names = _names_in_package()
-    assert [q for q, name in _binmat_public_defs() if name not in names] == []
+    assert [q for q, name in _public_defs(module) if name not in names] == []

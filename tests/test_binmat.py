@@ -3,20 +3,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import from_rows, identity, mul, scalar_gauss_jordan, submatrix_rows, to_lists
+from conftest import (
+    from_rows,
+    identity,
+    invert,
+    mul,
+    mul_vec,
+    scalar_gauss_jordan,
+    submatrix_rows,
+    to_lists,
+)
 from erasurelab.binmat import (
     _BLOCK,
     BinVector,
     DenseBinMatrix,
     DimensionError,
-    SingularMatrixError,
     SparseBinMatrix,
     _gauss_jordan,
     dense_from_text,
     dense_gauss_solve,
     dense_to_text,
-    invert,
-    mul_vec,
     rank,
 )
 
@@ -68,9 +74,8 @@ def test_invert_examples():
     assert invert(identity(4)) == identity(4)
     m = from_rows([[1, 1], [0, 1]])
     assert invert(m) == m  # self-inverse over GF(2)
-    with pytest.raises(SingularMatrixError) as exc:
+    with pytest.raises(ValueError, match=r"singular \(rank 1\)"):
         invert(from_rows([[1, 1], [1, 1]]))
-    assert exc.value.rank == 1
 
 
 def test_mul_and_submatrix():
@@ -97,7 +102,7 @@ def test_invert_iff_full_rank(m):
     if r == m.rows:
         assert mul(m, invert(m)) == identity(m.rows)
     else:
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(ValueError, match="singular"):
             invert(m)
 
 

@@ -184,6 +184,9 @@ SPC_CODE = "ldpc 3 2\n1 3\n111\n"
      {"run.cfg": "taps=0,5\nwc=9\n"}, "--regular does not take --taps or --wc"),
     (["simulate", "--code", "code.txt", "--n", "3", "--eps", "0.3"], {"code.txt": SPC_CODE},
      "--code does not take --n"),
+    (["thresholds", "--regular", "0,6"], {}, "dv must be >= 1, got 0"),
+    (["thresholds", "--regular", "3,2"], {}, "design rate -0.5 is negative"),
+    (["construct", "--geira", "8,16", "--wc", "9"], {}, "wc = 9 must be below n-k = 8"),
 ], ids=["step-zero", "step-negative", "stop-below-start", "step-config", "workers-flag",
         "workers-config", "code-header-k", "bounds-k-above-n", "target-errors-zero",
         "max-trials-zero", "geira-tap-too-large", "code-file-missing", "decoder-config",
@@ -192,7 +195,8 @@ SPC_CODE = "ldpc 3 2\n1 3\n111\n"
         "simulate-delta-in-config", "construct-regular-and-geira", "simulate-regular-in-config",
         "bounds-n-zero", "bounds-dmin-zero", "bounds-amin-negative", "geira-with-n",
         "geira-n-in-config", "regular-with-taps", "regular-with-wc",
-        "regular-taps-wc-in-config", "code-with-n"])
+        "regular-taps-wc-in-config", "code-with-n", "thresholds-dv-zero",
+        "thresholds-negative-rate", "geira-wc-above-n-k"])
 def test_bad_range_is_a_usage_error(tmp_path, capsys, args, files, says):
     """Exit 2 with one error line; ``says`` is a fragment that line must hold."""
     for name, text in files.items():

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bitwise_encode, geira_accumulate, random_vector
-from erasurelab.binmat import BinVector, mul_vec
+from conftest import bitwise_encode, geira_accumulate, mul_vec, random_vector
+from erasurelab.binmat import BinVector
 from erasurelab.ldpc import (
     ConstructionError,
     GeiraSpec,
@@ -132,6 +132,15 @@ def test_geira_mean_row_weight_target():
 def test_geira_bad_tap():
     with pytest.raises(ConstructionError):
         GeiraSpec(k=4, n=8, taps=frozenset({0, 4}), wc=2)
+
+
+@pytest.mark.parametrize("wc", [4, 5])
+def test_geira_column_weight_below_n_k(wc):
+    """Each information column takes wc distinct rows of the n-k parity
+    checks, so wc = n-k and above are rejected before construction."""
+    with pytest.raises(ConstructionError, match=f"wc = {wc} must be below n-k = 4"):
+        GeiraSpec(k=4, n=8, taps=frozenset({0, 1}), wc=wc)
+    assert build_geira(GeiraSpec(k=4, n=8, taps=frozenset({0, 1}), wc=3)).h.rows == 4
 
 
 def test_lift_single_edge_permutation():

@@ -3,8 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import full_scan_triangularize, mul, random_vector, raptor_word, submatrix_rows
-from erasurelab.binmat import BinVector, DenseBinMatrix, SparseBinMatrix, mul_vec, rank
+from conftest import (
+    full_scan_triangularize,
+    mul,
+    mul_vec,
+    precode,
+    random_vector,
+    raptor_word,
+    submatrix_rows,
+    transform_encode,
+)
+from erasurelab.binmat import BinVector, DenseBinMatrix, SparseBinMatrix, rank
 from erasurelab.decode import (
     InconsistentInputError,
     ReceivedWord,
@@ -21,7 +30,6 @@ from erasurelab.raptor import (
     find_systematic_seed,
     gray_half_columns,
     lt_tuple,
-    precode,
 )
 
 
@@ -176,7 +184,6 @@ def test_systematic_seed_postcondition():
 
 def test_systematic_transform(code16, rng):
     p = code16.params
-    assert code16.systematic_transform(BinVector(p.k)).weight() == 0
     for _ in range(20):
         c = random_vector(p.k, rng)
         e = code16.encode(c)
@@ -185,6 +192,29 @@ def test_systematic_transform(code16, rng):
 
 def test_encode_zero(code16):
     assert code16.encode(BinVector(code16.params.k)).weight() == 0
+
+
+@pytest.mark.parametrize("name", ["code16", "code64", "code256"])
+def test_encoder_matches_the_transform_route(name, request):
+    """The parity-mask encoder gives the codeword of F = A(1..k)^-1 [0; C]
+    on random messages and on every unit message e_i, each of which reads
+    one message bit out of every parity mask."""
+    code = request.getfixturevalue(name)
+    k = code.params.k
+    rng = np.random.default_rng(7)
+    messages = [random_vector(k, rng) for _ in range(50)]
+    messages += [BinVector(k, 1 << i) for i in range(k)]
+    for c in messages:
+        assert code.encode(c) == transform_encode(code, c)
+
+
+def test_nonsystematic_seed_rejected():
+    """For k=16, n=32 the LT seeds 0 and 1 leave A(1..k) singular; 2 is the
+    first systematic one."""
+    assert find_systematic_seed(16, 32) == 2
+    for lt_seed in (0, 1):
+        with pytest.raises(ValueError, match="not systematic"):
+            RaptorCode(derive_params(16, 32, lt_seed=lt_seed))
 
 
 def test_generator_route_agreement(code16, rng):
@@ -273,6 +303,12 @@ def code64():
     return RaptorCode.build(64, 128, seed=0)
 
 
+@pytest.fixture(scope="module")
+def code256():
+    """The benchmark's raptor-overhead code."""
+    return RaptorCode.build(256, 512, seed=0)
+
+
 def _received(code, rng, delta):
     p = code.params
     e = code.encode(random_vector(p.k, rng))
@@ -310,7 +346,7 @@ def test_code_rows_match_build_A(name, request):
     code = request.getfixturevalue(name)
     p = code.params
     assert code.precode_rows == build_A(p, []).row_words
-    assert code.a_k == build_A(p, range(1, p.k + 1))
+    assert code.precode_rows + code.lt_rows[: p.k] == build_A(p, range(1, p.k + 1)).row_words
 
 
 def test_structured_matches_dense_at_low_overhead(code64):

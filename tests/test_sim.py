@@ -192,6 +192,18 @@ def test_plan_rejects_unknown_names(small_code, field, value):
         SimPlan(**plan)
 
 
+@pytest.mark.parametrize("code_name, decoder", [
+    ("raptor_code", "it"), ("raptor_code", "xx"), ("small_code", "xx"), ("small_code", "ML"),
+])
+def test_run_trial_rejects_a_decoder_the_code_lacks(code_name, decoder, request):
+    """A direct ``run_trial`` (as the Raptor demo makes) names the decoder in
+    a ValueError instead of ending in a bare KeyError."""
+    code = request.getfixturevalue(code_name)
+    ch = ChannelModel("overhead", delta=2)
+    with pytest.raises(ValueError, match=f"no decoder {decoder!r}"):
+        run_trial(code, decoder, ch, np.random.default_rng(0))
+
+
 def test_wrong_recovered_word_counts_as_error(small_code, monkeypatch):
     # a decoder that claims success with the all-zero word
     zero = BinVector(small_code.n)
