@@ -122,8 +122,32 @@ def _bisect(converges, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _closed_form_threshold(dist: DegreeDistribution):
+    """The exact IT and ML threshold of an ensemble whose edge messages
+    density evolution cannot follow to it, or None.
+
+    A degree-1 variable node's message is its channel erasure for ever,
+    while its bit is recovered once the other bits of its check are. With
+    every check of degree 1 (H = I, the only such ensemble of rate >= 0)
+    every bit is pinned: threshold 1. Otherwise such a check holds another
+    erased bit with positive probability at every eps > 0, for the IT and
+    the ML decoder alike: threshold 0. On the (2,2) cycle ensemble density
+    evolution is x -> eps·x, which tends to 0 for every eps < 1 but more
+    slowly than any iteration cap as eps nears 1: threshold 1."""
+    vdeg = {i + 1 for i, lam in enumerate(dist.lam) if lam}
+    cdeg = {j + 1 for j, rho in enumerate(dist.rho) if rho}
+    if 1 in vdeg:
+        return 1.0 if cdeg == {1} else 0.0
+    if vdeg == cdeg == {2}:
+        return 1.0
+    return None
+
+
 def it_threshold(dist: DegreeDistribution, tol: float = 1e-5) -> float:
     """Supremum erasure probability for which density evolution converges."""
+    exact = _closed_form_threshold(dist)
+    if exact is not None:
+        return exact
     return _bisect(lambda eps: _de_converges(dist, eps), tol)
 
 
@@ -183,6 +207,9 @@ def ml_threshold_bound(dist: DegreeDistribution, grid: int = 100001):
     """Area-theorem upper bound p_A* on the ML threshold: the abscissa where
     the area under the IT EXIT curve, from p_A* to 1, equals the rate.
     Returns (bound, degenerate); a degenerate bound is the IT threshold."""
+    exact = _closed_form_threshold(dist)
+    if exact is not None:
+        return exact, True
     curve = exit_curve(dist, grid)
     x = _area_crossing(curve.p_a, curve.p_e, dist.rate)
     return (curve.eps_bp, True) if x is None else (x, False)
@@ -349,13 +376,19 @@ def error_floor_estimate(tail: WeightSpectrumTail, eps: float) -> float:
 
 
 def exhaustive_min_distance(code: LdpcCode, cap_k: int = 24) -> WeightSpectrumTail:
-    """Exact d_min and multiplicity by enumerating all nonzero messages."""
+    """Exact d_min and multiplicity by enumerating all nonzero codewords in
+    Gray-code order: step i flips message bit j, the number of trailing
+    zeros of i, so the codeword changes by generator word j, the codeword of
+    the unit message j."""
     if code.k > cap_k:
         raise ValueError(f"k = {code.k} exceeds enumeration cap {cap_k}")
+    gen = [encode(code, BinVector(code.k, 1 << j)).bits for j in range(code.k)]
     best = code.n + 1
     mult = 0
-    for msg in range(1, 1 << code.k):
-        w = encode(code, BinVector(code.k, msg)).weight()
+    word = 0
+    for i in range(1, 1 << code.k):
+        word ^= gen[(i & -i).bit_length() - 1]
+        w = word.bit_count()
         if w < best:
             best, mult = w, 1
         elif w == best:

@@ -6,7 +6,8 @@ so row XOR and row-vector products run at word speed regardless of width.
 Every linear map in the package is held as such row words, and callers work
 on ``row_words`` (or the sparse ``row_adj``/``col_adj`` lists) directly; this
 module keeps only what the package calls: elimination (solve with a vector
-right-hand side, rank), sparse conversion and the text format.
+right-hand side, rank), the chunk-table matrix-vector product, sparse
+conversion and the text format.
 """
 
 from __future__ import annotations
@@ -56,6 +57,11 @@ class BinVector:
     def ones(self) -> list:
         """Positions of the set bits, increasing."""
         return [i for i, ch in enumerate(bin(self.bits)[:1:-1]) if ch == "1"]
+
+    def unpacked(self) -> np.ndarray:
+        """The bits as a length-n boolean array."""
+        packed = np.frombuffer(self.bits.to_bytes(-(-self.n // 8), "little"), np.uint8)
+        return np.unpackbits(packed, count=self.n, bitorder="little").view(np.bool_)
 
     def __eq__(self, other) -> bool:
         return (
@@ -188,6 +194,43 @@ def rank(m: DenseBinMatrix) -> int:
     return len(_gauss_jordan(list(m.row_words), m.cols))
 
 
+class ChunkTables:
+    """The GF(2) product x -> M·x of a fixed matrix M, given by its packed
+    ``rows`` over ``ncols`` columns: bit i of the image is the parity of row
+    i over x. By the method of four Russians for a matrix-vector product:
+    the columns are taken in chunks of 4, and each chunk's table holds the
+    XOR of every subset of its columns, so the image is one lookup per chunk
+    of x, read two chunks to a byte. The tables cost 16 words of len(rows)
+    bits per chunk; chunks of 8 would cost 8 times as much."""
+
+    __slots__ = ("nbytes", "low", "high")
+
+    def __init__(self, rows, ncols: int):
+        self.nbytes = nb = -(-ncols // 8)
+        packed = np.frombuffer(b"".join(w.to_bytes(nb, "little") for w in rows), np.uint8)
+        packed = packed.reshape(len(rows), nb)
+        columns = []
+        for b in range(0, nb, 8):  # 64 columns at a time keep the unpacked copy small
+            bits = np.unpackbits(packed[:, b : b + 8], axis=1, bitorder="little")
+            columns += [int.from_bytes(c.tobytes(), "little")
+                        for c in np.packbits(bits.T, axis=1, bitorder="little")]
+        tables = []
+        for j in range(0, ncols, 4):
+            table = [0]
+            for col in columns[j : min(j + 4, ncols)]:
+                table += [t ^ col for t in table]
+            tables.append(table)
+        # a chunk past the last column reads only zeros
+        self.low, self.high = tables[0::2], tables[1::2] + [[0]] * (len(tables) % 2)
+
+    def apply(self, x: int) -> int:
+        """M·x for an ``x`` with no bit at or above ``ncols``."""
+        out = 0
+        for low, high, b in zip(self.low, self.high, x.to_bytes(self.nbytes, "little")):
+            out ^= low[b & 15] ^ high[b >> 4]
+        return out
+
+
 class SparseBinMatrix:
     """Sparse GF(2) matrix with mutually consistent row/column adjacency.
 
@@ -282,6 +325,8 @@ def dense_to_text(m: DenseBinMatrix) -> str:
 
 def dense_from_text(text: str) -> DenseBinMatrix:
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("missing matrix")
     rows, cols = (int(t) for t in lines[0].split())
     if len(lines) - 1 != rows:
         raise ValueError(f"expected {rows} rows, found {len(lines) - 1}")

@@ -125,15 +125,15 @@ class TriangularizationState:
         return len(self.columns) - len(self.resolved) - len(self.pivots)
 
 
-def _parities(h: SparseBinMatrix, v: BinVector) -> list:
+def _parities(h: SparseBinMatrix, v: BinVector) -> np.ndarray:
     """Per row of ``h``, the parity of the set bits of ``v`` it holds: the
-    syndrome H·v as a list. Costs nothing for a zero word."""
-    par = [0] * h.rows
-    col_adj = h.col_adj
-    for c in v.ones():
-        for r in col_adj[c]:
-            par[r] ^= 1
-    return par
+    syndrome H·v as an array of 0s and 1s. One gather of the word's bits at
+    H's edge arrays, kept on the matrix, and a bincount of the rows hit; a
+    zero word costs only the zeros."""
+    if not v.bits:
+        return np.zeros(h.rows, np.intp)
+    edge_rows, edge_cols = h.edges()
+    return np.bincount(edge_rows[v.unpacked()[edge_cols]], minlength=h.rows) & 1
 
 
 def split_by_erasure(code, word: ReceivedWord):
@@ -153,7 +153,7 @@ def split_by_erasure(code, word: ReceivedWord):
         for li in local:
             col_adj[li].append(r)
     hkbar = SparseBinMatrix._raw(h.rows, len(word.erased), hk_rows, col_adj)
-    return hkbar, BinVector.from_bits(_parities(h, word.values))
+    return hkbar, BinVector.from_bits(_parities(h, word.values).tolist())
 
 
 def _extend(st: TriangularizationState, queue, pivot_strategy=None) -> None:
@@ -220,7 +220,7 @@ def _start(matrix, columns, rowpar) -> TriangularizationState:
 def _peel_core(code, word: ReceivedWord) -> TriangularizationState:
     """Peel H over the erased positions of ``word``, the known symbols giving
     the row parities."""
-    st = _start(code.h, word.erased, _parities(code.h, word.values))
+    st = _start(code.h, word.erased, _parities(code.h, word.values).tolist())
     # before any pivot each parity is 0 or 1 and no count is negative, so
     # par > cnt is exactly a row with no unknown left and a violated parity
     if any(map(gt, st.rowpar, st.rowcnt)):
@@ -400,6 +400,6 @@ def _finish(code, word: ReceivedWord, bits: int, stats: DecodeStats) -> DecodeRe
     recovered = BinVector(word.n, bits)
     # bug trap: any success must satisfy every parity check
     par = _parities(code.h, recovered)
-    if any(par):
-        raise InternalConsistencyError(f"check row {par.index(1)} violated after decode")
+    if par.any():
+        raise InternalConsistencyError(f"check row {par.argmax()} violated after decode")
     return DecodeResult("success", recovered=recovered, stats=stats)

@@ -6,11 +6,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
 
 import numpy as np
 
-from .binmat import BinVector, SparseBinMatrix, _gauss_jordan, dense_from_text, dense_to_text
+from .binmat import (
+    BinVector,
+    ChunkTables,
+    SparseBinMatrix,
+    _gauss_jordan,
+    dense_from_text,
+    dense_to_text,
+)
 
 
 class ConstructionError(ValueError):
@@ -81,29 +87,28 @@ class _GenericEncoder:
     bit at pivot position i is the parity of ``u & pmap[i]``. The masks come
     from the reduced row echelon form of H, for GeIRA from the accumulator,
     and for a Raptor code from A(1..k) (``RaptorCode._parity_masks``).
-    The info bits are scattered run by run: each run of consecutive info
-    positions moves as one shifted slice of ``u`` (a single run, ``u``
-    itself, when the info positions are 0..k-1)."""
+    Encoding is one chunk-table product with the generator."""
 
     def __init__(self, n, info_positions, pivot_positions, pmap):
         self.n = n
         self.info_positions = info_positions
         self.pivot_positions = pivot_positions
         self.pmap = pmap  # per pivot, mask over info bits (in info order)
-        self.runs = []  # (first info bit, first position, mask of the run)
-        for _, run in groupby(enumerate(info_positions), key=lambda ip: ip[1] - ip[0]):
-            run = list(run)
-            self.runs.append((*run[0], (1 << len(run)) - 1))
+
+    @cached_property
+    def generator(self) -> ChunkTables:
+        """Per position, the mask over the info bits that gives its bit (a
+        single bit at an info position), as chunk tables; built on the first
+        encode, so a code that is never encoded does not pay for them."""
+        rows = [0] * self.n
+        for i, pos in enumerate(self.info_positions):
+            rows[pos] = 1 << i
+        for mask, pos in zip(self.pmap, self.pivot_positions):
+            rows[pos] = mask
+        return ChunkTables(rows, len(self.info_positions))
 
     def encode(self, u: BinVector) -> BinVector:
-        ub = u.bits
-        bits = 0
-        for i0, p0, mask in self.runs:
-            bits |= (ub >> i0 & mask) << p0
-        for mask, pos in zip(self.pmap, self.pivot_positions):
-            if (mask & ub).bit_count() & 1:
-                bits |= 1 << pos
-        return BinVector(self.n, bits)
+        return BinVector(self.n, self.generator.apply(u.bits))
 
 
 @dataclass

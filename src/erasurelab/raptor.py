@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .binmat import BinVector, DenseBinMatrix, SparseBinMatrix, _gauss_jordan, rank
+from .binmat import BinVector, ChunkTables, DenseBinMatrix, SparseBinMatrix, _gauss_jordan, rank
 from . import decode as _decode
 from .decode import DecodeStats, ReceivedWord
 from .ldpc import _GenericEncoder
@@ -303,12 +303,15 @@ class RaptorCode:
 
     # -- decoding ------------------------------------------------------------
 
+    @cached_property
+    def source_rows(self) -> ChunkTables:
+        """The LT rows of ESIs 1..k, which give the message from F; built on
+        the first successful decode."""
+        return ChunkTables(self.lt_rows[: self.params.k], self.params.L)
+
     def _recover_c(self, f: BinVector) -> BinVector:
-        bits = 0
-        for i in range(self.params.k):
-            if (self.lt_rows[i] & f.bits).bit_count() & 1:
-                bits |= 1 << i
-        return BinVector(self.params.k, bits)
+        """The message: ESIs 1..k of the intermediate symbols ``f``."""
+        return BinVector(self.params.k, self.source_rows.apply(f.bits))
 
     def _received(self, word: ReceivedWord):
         """The received positions of ``word`` (its ESIs less one), increasing,
@@ -318,8 +321,7 @@ class RaptorCode:
             raise ValueError(f"word length {word.n} != n = {n}")
         got = np.ones(n, np.bool_)
         got[list(word.erased)] = False
-        syms = np.unpackbits(np.frombuffer(word.values.bits.to_bytes(-(-n // 8), "little"),
-                                           np.uint8), count=n, bitorder="little")[got]
+        syms = word.values.unpacked()[got]
         rhs_bits = int.from_bytes(np.packbits(syms, bitorder="little").tobytes(), "little")
         return np.flatnonzero(got).tolist(), BinVector(base + len(syms), rhs_bits << base)
 

@@ -203,10 +203,22 @@ def full_scan_triangularize(hkbar, rule="max_degree"):
     return resolved, pivots
 
 
+def loop_parities(h, v):
+    """Reference syndrome H·v as a list: one loop over the set bits of ``v``
+    and their adjacency lists, the loop ``decode._parities`` replaces with a
+    gather at H's edge arrays and a bincount."""
+    par = [0] * h.rows
+    for c in v.ones():
+        for r in h.col_adj[c]:
+            par[r] ^= 1
+    return par
+
+
 def loop_peel_core(code, word):
-    """Reference peel start: the loop over the erased columns' adjacency
-    lists that ``decode._start`` replaces with a bincount over H's edge
-    arrays, then the same diagonal extension."""
+    """Reference peel start: the loops over the erased columns' and the known
+    symbols' adjacency lists that ``decode._start`` and ``decode._parities``
+    replace with bincounts over H's edge arrays, then the same diagonal
+    extension."""
     h = code.h
     unknown = bytearray(h.cols)
     rowcnt = [0] * h.rows
@@ -216,7 +228,7 @@ def loop_peel_core(code, word):
             rowcnt[r] += 1
     st = decode.TriangularizationState(
         h.row_adj, h.col_adj, word.erased, unknown, rowcnt,
-        decode._parities(h, word.values), [0] * h.cols, bytearray(h.rows),
+        loop_parities(h, word.values), [0] * h.cols, bytearray(h.rows),
         [r for r, cnt in enumerate(rowcnt) if cnt == 2])
     decode._extend(st, deque(r for r, cnt in enumerate(rowcnt) if cnt == 1))
     return st
@@ -265,8 +277,9 @@ def sum_cleared(values, erased):
 
 def bitwise_encode(code, u):
     """Reference encoder: scatter the info bits one at a time through
-    ``BinVector.__getitem__``, the loop the encoder's run scatter replaces,
-    then the same parity masks."""
+    ``BinVector.__getitem__``, then take one parity of the message under
+    each pivot's mask: the loops the encoder's chunk-table product
+    replaces."""
     enc = code.encoder
     bits = 0
     for i, pos in enumerate(enc.info_positions):
@@ -276,6 +289,30 @@ def bitwise_encode(code, u):
         if (mask & u.bits).bit_count() & 1:
             bits |= 1 << pos
     return BinVector(code.n, bits)
+
+
+def lt_row_recover(code, f):
+    """Reference message recovery for a Raptor code: bit i of the message is
+    the parity of the LT row of ESI i+1 over the intermediate symbols ``f``,
+    the loop ``RaptorCode._recover_c`` replaces with a chunk-table product."""
+    bits = 0
+    for i in range(code.params.k):
+        bits |= ((code.lt_rows[i] & f.bits).bit_count() & 1) << i
+    return BinVector(code.params.k, bits)
+
+
+def enumerate_min_distance(code):
+    """Reference minimum distance: encode every nonzero message and keep the
+    least weight and how often it occurs, the loop the Gray-code walk of
+    ``analysis.exhaustive_min_distance`` replaces. Returns (d_min, a_min)."""
+    best, mult = code.n + 1, 0
+    for msg in range(1, 1 << code.k):
+        w = code.encoder.encode(BinVector(code.k, msg)).weight()
+        if w < best:
+            best, mult = w, 1
+        elif w == best:
+            mult += 1
+    return best, mult
 
 
 def numpy_proto_fixed_point(b, priors, v0=None, iters=20000, tol=1e-12):

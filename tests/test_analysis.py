@@ -6,10 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import code_from_rows, numpy_proto_fixed_point
+from conftest import code_from_rows, enumerate_min_distance, numpy_proto_fixed_point
 from erasurelab.analysis import (
     _edge_types,
     _priors,
@@ -28,7 +28,8 @@ from erasurelab.analysis import (
     singleton_bound,
     threshold_report,
 )
-from erasurelab.ldpc import Protograph
+from erasurelab.binmat import SparseBinMatrix
+from erasurelab.ldpc import LdpcCode, Protograph, _generic_encoder_from_h
 
 ARA = Protograph(base=((2, 1, 1, 1, 0), (1, 2, 1, 1, 0), (2, 0, 0, 0, 1)),
                  punctured_cols=frozenset({0}), lift=256)
@@ -239,6 +240,41 @@ def test_min_distance_repetition_and_spc():
     spc = code_from_rows([[1, 1, 1]])
     tail = exhaustive_min_distance(spc)
     assert (tail.d_min, tail.a_min) == (2, 3)
+
+
+def test_min_distance_matches_enumeration(hamming74):
+    """The Gray-code walk gives the (d_min, multiplicity) of encoding every
+    message, on Hamming(7,4), repetition and single parity check codes."""
+    codes = [hamming74, code_from_rows([[1, 1, 0], [0, 1, 1]]),
+             code_from_rows([[1, 1, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 1, 1, 0], [0, 0, 0, 1, 1]]),
+             code_from_rows([[1, 1, 1]]), code_from_rows([[1] * 13])]
+    for code in codes:
+        tail = exhaustive_min_distance(code)
+        assert (tail.d_min, tail.a_min) == enumerate_min_distance(code)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_min_distance_matches_enumeration_random_codes(data):
+    n = data.draw(st.integers(2, 16))
+    rows = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=n))
+    assume(all(any(w >> c & 1 for w in rows) for c in range(n)))
+    h = SparseBinMatrix(len(rows), n, [[c for c in range(n) if w >> c & 1] for w in rows])
+    encoder, k = _generic_encoder_from_h(h)
+    assume(k <= 12)
+    code = LdpcCode(n, k, h, encoder=encoder)
+    tail = exhaustive_min_distance(code)
+    assert (tail.d_min, tail.a_min) == enumerate_min_distance(code)
+
+
+@pytest.mark.parametrize("dv, dc, eps", [(1, 1, 1.0), (1, 2, 0.0), (1, 5, 0.0), (2, 2, 1.0)])
+def test_degenerate_ensembles_take_their_exact_thresholds(dv, dc, eps):
+    """H = I pins every bit; any other ensemble with degree-1 variables
+    leaves some erased for every eps > 0; the (2,2) cycle ensemble's density
+    evolution x -> eps·x converges for every eps < 1."""
+    dist = DegreeDistribution.regular(dv, dc)
+    assert it_threshold(dist) == eps
+    assert ml_threshold_bound(dist) == (eps, True)
 
 
 def test_degree_distribution_rate():

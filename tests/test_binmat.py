@@ -16,6 +16,7 @@ from conftest import (
 from erasurelab.binmat import (
     _BLOCK,
     BinVector,
+    ChunkTables,
     DenseBinMatrix,
     DimensionError,
     SparseBinMatrix,
@@ -221,3 +222,16 @@ def _gauss_system(draw):
 def test_gauss_jordan_matches_scalar_property(system):
     rows, ncols = system
     _assert_matches_scalar(rows, ncols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_chunk_tables_match_row_parities(data):
+    """The chunk-table product equals one row parity per output bit, for
+    any shape: no rows, no columns, a last chunk of 1 to 4 columns, and
+    more than the 64 columns transposed at a time."""
+    ncols = data.draw(st.integers(0, 140))
+    rows = data.draw(st.lists(st.integers(0, 2**ncols - 1), max_size=12))
+    x = data.draw(st.integers(0, 2**ncols - 1))
+    m = DenseBinMatrix(len(rows), ncols, rows)
+    assert ChunkTables(rows, ncols).apply(x) == mul_vec(m, BinVector(ncols, x)).bits

@@ -2,7 +2,10 @@ import io
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from erasurelab import ldpc
 from erasurelab.cli import main
 
 
@@ -42,6 +45,17 @@ def test_thresholds_table_row(capsys):
     assert abs(float(row[1]) - 0.4294) < 5e-4
     assert abs(float(row[2]) - 0.4881) < 5e-4
     assert abs(float(row[3]) - 0.5) < 1e-9
+
+
+@pytest.mark.parametrize("regular, row", [
+    ("1,1", "(1:1),1.000000,1.000000,1.000000"),
+    ("1,2", "(1:2),0.000000,0.000000,0.500000"),
+    ("2,2", "(2:2),1.000000,1.000000,1.000000"),
+])
+def test_thresholds_of_degenerate_ensembles(capsys, regular, row):
+    code, out = run_cli(["thresholds", "--regular", regular], capsys)
+    assert code == 0
+    assert data_rows(out)[1] == row
 
 
 def test_construct_and_mindist(tmp_path, capsys):
@@ -187,6 +201,9 @@ SPC_CODE = "ldpc 3 2\n1 3\n111\n"
     (["thresholds", "--regular", "0,6"], {}, "dv must be >= 1, got 0"),
     (["thresholds", "--regular", "3,2"], {}, "design rate -0.5 is negative"),
     (["construct", "--geira", "8,16", "--wc", "9"], {}, "wc = 9 must be below n-k = 8"),
+    (["mindist", "--code", "code.txt"], {"code.txt": "ldpc 4 2\n"}, "missing matrix"),
+    (["simulate", "--code", "code.txt", "--eps", "0.3"], {"code.txt": "ldpc 4 2"},
+     "missing matrix"),
 ], ids=["step-zero", "step-negative", "stop-below-start", "step-config", "workers-flag",
         "workers-config", "code-header-k", "bounds-k-above-n", "target-errors-zero",
         "max-trials-zero", "geira-tap-too-large", "code-file-missing", "decoder-config",
@@ -196,7 +213,8 @@ SPC_CODE = "ldpc 3 2\n1 3\n111\n"
         "bounds-n-zero", "bounds-dmin-zero", "bounds-amin-negative", "geira-with-n",
         "geira-n-in-config", "regular-with-taps", "regular-with-wc",
         "regular-taps-wc-in-config", "code-with-n", "thresholds-dv-zero",
-        "thresholds-negative-rate", "geira-wc-above-n-k"])
+        "thresholds-negative-rate", "geira-wc-above-n-k", "mindist-header-only",
+        "simulate-header-only"])
 def test_bad_range_is_a_usage_error(tmp_path, capsys, args, files, says):
     """Exit 2 with one error line; ``says`` is a fragment that line must hold."""
     for name, text in files.items():
@@ -209,3 +227,42 @@ def test_bad_range_is_a_usage_error(tmp_path, capsys, args, files, says):
     assert captured.err.splitlines()[-1].startswith("erasurelab: error: ")
     assert says in captured.err.splitlines()[-1]
     assert "Traceback" not in captured.err
+
+
+@pytest.fixture(scope="module")
+def punctured_code_text(tmp_path_factory):
+    path = tmp_path_factory.mktemp("code") / "code.txt"
+    assert main(["construct", "--regular", "3,6", "--n", "12", "--seed", "2",
+                 "--out", str(path)]) == 0
+    code = ldpc.puncture(ldpc.load_code(path), [0])
+    ldpc.save_code(code, path)
+    return path.read_text()
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_damaged_code_file_is_one_error_line(tmp_path, capsys, punctured_code_text, data):
+    """A saved punctured code file cut anywhere before its last row ends,
+    then maybe mutated further, under mindist and simulate: a valid file
+    runs, anything else exits 2 with a single error line, never a
+    traceback. A bare cut always exits 2."""
+    text = punctured_code_text
+    cut = data.draw(st.integers(0, len(text.rstrip("\n")) - 1))
+    damaged = text[:cut]
+    mutate = data.draw(st.booleans())
+    if mutate:
+        at = data.draw(st.integers(0, len(damaged)))
+        gone = data.draw(st.integers(0, 8))
+        extra = data.draw(st.text(alphabet="01 ,:\nldpcunture-x9", max_size=6))
+        damaged = damaged[:at] + extra + damaged[at + gone:]
+    path = tmp_path / "damaged.txt"
+    path.write_text(damaged)
+    for args in (["mindist", "--code", str(path)],
+                 ["simulate", "--code", str(path), "--eps", "0.3", "--max-trials", "2"]):
+        code = main(args)
+        err = capsys.readouterr().err
+        if code == 0 and mutate:
+            continue
+        assert code == 2, (damaged, args)
+        assert len(err.splitlines()) == 1 and err.startswith("erasurelab: error: "), err

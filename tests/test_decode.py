@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,15 +9,17 @@ from conftest import (
     code_from_rows,
     from_rows,
     full_scan_triangularize,
+    loop_parities,
     loop_peel_core,
     random_vector,
     sum_cleared,
     to_lists,
 )
 from erasurelab import decode
-from erasurelab.binmat import BinVector
+from erasurelab.binmat import BinVector, SparseBinMatrix
 from erasurelab.decode import (
     InconsistentInputError,
+    InternalConsistencyError,
     ReceivedWord,
     back_substitute,
     hybrid_decode,
@@ -364,6 +368,35 @@ def test_peel_start_matches_loop():
             triangularize(fast, None)
             triangularize(ref, None)
             assert fast == ref
+
+
+@st.composite
+def sparse_words(draw):
+    """A random sparse H (any row may be empty) and a word of its length:
+    random, zero or all ones."""
+    n = draw(st.integers(1, 40))
+    rows = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=6), min_size=1, max_size=20))
+    kind = draw(st.sampled_from(["random", "zero", "ones"]))
+    bits = {"random": draw(st.integers(0, (1 << n) - 1)), "zero": 0, "ones": (1 << n) - 1}[kind]
+    return SparseBinMatrix(len(rows), n, rows), BinVector(n, bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_words())
+def test_parities_and_recheck_match_loop(case):
+    """The bincount syndrome equals the loop over the word's set bits, and
+    the re-check of a recovered word fails exactly when that syndrome is
+    nonzero, naming its first violated row."""
+    h, v = case
+    ref = loop_parities(h, v)
+    assert decode._parities(h, v).tolist() == ref
+    code = SimpleNamespace(h=h)
+    w = ReceivedWord.from_full(v, ())
+    if any(ref):
+        with pytest.raises(InternalConsistencyError, match=f"check row {ref.index(1)} "):
+            decode._finish(code, w, v.bits, decode.DecodeStats())
+    else:
+        assert decode._finish(code, w, v.bits, decode.DecodeStats()).recovered == v
 
 
 def test_row_pivot_from_a_two_unknown_row_resolves_an_unknown():

@@ -1,16 +1,19 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bitwise_encode, geira_accumulate, mul_vec, random_vector
-from erasurelab.binmat import BinVector
+from conftest import bitwise_encode, code_from_rows, geira_accumulate, mul_vec, random_vector
+from erasurelab.binmat import BinVector, SparseBinMatrix
 from erasurelab.ldpc import (
     ConstructionError,
     GeiraSpec,
     Protograph,
     build_geira,
     encode,
+    _generic_encoder_from_h,
     lift_protograph,
     load_code,
     puncture,
@@ -104,12 +107,52 @@ def test_geira_encoder_matches_accumulator(spec, rng):
     lambda: lift_protograph(Protograph(base=ARA_BASE, punctured_cols=frozenset({0}), lift=64)),
 ], ids=["regular", "geira", "ara-punctured"])
 def test_run_scatter_matches_bitwise_encode(build, rng):
-    """Scattering the info bits run by run gives the codeword of the loop
-    that scatters them one bit at a time."""
+    """The chunk-table encoder gives the codeword of the loops that scatter
+    the info bits one at a time and take one mask parity per pivot."""
     code = build()
     for _ in range(200):
         u = random_vector(code.k, rng)
         assert encode(code, u) == bitwise_encode(code, u)
+
+
+# small codes whose k is below 4 or no multiple of 4, or whose info
+# positions fall in several runs
+SMALL_CODES = {
+    "repetition-k1": lambda: code_from_rows([[1, 1, 0], [0, 1, 1]]),
+    "spc-k3": lambda: code_from_rows([[1, 1, 1, 1]]),
+    "geira-k6": lambda: build_geira(GeiraSpec(k=6, n=13, taps=frozenset({0, 1}), wc=3,
+                                              seed=2)),
+    "geira-k9": lambda: build_geira(GeiraSpec(k=9, n=20, taps=frozenset({0, 1, 4}), wc=3,
+                                              seed=5)),
+    "lifted-ara": lambda: lift_protograph(Protograph(base=ARA_BASE, punctured_cols=frozenset({0}),
+                                                     lift=3), seed=1),
+    "punctured": lambda: rate_family(sample_regular(3, 6, 30, seed=4), [0.6])[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_CODES))
+@settings(max_examples=40, deadline=None)
+@given(msg=st.integers(min_value=0))
+def test_table_encoder_matches_bitwise_encode_small_codes(name, msg):
+    code = SMALL_CODES[name]()
+    u = BinVector(code.k, msg)
+    assert encode(code, u) == bitwise_encode(code, u)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_table_encoder_matches_bitwise_encode_random_h(data):
+    """Random H, zero columns allowed: the info positions left by its RREF
+    fall anywhere, in any number of runs, and k takes every value."""
+    n = data.draw(st.integers(1, 30))
+    rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12))
+    h = SparseBinMatrix(len(rows), n, [[c for c in range(n) if w >> c & 1] for w in rows])
+    encoder, k = _generic_encoder_from_h(h)
+    code = SimpleNamespace(n=n, encoder=encoder)
+    u = BinVector(k, data.draw(st.integers(0, (1 << k) - 1)))
+    cw = encoder.encode(u)
+    assert cw == bitwise_encode(code, u)
+    assert not any((w & cw.bits).bit_count() & 1 for w in rows)
 
 
 def test_geira_1160_1044_profile(rng):

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     full_scan_triangularize,
+    lt_row_recover,
     mul,
     mul_vec,
     precode,
@@ -206,6 +209,21 @@ def test_encoder_matches_the_transform_route(name, request):
     messages += [BinVector(k, 1 << i) for i in range(k)]
     for c in messages:
         assert code.encode(c) == transform_encode(code, c)
+
+
+@pytest.mark.parametrize("name", ["code16", "code256"])
+def test_recover_c_matches_lt_rows(name, request):
+    """The chunk-table product gives the message of the loop that takes one
+    LT-row parity per source symbol, on any intermediate symbols."""
+    code = request.getfixturevalue(name)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, (1 << code.params.L) - 1))
+    def check(bits):
+        f = BinVector(code.params.L, bits)
+        assert code._recover_c(f) == lt_row_recover(code, f)
+
+    check()
 
 
 def test_nonsystematic_seed_rejected():
