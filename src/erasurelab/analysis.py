@@ -5,8 +5,8 @@ Singleton and Berlekamp bounds, and the truncated-union error-floor estimate.
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,11 +97,20 @@ def _de_converges(dist: DegreeDistribution, eps: float,
     # per step than the numpy powers of lam_eval/rho_eval
     lam = [(i, float(l)) for i, l in enumerate(dist.lam) if l]
     rho = [(j, float(r)) for j, r in enumerate(dist.rho) if r]
+    # With degree-2 variables DE near 0 contracts only by the stability
+    # factor eps·lam2·rho'(1) per step: near a threshold that this factor
+    # sets, far too slowly to reach ``cutoff`` within ``iters``. So stop once
+    # rho'(1)·x_next < y. Without degree-1 variables lam(y)/y grows with y,
+    # and 1 - rho(1 - u) <= rho'(1)·u, so then eps·lam(1 - rho(1 - u)) < u
+    # for every u in (0, x] and DE goes to 0. As x -> 0 the stop becomes
+    # eps·lam2·rho'(1) < 1.
+    stable_stop = len(dist.lam) > 1 and not dist.lam[0] and dist.lam[1] > 0
+    drho = sum(j * r for j, r in rho)
     x = eps
     for _ in range(iters):
         y = 1.0 - sum(r * (1.0 - x) ** j for j, r in rho)
         x_next = eps * sum(l * y ** i for i, l in lam)
-        if x_next < cutoff:
+        if x_next < cutoff or (stable_stop and drho * x_next < y):
             return True
         if abs(x_next - x) < 1e-15:
             return False
@@ -223,60 +232,80 @@ def threshold_report(dist: DegreeDistribution) -> ThresholdReport:
 
 # --- protograph density evolution -------------------------------------------
 
-def _edge_types(p: Protograph):
+def _edge_types(p: Protograph) -> tuple:
     """The base graph's edge types: (row, column, multiplicity) for each
-    non-zero entry in row-major order, plus per check row and per variable
-    column the (edge, multiplicity) pairs it holds."""
-    edges = [(i, j, float(m)) for i, row in enumerate(p.base) for j, m in enumerate(row) if m]
-    rows = [[(e, m) for e, (i, _, m) in enumerate(edges) if i == r] for r in range(p.n_checks)]
-    cols = [[(e, m) for e, (_, j, m) in enumerate(edges) if j == c] for c in range(p.n_vars)]
-    return edges, rows, cols
+    non-zero entry in row-major order."""
+    return tuple((i, j, float(m)) for i, row in enumerate(p.base) for j, m in enumerate(row) if m)
 
 
-def _proto_fixed_point(graph, priors, v0=None, iters: int = 20000, tol: float = 1e-12):
+@functools.lru_cache(maxsize=16)
+def _de_kernel(edges: tuple, n_vars: int):
+    """Per-edge-type erasure DE for one base graph, as straight-line code.
+
+    Returns ``kernel(priors, v, iters, tol) -> (v, t)``, which iterates from
+    the per-edge messages ``v`` until ``max |v_new - v| < tol`` or ``iters``
+    steps, and ``t`` holds each column's log extrinsic erasure. Each message
+    is a local variable, and the generated source holds only edge indices and
+    ``repr(float(m))`` multiplicity literals. The products are accumulated
+    in the log domain so zero-probability messages stay harmless. Every sum
+    runs left to right from 0.0, not through ``sum()``, which compensates
+    on Python 3.12 and later: the float operations are those of the loop
+    over the edge types that this code unrolls (``tests/conftest.py``
+    keeps that loop as the reference).
+    """
+    rows, cols = {}, [[] for _ in range(n_vars)]
+    for e, (i, j, m) in enumerate(edges):
+        rows.setdefault(i, []).append((e, m))
+        cols[j].append((e, m))
+
+    def total(target, terms, name):
+        """Lines that sum ``m * name<e>`` over ``terms`` into ``target`` from
+        0.0, left to right, a few terms per line so that a dense row's
+        expression stays shallow enough to compile."""
+        parts = [f" + {m!r} * {name}{e}" for e, m in terms]
+        return [f"{target} = {'0.0' if k == 0 else target}{''.join(parts[k:k + 16])}"
+                for k in range(0, len(parts), 16)]
+
+    vs = ", ".join(f"v{e}" for e in range(len(edges))) + ","
+    body = [f"{', '.join(f'p{j}' for j in range(n_vars))}, = priors",
+            f"{vs} = v",
+            f"{' = '.join(f't{j}' for j in range(n_vars))} = 0.0",
+            "for _ in range(iters):"]
+    # log(max(y, TINY)) and the clip to [0, 1] as conditionals: the same
+    # values without a builtin call per edge
+    loop = [f"lo{e} = log(1.0 - v{e}) if v{e} < 1.0 else LOG_TINY" for e in range(len(edges))]
+    for row in rows.values():
+        loop += total("s", row, "lo")
+        loop += [f"c{e} = 1.0 - exp(s - lo{e})" for e, _ in row]
+    loop += [f"lc{e} = log(c{e}) if c{e} > TINY else LOG_TINY" for e in range(len(edges))]
+    for j, col in enumerate(cols):
+        loop += total(f"t{j}", col, "lc")
+        for e, _ in col:
+            loop += [f"x = p{j} * exp(t{j} - lc{e})",
+                     f"n{e} = x if 0.0 <= x <= 1.0 else (0.0 if x < 0.0 else 1.0)"]
+    # max |n - v| < tol as a chain of comparisons, without a call per edge
+    close = " and ".join(f"-tol < n{e} - v{e} < tol" for e in range(len(edges)))
+    loop += [f"done = {close}",
+             f"{vs} = {', '.join(f'n{e}' for e in range(len(edges)))},",
+             "if done:", "    break"]
+    body += ["    " + line for line in loop]
+    body.append(f"return [{vs}], [{', '.join(f't{j}' for j in range(n_vars))}]")
+    src = "def kernel(priors, v, iters, tol):\n" + "".join(f"    {line}\n" for line in body)
+    namespace = {"log": math.log, "exp": math.exp, "TINY": 1e-300, "LOG_TINY": math.log(1e-300)}
+    exec(compile(src, f"<protograph DE kernel, {len(edges)} edge types>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _proto_fixed_point(edges, priors, v0=None, iters: int = 20000, tol: float = 1e-12):
     """Largest fixed point of per-edge-type erasure DE, reached from above.
 
-    ``graph`` is ``_edge_types(p)`` and ``priors`` holds each base column's
+    ``edges`` is ``_edge_types(p)`` and ``priors`` holds each base column's
     a-priori erasure probability. Returns (v, extrinsic, posterior): v per
-    edge type, the other two per base column. The products are accumulated
-    in the log domain so zero-probability messages stay harmless. Python
-    floats over the few edge types beat numpy ufuncs on the whole base. The
-    sums run left to right, not through ``sum()``, which compensates on
-    Python 3.12 and later.
+    edge type, the other two per base column.
     """
-    edges, rows, cols = graph
-    log, exp = math.log, math.exp
-    tiny = 1e-300
-    log_tiny = log(tiny)
-    v = [1.0] * len(edges) if v0 is None else list(v0)
-    c = [0.0] * len(edges)
-    t = [0.0] * len(cols)
-    for _ in range(iters):
-        # log(max(y, tiny)) and the clip to [0, 1] as conditionals: the same
-        # values without a builtin call per edge
-        lo = [log(1.0 - x) if x < 1.0 else log_tiny for x in v]
-        for row in rows:
-            s = 0.0
-            for e, m in row:
-                s += m * lo[e]
-            for e, _ in row:
-                c[e] = 1.0 - exp(s - lo[e])
-        lc = [log(x) if x > tiny else log_tiny for x in c]
-        v_new = [0.0] * len(v)
-        for j, col in enumerate(cols):
-            s = 0.0
-            for e, m in col:
-                s += m * lc[e]
-            t[j] = s
-            prior = priors[j]
-            for e, _ in col:
-                x = prior * exp(s - lc[e])
-                v_new[e] = x if 0.0 <= x <= 1.0 else (0.0 if x < 0.0 else 1.0)
-        done = max(map(abs, map(operator.sub, v_new, v))) < tol
-        v = v_new
-        if done:
-            break
-    extrinsic = [exp(s) for s in t]
+    kernel = _de_kernel(edges, len(priors))
+    v, t = kernel(priors, [1.0] * len(edges) if v0 is None else v0, iters, tol)
+    extrinsic = [math.exp(s) for s in t]
     return v, extrinsic, [prior * x for prior, x in zip(priors, extrinsic)]
 
 
@@ -299,13 +328,13 @@ def protograph_it_threshold(p: Protograph, tol: float = 1e-4) -> float:
 def protograph_exit_curve(p: Protograph, grid: int = 2001):
     """Average extrinsic erasure over transmitted VNs versus the a-priori
     erasure applied to transmitted VNs, swept downward with warm starts."""
-    graph = _edge_types(p)
+    edges = _edge_types(p)
     sent = [j for j in range(p.n_vars) if j not in p.punctured_cols]
     pas = np.linspace(1.0, 0.0, grid)
     pes = np.zeros(grid)
     v = None
     for i, pa in enumerate(pas):
-        v, extrinsic, _ = _proto_fixed_point(graph, _priors(p, pa), v0=v)
+        v, extrinsic, _ = _proto_fixed_point(edges, _priors(p, pa), v0=v)
         s = 0.0
         for j in sent:
             s += extrinsic[j]
@@ -323,14 +352,20 @@ def protograph_ml_bound(p: Protograph, grid: int = 2001):
 
 # --- finite-length bounds ---------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
+def _lgamma_table(n: int) -> tuple:
+    """lgamma(i + 1) = log(i!) for i in 0..n, built once per n: a bound grid
+    asks for the same n at every eps."""
+    return tuple(math.lgamma(i + 1) for i in range(n + 1))
+
+
 def _log_terms(n: int, eps: float, lo: int, hi: int) -> list:
-    """log P(i of n positions erased) for i in range(lo, hi), with
-    lgamma(i + 1) computed once per i."""
+    """log P(i of n positions erased) for i in range(lo, hi)."""
     if eps == 0.0:
         return [0.0 if i == 0 else -math.inf for i in range(lo, hi)]
     if eps == 1.0:
         return [0.0 if i == n else -math.inf for i in range(lo, hi)]
-    lg = [math.lgamma(i + 1) for i in range(n + 1)]
+    lg = _lgamma_table(n)
     log_eps, log_keep = math.log(eps), math.log1p(-eps)
     return [lg[n] - lg[i] - lg[n - i] + i * log_eps + (n - i) * log_keep
             for i in range(lo, hi)]
@@ -379,10 +414,12 @@ def exhaustive_min_distance(code: LdpcCode, cap_k: int = 24) -> WeightSpectrumTa
     """Exact d_min and multiplicity by enumerating all nonzero codewords in
     Gray-code order: step i flips message bit j, the number of trailing
     zeros of i, so the codeword changes by generator word j, the codeword of
-    the unit message j."""
+    the unit message j. Weights count transmitted positions only: punctured
+    ones are never sent, so they are always erased."""
     if code.k > cap_k:
         raise ValueError(f"k = {code.k} exceeds enumeration cap {cap_k}")
-    gen = [encode(code, BinVector(code.k, 1 << j)).bits for j in range(code.k)]
+    sent = sum(1 << j for j in code.transmitted)
+    gen = [encode(code, BinVector(code.k, 1 << j)).bits & sent for j in range(code.k)]
     best = code.n + 1
     mult = 0
     word = 0

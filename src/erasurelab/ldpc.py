@@ -4,6 +4,7 @@ rate-compatible puncturing of parity bits."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -44,6 +45,13 @@ class GeiraSpec:
             raise ConstructionError(f"column weight wc = {self.wc} must be below n-k = {m}")
 
 
+def _integer(x, what: str) -> int:
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ConstructionError(f"{what} must be integers, got {x!r}") from None
+
+
 @dataclass(frozen=True)
 class Protograph:
     base: tuple  # tuple of row tuples; entries are edge multiplicities
@@ -51,8 +59,10 @@ class Protograph:
     lift: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "base", tuple(tuple(r) for r in self.base))
-        object.__setattr__(self, "punctured_cols", frozenset(self.punctured_cols))
+        object.__setattr__(self, "base", tuple(
+            tuple(_integer(e, "base entries") for e in row) for row in self.base))
+        object.__setattr__(self, "punctured_cols", frozenset(
+            _integer(j, "punctured columns") for j in self.punctured_cols))
         if not self.base or not self.base[0]:
             raise ConstructionError("base matrix must have at least one row and one column")
         if any(len(row) != self.n_vars for row in self.base):
@@ -62,6 +72,10 @@ class Protograph:
         empty = [j for j in range(self.n_vars) if not any(row[j] for row in self.base)]
         if empty:
             raise ConstructionError(f"base column {empty[0]} has no edge")
+        outside = sorted(j for j in self.punctured_cols if not 0 <= j < self.n_vars)
+        if outside:
+            raise ConstructionError(
+                f"punctured column {outside[0]} outside the {self.n_vars} base columns")
         if self.n_transmitted_base <= 0 or not (0 <= self.design_rate < 1):
             raise ConstructionError("design rate must lie in [0,1)")
 

@@ -1,3 +1,5 @@
+import math
+import operator
 from collections import deque
 
 import numpy as np
@@ -303,11 +305,13 @@ def lt_row_recover(code, f):
 
 def enumerate_min_distance(code):
     """Reference minimum distance: encode every nonzero message and keep the
-    least weight and how often it occurs, the loop the Gray-code walk of
-    ``analysis.exhaustive_min_distance`` replaces. Returns (d_min, a_min)."""
+    least weight over the transmitted positions and how often it occurs, the
+    loop the Gray-code walk of ``analysis.exhaustive_min_distance`` replaces.
+    Returns (d_min, a_min)."""
     best, mult = code.n + 1, 0
     for msg in range(1, 1 << code.k):
-        w = code.encoder.encode(BinVector(code.k, msg)).weight()
+        word = code.encoder.encode(BinVector(code.k, msg))
+        w = sum(word[j] for j in code.transmitted)
         if w < best:
             best, mult = w, 1
         elif w == best:
@@ -338,3 +342,57 @@ def numpy_proto_fixed_point(b, priors, v0=None, iters=20000, tol=1e-12):
     extrinsic = np.exp((b * lc).sum(axis=0))
     posterior = priors * extrinsic
     return v, extrinsic, posterior
+
+
+def loop_proto_fixed_point(edges, priors, v0=None, iters=20000, tol=1e-12):
+    """Reference per-edge-type erasure DE: the loop over the edge types that
+    ``analysis._de_kernel`` unrolls into straight-line code for one base
+    graph. Same arguments and result as ``analysis._proto_fixed_point``."""
+    rows = [[(e, m) for e, (i, _, m) in enumerate(edges) if i == r]
+            for r in range(max(i for i, _, _ in edges) + 1)]
+    cols = [[(e, m) for e, (_, j, m) in enumerate(edges) if j == c] for c in range(len(priors))]
+    log, exp = math.log, math.exp
+    tiny = 1e-300
+    log_tiny = log(tiny)
+    v = [1.0] * len(edges) if v0 is None else list(v0)
+    c = [0.0] * len(edges)
+    t = [0.0] * len(cols)
+    for _ in range(iters):
+        lo = [log(1.0 - x) if x < 1.0 else log_tiny for x in v]
+        for row in rows:
+            s = 0.0
+            for e, m in row:
+                s += m * lo[e]
+            for e, _ in row:
+                c[e] = 1.0 - exp(s - lo[e])
+        lc = [log(x) if x > tiny else log_tiny for x in c]
+        v_new = [0.0] * len(v)
+        for j, col in enumerate(cols):
+            s = 0.0
+            for e, m in col:
+                s += m * lc[e]
+            t[j] = s
+            prior = priors[j]
+            for e, _ in col:
+                x = prior * exp(s - lc[e])
+                v_new[e] = x if 0.0 <= x <= 1.0 else (0.0 if x < 0.0 else 1.0)
+        done = max(map(abs, map(operator.sub, v_new, v))) < tol
+        v = v_new
+        if done:
+            break
+    extrinsic = [exp(s) for s in t]
+    return v, extrinsic, [prior * x for prior, x in zip(priors, extrinsic)]
+
+
+def inline_log_terms(n, eps, lo, hi):
+    """Reference log P(i of n positions erased) for i in range(lo, hi), with
+    the lgamma table built on every call, as ``analysis._log_terms`` did
+    before it shared one table per n."""
+    if eps == 0.0:
+        return [0.0 if i == 0 else -math.inf for i in range(lo, hi)]
+    if eps == 1.0:
+        return [0.0 if i == n else -math.inf for i in range(lo, hi)]
+    lg = [math.lgamma(i + 1) for i in range(n + 1)]
+    log_eps, log_keep = math.log(eps), math.log1p(-eps)
+    return [lg[n] - lg[i] - lg[n - i] + i * log_eps + (n - i) * log_keep
+            for i in range(lo, hi)]

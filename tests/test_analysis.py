@@ -9,9 +9,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import code_from_rows, enumerate_min_distance, numpy_proto_fixed_point
+from conftest import (
+    code_from_rows,
+    enumerate_min_distance,
+    inline_log_terms,
+    loop_proto_fixed_point,
+    numpy_proto_fixed_point,
+)
+from erasurelab import analysis
 from erasurelab.analysis import (
     _edge_types,
+    _log_terms,
     _priors,
     _proto_fixed_point,
     DegreeDistribution,
@@ -29,7 +37,14 @@ from erasurelab.analysis import (
     threshold_report,
 )
 from erasurelab.binmat import SparseBinMatrix
-from erasurelab.ldpc import LdpcCode, Protograph, _generic_encoder_from_h
+from erasurelab.ldpc import (
+    LdpcCode,
+    Protograph,
+    _generic_encoder_from_h,
+    lift_protograph,
+    puncture,
+    sample_regular,
+)
 
 ARA = Protograph(base=((2, 1, 1, 1, 0), (1, 2, 1, 1, 0), (2, 0, 0, 0, 1)),
                  punctured_cols=frozenset({0}), lift=256)
@@ -53,11 +68,16 @@ def test_de_bracketing():
 
 def _numpy_de_converges(dist, eps, iters=2000, cutoff=1e-9):
     """Reference density evolution through the array evaluators, every
-    coefficient included: the loop `_de_converges` replaces."""
+    coefficient included: the loop `_de_converges` replaces. With degree-2
+    variables and none of degree 1 it stops, as `_de_converges` does, once
+    rho'(1)·x_next < y, the stability condition's bound."""
+    stable_stop = len(dist.lam) > 1 and dist.lam[0] == 0 and dist.lam[1] > 0
+    drho = sum(j * r for j, r in enumerate(dist.rho))
     x = eps
     for _ in range(iters):
-        x_next = eps * dist.lam_eval(1.0 - dist.rho_eval(1.0 - x))
-        if x_next < cutoff:
+        y = 1.0 - dist.rho_eval(1.0 - x)
+        x_next = eps * dist.lam_eval(y)
+        if x_next < cutoff or (stable_stop and drho * x_next < y):
             return True
         if abs(x_next - x) < 1e-15:
             return False
@@ -118,7 +138,7 @@ def test_protograph_values_exact():
 def _edge_matrix(p, per_edge):
     """A per-edge-type list laid out like the base matrix, zero off the edges."""
     out = np.zeros((p.n_checks, p.n_vars))
-    for (i, j, _), x in zip(_edge_types(p)[0], per_edge):
+    for (i, j, _), x in zip(_edge_types(p), per_edge):
         out[i, j] = x
     return out
 
@@ -187,6 +207,49 @@ def test_proto_fixed_point_matches_numpy_property(case):
     _assert_matches_numpy(*case)
 
 
+def _assert_matches_loop(p, eps, warm):
+    """The generated kernel and the reference loop give the same v,
+    extrinsic and posterior, repr for repr, from the all-ones start or warm
+    from the loop's fixed point at eps + 0.05."""
+    edges = _edge_types(p)
+    v0 = None
+    if warm:
+        v0, _, _ = loop_proto_fixed_point(edges, _priors(p, min(1.0, eps + 0.05)))
+    got = _proto_fixed_point(edges, _priors(p, eps), v0)
+    assert repr(got) == repr(loop_proto_fixed_point(edges, _priors(p, eps), v0))
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.3, 0.4776, 1.0])
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("base, punct", [
+    (((0, 0, 0, 0, 0), (1, 2, 1, 1, 0), (0, 0, 0, 0, 0), (2, 1, 1, 0, 1)), {1}),  # empty rows
+    (((1,),), ()),  # one edge type
+    (((3, 3),), ()),  # multiplicity 3
+    (ARA.base, {0}),  # punctured
+    (((3, 1, 0, 2), (1, 0, 3, 1)), {3}),
+    (((1,) * 20, (1, 2) * 10), ()),  # row sums longer than one generated line
+])
+def test_de_kernel_matches_loop(base, punct, eps, warm):
+    _assert_matches_loop(Protograph(base=base, punctured_cols=frozenset(punct)), eps, warm)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_protograph_case())
+def test_de_kernel_matches_loop_property(case):
+    _assert_matches_loop(*case)
+
+
+@pytest.mark.parametrize("p", [ARA, Protograph(base=((3, 3),))], ids=["ara", "3-3"])
+def test_exit_curve_matches_loop(p, monkeypatch):
+    """The whole warm-started EXIT sweep gives the same arrays, byte for
+    byte, as the reference loop."""
+    pas, pes = analysis.protograph_exit_curve(p)
+    monkeypatch.setattr(analysis, "_proto_fixed_point", loop_proto_fixed_point)
+    ref_pas, ref_pes = analysis.protograph_exit_curve(p)
+    assert pas.tobytes() == ref_pas.tobytes()
+    assert pes.tobytes() == ref_pes.tobytes()
+
+
 def test_thresholds_demo_ara_line():
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))
@@ -203,6 +266,13 @@ def test_protograph_de_trivial_eps0():
 
 def test_ara_design_rate():
     assert ARA.design_rate == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 2048])
+def test_log_terms_match_inline_table(n):
+    for eps in (0.0, 0.25, 0.4, 0.5, 1.0):
+        for lo, hi in ((0, n + 1), (n // 2 + 1, n + 1)):
+            assert repr(_log_terms(n, eps, lo, hi)) == repr(inline_log_terms(n, eps, lo, hi))
 
 
 def test_singleton_edges():
@@ -253,6 +323,20 @@ def test_min_distance_matches_enumeration(hamming74):
         assert (tail.d_min, tail.a_min) == enumerate_min_distance(code)
 
 
+@pytest.mark.parametrize("make, expected", [
+    (lambda: lift_protograph(Protograph(base=ARA.base, punctured_cols=frozenset({0}), lift=4)),
+     (4, 14)),
+    (lambda: puncture(sample_regular(3, 6, 12, seed=2), [0], allow_systematic=True), (1, 1)),
+], ids=["ara-lift-4", "regular-3-6-n12"])
+def test_min_distance_counts_transmitted_positions(make, expected):
+    """A punctured position is never sent, so it adds nothing to a
+    codeword's weight."""
+    code = make()
+    assert code.punctured
+    tail = exhaustive_min_distance(code)
+    assert (tail.d_min, tail.a_min) == expected == enumerate_min_distance(code)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_min_distance_matches_enumeration_random_codes(data):
@@ -265,6 +349,24 @@ def test_min_distance_matches_enumeration_random_codes(data):
     code = LdpcCode(n, k, h, encoder=encoder)
     tail = exhaustive_min_distance(code)
     assert (tail.d_min, tail.a_min) == enumerate_min_distance(code)
+
+
+@pytest.mark.parametrize("dc", [3, 4, 5])
+def test_degree_two_thresholds_meet_the_stability_bound(dc):
+    """The threshold of a (2, dc) ensemble is set by the stability condition
+    eps·lam2·rho'(1) < 1, at 1/(dc - 1), where DE near 0 barely contracts."""
+    assert abs(it_threshold(DegreeDistribution.regular(2, dc)) - 1 / (dc - 1)) < 1e-5
+
+
+def test_tabled_thresholds_exact():
+    """The seven tabled ensembles have no degree-2 variables: their IT
+    thresholds are those of plain capped DE, repr for repr."""
+    pinned = {(3, 6): 0.4294395446777344, (4, 8): 0.3834419250488281,
+              (5, 10): 0.3415489196777344, (6, 12): 0.3074607849121094,
+              (3, 9): 0.2828330993652344, (4, 12): 0.2570838928222656,
+              (5, 15): 0.23032760620117188}
+    for (dv, dc), eps in pinned.items():
+        assert it_threshold(DegreeDistribution.regular(dv, dc)) == eps
 
 
 @pytest.mark.parametrize("dv, dc, eps", [(1, 1, 1.0), (1, 2, 0.0), (1, 5, 0.0), (2, 2, 1.0)])

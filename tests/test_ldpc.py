@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -223,6 +224,28 @@ def test_protograph_rejects_ragged_base():
 def test_protograph_rejects_column_without_edge():
     with pytest.raises(ConstructionError, match="base column 2 has no edge"):
         Protograph(base=((3, 3, 0),))
+
+
+@pytest.mark.parametrize("base, punct, says", [
+    (((1.5, 3),), (), "base entries must be integers, got 1.5"),
+    (((2, "1"),), (), "base entries must be integers, got '1'"),
+    (((3, 3),), (0.0,), "punctured columns must be integers, got 0.0"),
+])
+def test_protograph_rejects_non_integers(base, punct, says):
+    with pytest.raises(ConstructionError, match=re.escape(says)):
+        Protograph(base=base, punctured_cols=frozenset(punct))
+
+
+@pytest.mark.parametrize("col", [5, 7, -1])
+def test_protograph_rejects_punctured_column_out_of_range(col):
+    with pytest.raises(ConstructionError, match=f"punctured column {col} outside the 5 base"):
+        Protograph(base=ARA_BASE, punctured_cols=frozenset({col}))
+
+
+def test_protograph_takes_numpy_integers():
+    p = Protograph(base=np.array(ARA_BASE), punctured_cols={np.int64(0)})
+    assert p.base == ARA_BASE and p.punctured_cols == {0}
+    assert all(type(e) is int for row in p.base for e in row)
 
 
 def test_lift_multiplicity_over_lift():
