@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heappop, heappush
 from operator import gt, index, lt
 
@@ -61,10 +62,15 @@ class ReceivedWord:
             raise ValueError(f"values length {self.values.n} != n = {self.n}")
         bits = self.values.bits
         if bits and erased:  # a zero word needs no mask
-            mask = np.zeros(self.n, np.bool_)
-            mask[list(erased)] = True
-            bits &= ~int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+            bits &= ~int.from_bytes(np.packbits(self.erased_mask, bitorder="little"), "little")
         self.values = BinVector(self.n, bits)
+
+    @cached_property
+    def erased_mask(self) -> np.ndarray:
+        """Per position, whether it is erased; built once, on first use."""
+        mask = np.zeros(self.n, np.bool_)
+        mask[list(self.erased)] = True
+        return mask
 
     @classmethod
     def from_full(cls, full: BinVector, erased) -> "ReceivedWord":
@@ -195,19 +201,19 @@ def _extend(st: TriangularizationState, queue, pivot_strategy=None) -> None:
                 heappush(pairs, r2)
 
 
-def _start(matrix, columns, rowpar) -> TriangularizationState:
-    """Peel matrix·x = rowpar over the unknown ``columns`` until no row holds
-    a single unknown. A fresh system (``columns`` a range over all of them)
-    counts each row's length: it is built per decode, and building its edge
-    arrays would cost more than the count. Otherwise one bincount over the
-    matrix's edge arrays, kept on the matrix, counts each row's unknowns."""
-    if isinstance(columns, range):
+def _start(matrix, rowpar, word: ReceivedWord = None) -> TriangularizationState:
+    """Peel matrix·x = rowpar until no row holds a single unknown. The
+    unknowns are the erased positions of ``word``, and one bincount of its
+    erased mask over the matrix's edge arrays counts each row's. Without a
+    word every column of this fresh system, built per decode, is unknown, and
+    each row's count is its length (edge arrays would cost more than that)."""
+    if word is None:
+        columns = range(matrix.cols)
         unknown = bytearray(b"\1") * matrix.cols
         counts = np.fromiter(map(len, matrix.row_adj), np.intp, matrix.rows)
     else:
+        columns, mask = word.erased, word.erased_mask
         edge_rows, edge_cols = matrix.edges()
-        mask = np.zeros(matrix.cols, np.bool_)
-        mask[list(columns)] = True
         unknown = bytearray(mask.tobytes())
         counts = np.bincount(edge_rows[mask[edge_cols]], minlength=matrix.rows)
     st = TriangularizationState(matrix.row_adj, matrix.col_adj, columns, unknown,
@@ -220,7 +226,9 @@ def _start(matrix, columns, rowpar) -> TriangularizationState:
 def _peel_core(code, word: ReceivedWord) -> TriangularizationState:
     """Peel H over the erased positions of ``word``, the known symbols giving
     the row parities."""
-    st = _start(code.h, word.erased, _parities(code.h, word.values).tolist())
+    if word.n != code.h.cols:
+        raise ValueError(f"word length {word.n} != code length {code.h.cols}")
+    st = _start(code.h, _parities(code.h, word.values).tolist(), word)
     # before any pivot each parity is 0 or 1 and no count is negative, so
     # par > cnt is exactly a row with no unknown left and a violated parity
     if any(map(gt, st.rowpar, st.rowcnt)):
@@ -288,7 +296,7 @@ def triangularize(system, syndrome, pivot_strategy=min_row_pivot) -> Triangulari
     if isinstance(system, TriangularizationState):
         st = system
     else:
-        st = _start(system, range(system.cols), syndrome.to_list())
+        st = _start(system, syndrome.to_list())
     _extend(st, deque(), pivot_strategy)
     return st
 

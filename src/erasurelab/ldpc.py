@@ -45,11 +45,11 @@ class GeiraSpec:
             raise ConstructionError(f"column weight wc = {self.wc} must be below n-k = {m}")
 
 
-def _integer(x, what: str) -> int:
+def _integer(x, must: str) -> int:
     try:
         return operator.index(x)
     except TypeError:
-        raise ConstructionError(f"{what} must be integers, got {x!r}") from None
+        raise ConstructionError(f"{must}, got {x!r}") from None
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,12 @@ class Protograph:
 
     def __post_init__(self):
         object.__setattr__(self, "base", tuple(
-            tuple(_integer(e, "base entries") for e in row) for row in self.base))
+            tuple(_integer(e, "base entries must be integers") for e in row) for row in self.base))
         object.__setattr__(self, "punctured_cols", frozenset(
-            _integer(j, "punctured columns") for j in self.punctured_cols))
+            _integer(j, "punctured columns must be integers") for j in self.punctured_cols))
+        object.__setattr__(self, "lift", _integer(self.lift, "lift must be an integer"))
+        if self.lift < 1:
+            raise ConstructionError(f"lift must be >= 1, got {self.lift}")
         if not self.base or not self.base[0]:
             raise ConstructionError("base matrix must have at least one row and one column")
         if any(len(row) != self.n_vars for row in self.base):

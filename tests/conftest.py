@@ -12,9 +12,10 @@ from erasurelab.binmat import (
     DimensionError,
     SparseBinMatrix,
     _gauss_jordan,
+    rank,
 )
 from erasurelab.ldpc import LdpcCode, _generic_encoder_from_h
-from erasurelab.raptor import _precode_rows
+from erasurelab.raptor import _precode_rows, derive_params, lt_tuple
 
 
 def from_rows(rowlists):
@@ -92,6 +93,26 @@ def transform_encode(code, c):
     a_k = DenseBinMatrix(p.L, p.L, code.precode_rows + code.lt_rows[: p.k])
     f = mul_vec(invert(a_k), BinVector(p.L, c.bits << (p.s + p.h)))
     return mul_vec(DenseBinMatrix(p.n, p.L, code.lt_rows), f)
+
+
+def build_A(params, esis):
+    """Reference encoding-matrix submatrix A(esis): the pre-code constraint
+    rows stacked over the LT rows of ``esis``, all drawn afresh; shape
+    (s+h+r) x L."""
+    rows = _precode_rows(params)
+    rows += [sum(1 << i for i in lt_tuple(esi, params).indices) for esi in esis]
+    return DenseBinMatrix(len(rows), params.L, rows)
+
+
+def rank_seed_search(k, n, seed=0, cap=10000):
+    """Reference systematic-seed search, the route ``RaptorCode.build``
+    replaced: the smallest LT seed whose A(1..k), assembled by build_A, has
+    rank L."""
+    for lt_seed in range(cap):
+        params = derive_params(k, n, seed=seed, lt_seed=lt_seed)
+        if rank(build_A(params, range(1, k + 1))) == params.L:
+            return lt_seed
+    raise AssertionError(f"no systematic seed below {cap}")
 
 
 def geira_accumulate(code, u):

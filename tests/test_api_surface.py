@@ -1,5 +1,5 @@
-"""Every public function, class and method that ``binmat`` or ``raptor``
-defines is named somewhere in the package, so API that only tests call
+"""Every public function, class and method that ``binmat``, ``raptor``,
+``sim`` or ``cli`` defines is named somewhere in the package, so API that only tests call
 cannot creep back in.
 
 The check works by name over the AST of ``src/erasurelab/*.py``: a definition
@@ -43,7 +43,7 @@ def _public_defs(module):
     return [(q, name) for q, name in defs if not name.startswith("_")]
 
 
-@pytest.mark.parametrize("module", ["binmat", "raptor"])
+@pytest.mark.parametrize("module", ["binmat", "raptor", "sim", "cli"])
 def test_public_api_is_named_in_the_package(module):
     names = _names_in_package()
     assert [q for q, name in _public_defs(module) if name not in names] == []

@@ -70,7 +70,8 @@ def test_received_word_reads_zero_at_erasures():
 
 def test_erasure_mask_matches_the_generator():
     """The numpy mask clears exactly the bits the per-position generator
-    sum clears, on random words with no, some and all positions erased."""
+    sum clears, on random words with no, some and all positions erased; the
+    word keeps that mask, built once, for its decoder to read."""
     rng = np.random.default_rng(17)
     for n in (1, 7, 8, 9, 64, 200, 1024):
         for share in (0.0, 0.05, 0.4, 0.9, 1.0):
@@ -81,6 +82,8 @@ def test_erasure_mask_matches_the_generator():
                     assert erased == list(range(n))
                 w = ReceivedWord.from_full(full, erased)
                 assert w.values.bits == sum_cleared(full, erased)
+                assert np.flatnonzero(w.erased_mask).tolist() == erased
+                assert w.erased_mask is w.erased_mask
 
 
 _LDPC = sample_regular(3, 6, 48, seed=0)
@@ -101,6 +104,17 @@ def test_out_of_range_erasures_rejected(code, decoder, where, zero):
     erased = [-1, 3] if where == "below" else [3, n]
     with pytest.raises(ValueError, match="erased positions"):
         decoder(code, ReceivedWord.from_full(values, erased))
+
+
+@pytest.mark.parametrize("decoder", [peel_decode, ml_decode, oracle_decode])
+@pytest.mark.parametrize("length", [47, 49])
+@pytest.mark.parametrize("zero", [True, False], ids=["zero-word", "random-word"])
+def test_ldpc_word_length_must_be_n(decoder, length, zero):
+    """A word one position short or long is a ValueError, whatever its bits:
+    the decoders read its erased mask against H's columns."""
+    values = BinVector(length) if zero else random_vector(length, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="word length"):
+        decoder(_LDPC, ReceivedWord(length, values, [3]))
 
 
 def test_split_no_erasures():

@@ -226,25 +226,35 @@ def test_protograph_rejects_column_without_edge():
         Protograph(base=((3, 3, 0),))
 
 
-@pytest.mark.parametrize("base, punct, says", [
-    (((1.5, 3),), (), "base entries must be integers, got 1.5"),
-    (((2, "1"),), (), "base entries must be integers, got '1'"),
-    (((3, 3),), (0.0,), "punctured columns must be integers, got 0.0"),
+@pytest.mark.parametrize("base, punct, says, lift", [
+    (((1.5, 3),), (), "base entries must be integers, got 1.5", 1),
+    (((2, "1"),), (), "base entries must be integers, got '1'", 1),
+    (((3, 3),), (0.0,), "punctured columns must be integers, got 0.0", 1),
+    (((1, 1, 1), (1, 1, 1)), (), "lift must be an integer, got 2.5", 2.5),
+    (((1, 1, 1), (1, 1, 1)), (), "lift must be an integer, got '4'", "4"),
+    (((1, 1, 1), (1, 1, 1)), (), "lift must be an integer, got None", None),
 ])
-def test_protograph_rejects_non_integers(base, punct, says):
+def test_protograph_rejects_non_integers(base, punct, says, lift):
     with pytest.raises(ConstructionError, match=re.escape(says)):
-        Protograph(base=base, punctured_cols=frozenset(punct))
+        Protograph(base=base, punctured_cols=frozenset(punct), lift=lift)
 
 
-@pytest.mark.parametrize("col", [5, 7, -1])
-def test_protograph_rejects_punctured_column_out_of_range(col):
-    with pytest.raises(ConstructionError, match=f"punctured column {col} outside the 5 base"):
-        Protograph(base=ARA_BASE, punctured_cols=frozenset({col}))
+@pytest.mark.parametrize("punct, lift, says", [
+    *[pytest.param({col}, 1, f"punctured column {col} outside the 5 base", id=str(col))
+      for col in (5, 7, -1)],
+    pytest.param(set(), 0, "lift must be >= 1, got 0", id="lift0"),
+    pytest.param(set(), -4, "lift must be >= 1, got -4", id="lift-4"),
+])
+def test_protograph_rejects_punctured_column_out_of_range(punct, lift, says):
+    """Punctured columns outside the base and lift factors below 1."""
+    with pytest.raises(ConstructionError, match=re.escape(says)):
+        Protograph(base=ARA_BASE, punctured_cols=frozenset(punct), lift=lift)
 
 
 def test_protograph_takes_numpy_integers():
-    p = Protograph(base=np.array(ARA_BASE), punctured_cols={np.int64(0)})
+    p = Protograph(base=np.array(ARA_BASE), punctured_cols={np.int64(0)}, lift=np.int64(4))
     assert p.base == ARA_BASE and p.punctured_cols == {0}
+    assert type(p.lift) is int and p.lift == 4
     assert all(type(e) is int for row in p.base for e in row)
 
 

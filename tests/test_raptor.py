@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    build_A,
     full_scan_triangularize,
     lt_row_recover,
     mul,
     mul_vec,
     precode,
     random_vector,
+    rank_seed_search,
     raptor_word,
     submatrix_rows,
     transform_encode,
@@ -24,13 +26,13 @@ from erasurelab.decode import (
     min_row_pivot,
     triangularize,
 )
+from erasurelab import raptor
 from erasurelab.raptor import (
+    NotSystematicError,
     RaptorCode,
     RaptorParams,
     _robust_soliton_cdf,
-    build_A,
     derive_params,
-    find_systematic_seed,
     gray_half_columns,
     lt_tuple,
 )
@@ -178,11 +180,40 @@ def test_precode_examples(code16, rng):
 
 
 def test_systematic_seed_postcondition():
-    seed = find_systematic_seed(10, 20)
+    seed = RaptorCode.build(10, 20).params.lt_seed
     p = derive_params(10, n=20, lt_seed=seed)
     a_k = build_A(p, list(range(1, 11)))
     assert rank(a_k) == p.L
-    assert find_systematic_seed(10, 20) == seed  # deterministic search
+    assert RaptorCode.build(10, 20).params.lt_seed == seed  # deterministic search
+
+
+@pytest.mark.parametrize("k, n, seed", [
+    (4, 8, 0), (10, 20, 0), (12, 24, 0), (16, 32, 0), (20, 40, 0), (10, 20, 1), (32, 64, 2),
+])
+def test_build_finds_the_rank_search_seed(k, n, seed):
+    """The seed that build accepts, the first one whose single elimination
+    finds L pivots, is the smallest seed the rank search over build_A finds;
+    the grid holds points whose first seeds fail (lt_seed 1 to 12)."""
+    assert RaptorCode.build(k, n, seed=seed).params.lt_seed == rank_seed_search(k, n, seed)
+
+
+def test_seed_attempt_draws_k_tuples_then_n(monkeypatch):
+    """A rejected seed draws only the tuples of ESIs 1..k; the accepted one
+    goes on to ESIs k+1..n."""
+    drawn = []
+    real = raptor.lt_tuple
+    monkeypatch.setattr(raptor, "lt_tuple", lambda esi, p: drawn.append(esi) or real(esi, p))
+    for lt_seed in (0, 1):
+        drawn.clear()
+        with pytest.raises(NotSystematicError):
+            RaptorCode(derive_params(16, 32, lt_seed=lt_seed))
+        assert drawn == list(range(1, 17))
+    drawn.clear()
+    RaptorCode(derive_params(16, 32, lt_seed=2))
+    assert drawn == list(range(1, 33))
+    drawn.clear()
+    assert RaptorCode.build(16, 32).params.lt_seed == 2
+    assert len(drawn) == 16 + 16 + 32
 
 
 def test_systematic_transform(code16, rng):
@@ -229,7 +260,7 @@ def test_recover_c_matches_lt_rows(name, request):
 def test_nonsystematic_seed_rejected():
     """For k=16, n=32 the LT seeds 0 and 1 leave A(1..k) singular; 2 is the
     first systematic one."""
-    assert find_systematic_seed(16, 32) == 2
+    assert RaptorCode.build(16, 32).params.lt_seed == 2
     for lt_seed in (0, 1):
         with pytest.raises(ValueError, match="not systematic"):
             RaptorCode(derive_params(16, 32, lt_seed=lt_seed))
