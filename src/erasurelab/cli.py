@@ -37,6 +37,9 @@ def _parse_config(path):
     return cfg
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _config_defaults(sub, path):
     """The config file's values as defaults for subcommand parser ``sub``.
     Values stay text for argparse to convert as it does string defaults;
@@ -48,7 +51,10 @@ def _config_defaults(sub, path):
         if action is None:
             raise ValueError(f"unknown config key {key!r}")
         if isinstance(action.default, bool):
-            val = val.lower() in ("1", "true", "yes")
+            if val.lower() not in _BOOLEANS:
+                raise ValueError(f"config key {key!r}: {val!r} is not a boolean "
+                                 f"(1/0, true/false or yes/no)")
+            val = _BOOLEANS[val.lower()]
         elif action.choices is not None and val not in action.choices:
             raise ValueError(f"config key {key!r}: {val!r} is not one of {list(action.choices)}")
         out[key] = val

@@ -1,22 +1,20 @@
 """BEC decoders: iterative peeling, structured-GE ML decoding with pivot
 inactivation, and the dense-GE oracle.
 
-Peeling and ML decoding share one loop over H's adjacency lists. The ML
-decoder peels until no check holds a single erased symbol, then inactivates
-a pivot, resumes the diagonal extension with every value written as an XOR
-of pivots plus a constant, and repeats; dense GE runs only on the small
-residual pivot system. The hybrid decoder (peel, then ML) is the same
-decoder under its older name. ``solve_inactivated`` is the one solve stage
+Peeling and ML decoding share one peel loop over H's adjacency lists. The
+ML decoder peels until no check holds a single erased symbol, then
+inactivates a pivot, peels again from the rows that pivot leaves with one
+unknown, every value now an XOR of pivots plus a constant, and repeats;
+dense GE runs only on the small residual pivot system. The hybrid decoder
+(peel, then ML) is the same decoder under its older name. ``solve_inactivated`` is the one solve stage
 after triangularization, for LDPC and Raptor systems alike: gather A', solve
 it for the pivots, substitute them back.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from heapq import heappop, heappush
 from operator import gt, index, lt
 
 import numpy as np
@@ -42,7 +40,11 @@ class InternalConsistencyError(AssertionError):
 class ReceivedWord:
     """Channel output, for LDPC and Raptor codes alike: the length-n word with
     every erased position reading 0, and the erased positions, each in
-    0..n-1. Position i of a Raptor word holds the symbol of ESI i+1."""
+    0..n-1. Position i of a Raptor word holds the symbol of ESI i+1.
+
+    ``erased`` is given as integer positions in any order, or as a boolean
+    numpy array of length n, which the word keeps as its ``erased_mask``
+    (so the caller must not modify it afterwards)."""
 
     n: int
     values: BinVector  # length n; the erased positions are cleared here
@@ -50,13 +52,22 @@ class ReceivedWord:
 
     def __post_init__(self):
         erased = self.erased
-        # a strictly increasing list (as the simulator draws it) needs no sort
-        if not (isinstance(erased, (list, tuple)) and all(map(lt, erased, erased[1:]))):
-            erased = sorted(set(erased))
-        if erased and type(erased[-1]) is not int:  # numpy integers shift to 0
-            erased = list(map(index, erased))
-        if erased and (erased[0] < 0 or erased[-1] >= self.n):
-            raise ValueError(f"erased positions must lie in 0..{self.n - 1}")
+        if isinstance(erased, np.ndarray) and erased.dtype == np.bool_:
+            if erased.shape != (self.n,):
+                raise ValueError(f"erasure mask shape {erased.shape} != ({self.n},)")
+            self.__dict__["erased_mask"] = erased  # the cached_property's slot
+            erased = np.flatnonzero(erased).tolist()
+        else:
+            erased = list(erased)
+            if not set(map(type, erased)) <= {int}:
+                if any(isinstance(i, (bool, np.bool_)) for i in erased):
+                    raise ValueError("erased positions must be integers; an erasure "
+                                     "mask must be a boolean numpy array")
+                erased = list(map(index, erased))  # numpy integers shift to 0
+            if not all(map(lt, erased, erased[1:])):
+                erased = sorted(set(erased))
+            if erased and (erased[0] < 0 or erased[-1] >= self.n):
+                raise ValueError(f"erased positions must lie in 0..{self.n - 1}")
         self.erased = tuple(erased)
         if self.values.n != self.n:
             raise ValueError(f"values length {self.values.n} != n = {self.n}")
@@ -67,7 +78,8 @@ class ReceivedWord:
 
     @cached_property
     def erased_mask(self) -> np.ndarray:
-        """Per position, whether it is erased; built once, on first use."""
+        """Per position, whether it is erased; built once, on first use,
+        unless the word was given it."""
         mask = np.zeros(self.n, np.bool_)
         mask[list(self.erased)] = True
         return mask
@@ -108,9 +120,7 @@ class TriangularizationState:
     symbols included.
     ``resolved`` holds the diagonal-extension order, ``pivots`` the
     inactivated unknowns, and ``anchored[r]`` marks a row consumed to resolve
-    an unknown. ``pairs`` is a heap of the rows that reached two unknowns;
-    an entry goes stale once its row drops below two and stays until popped.
-    back_substitute turns every value into the unknown's bit.
+    an unknown. back_substitute turns every value into the unknown's bit.
     """
 
     row_adj: list
@@ -121,7 +131,6 @@ class TriangularizationState:
     rowpar: list
     value: list  # per column; 0 for a column that was never unknown
     anchored: bytearray
-    pairs: list
     resolved: list = field(default_factory=list)
     pivots: list = field(default_factory=list)
 
@@ -162,43 +171,29 @@ def split_by_erasure(code, word: ReceivedWord):
     return hkbar, BinVector.from_bits(_parities(h, word.values).tolist())
 
 
-def _extend(st: TriangularizationState, queue, pivot_strategy=None) -> None:
-    """Diagonal extension: resolve every unknown left alone in a queued row,
-    queueing the rows this leaves with a single unknown and pushing those it
-    leaves with two onto ``st.pairs``. This loop is the whole peeling
-    decoder. With a ``pivot_strategy`` it does not stop at a stall but
-    inactivates the unknown the strategy names, a pivot whose value is its
-    own bit, and goes on until no unknown is left."""
+def _peel(st: TriangularizationState, queue: list) -> None:
+    """Diagonal extension: resolve the one unknown left in each queued row,
+    appending to ``queue`` the rows this leaves with a single unknown, in
+    FIFO order, until the queue runs out. This loop is the whole peeling
+    decoder, and the ML decoder runs it again after every pivot."""
     row_adj, col_adj, unknown = st.row_adj, st.col_adj, st.unknown
     rowcnt, rowpar, value = st.rowcnt, st.rowpar, st.value
-    anchored, resolved, pairs, pivots = st.anchored, st.resolved, st.pairs, st.pivots
-    size = len(st.columns)
-    while True:
-        if queue:
-            r = queue.popleft()
-            if rowcnt[r] != 1:
-                continue
-            for u in row_adj[r]:
-                if unknown[u]:
-                    break
-            v = rowpar[r]
-            anchored[r] = 1
-            resolved.append(u)
-        elif pivot_strategy is not None and len(resolved) + len(pivots) < size:
-            u = pivot_strategy(st)
-            v = 2 << len(pivots)
-            pivots.append(u)
-        else:
-            return
-        value[u] = v
+    anchored, resolved = st.anchored, st.resolved
+    for r in queue:  # the iterator reaches the rows appended below
+        if rowcnt[r] != 1:
+            continue
+        for u in row_adj[r]:
+            if unknown[u]:
+                break
+        v = value[u] = rowpar[r]
         unknown[u] = 0
+        anchored[r] = 1
+        resolved.append(u)
         for r2 in col_adj[u]:
             cnt = rowcnt[r2] = rowcnt[r2] - 1
             rowpar[r2] ^= v
             if cnt == 1:
                 queue.append(r2)
-            elif cnt == 2:
-                heappush(pairs, r2)
 
 
 def _start(matrix, rowpar, word: ReceivedWord = None) -> TriangularizationState:
@@ -218,8 +213,8 @@ def _start(matrix, rowpar, word: ReceivedWord = None) -> TriangularizationState:
         counts = np.bincount(edge_rows[mask[edge_cols]], minlength=matrix.rows)
     st = TriangularizationState(matrix.row_adj, matrix.col_adj, columns, unknown,
                                 counts.tolist(), rowpar, [0] * matrix.cols,
-                                bytearray(matrix.rows), np.flatnonzero(counts == 2).tolist())
-    _extend(st, deque(np.flatnonzero(counts == 1).tolist()))
+                                bytearray(matrix.rows))
+    _peel(st, np.flatnonzero(counts == 1).tolist())
     return st
 
 
@@ -254,13 +249,13 @@ def min_row_pivot(st: TriangularizationState) -> int:
     unknowns, two or more, lowest index first, gives up its unknown of
     highest column weight, lowest index on ties. A row of two unknowns is
     then left with one, so such a pivot resolves at least one more unknown;
-    rows of three or more (a plain scan) almost never remain at a stall."""
-    rowcnt, pairs, unknown, col_adj = st.rowcnt, st.pairs, st.unknown, st.col_adj
-    while pairs:
-        r = heappop(pairs)
-        if rowcnt[r] == 2:
-            break
-    else:  # no row holds exactly two unknowns: scan for the fewest
+    rows of three or more (a plain scan) almost never remain at a stall.
+    An anchored row holds no unknown, so the first row of count 2 is the
+    row sought whenever there is one."""
+    rowcnt, unknown, col_adj = st.rowcnt, st.unknown, st.col_adj
+    try:
+        r = rowcnt.index(2)
+    except ValueError:  # no row holds exactly two unknowns: scan for the fewest
         r = min(((cnt, r) for r, cnt in enumerate(rowcnt) if cnt > 1), default=(0, -1))[1]
         if r < 0:  # no unanchored row holds an unknown
             return next(u for u in st.columns if unknown[u])
@@ -297,7 +292,22 @@ def triangularize(system, syndrome, pivot_strategy=min_row_pivot) -> Triangulari
         st = system
     else:
         st = _start(system, syndrome.to_list())
-    _extend(st, deque(), pivot_strategy)
+    col_adj, unknown, rowcnt, rowpar, value = st.col_adj, st.unknown, st.rowcnt, st.rowpar, st.value
+    pivots = st.pivots
+    while st.left:
+        # inactivate: the pivot's value is its own bit; then peel from the
+        # rows it leaves with a single unknown
+        u = pivot_strategy(st)
+        v = value[u] = 2 << len(pivots)
+        unknown[u] = 0
+        pivots.append(u)
+        queue = []
+        for r in col_adj[u]:
+            cnt = rowcnt[r] = rowcnt[r] - 1
+            rowpar[r] ^= v
+            if cnt == 1:
+                queue.append(r)
+        _peel(st, queue)
     return st
 
 
@@ -395,13 +405,11 @@ def _with_punctured(code, word: ReceivedWord) -> ReceivedWord:
 
 
 def _filled(bits: int, st: TriangularizationState) -> int:
-    """``bits`` with every unknown of ``st`` set to its value, a bit once no
-    pivot is left in it."""
-    value = st.value
-    for u in st.resolved + st.pivots:
-        if value[u]:
-            bits |= 1 << u
-    return bits
+    """``bits`` with every unknown of ``st`` set to its value, which is a
+    bit once no pivot is left in it: the values, 0 or 1 per column, packed
+    at once."""
+    packed = np.packbits(np.frombuffer(bytes(st.value), np.uint8), bitorder="little")
+    return bits | int.from_bytes(packed, "little")
 
 
 def _finish(code, word: ReceivedWord, bits: int, stats: DecodeStats) -> DecodeResult:

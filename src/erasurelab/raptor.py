@@ -12,7 +12,7 @@ ESI streams) are documented, seed-driven stand-ins with the same structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, reduce
 from operator import xor
 
@@ -245,9 +245,14 @@ class RaptorCode:
         """Assemble the code, testing its seed on the way: the LT tuples of
         ESIs 1..k are drawn first, and if A(1..k) is singular nothing more is
         drawn and ``NotSystematicError`` is raised."""
+        self._assemble(params, _precode_rows(params))
+
+    def _assemble(self, params: RaptorParams, precode_rows: list) -> None:
+        """``__init__`` given the pre-code rows, which do not depend on the LT
+        seed, so that ``build`` draws them once for all the seeds it tries."""
         self.params = p = params
         # the pre-code rows that head every received system
-        self.precode_rows = _precode_rows(p)
+        self.precode_rows = precode_rows
         self.lt_cols = [lt_tuple(esi, p).indices for esi in range(1, p.k + 1)]
         self.lt_rows = [sum(1 << i for i in cols) for cols in self.lt_cols]
         # Gauss-Jordan on A(1..k) against [0; I_k] leaves row i holding
@@ -269,9 +274,13 @@ class RaptorCode:
     @classmethod
     def build(cls, k: int, n: int, seed: int = 0) -> "RaptorCode":
         """The code of the smallest systematic LT seed, counting up from 0."""
+        params = derive_params(k, n, seed=seed)
+        precode_rows = _precode_rows(params)
         for lt_seed in range(10000):
+            code = cls.__new__(cls)
             try:
-                return cls(derive_params(k, n, seed=seed, lt_seed=lt_seed))
+                code._assemble(replace(params, lt_seed=lt_seed), precode_rows)
+                return code
             except NotSystematicError:
                 pass
         raise DecodingError("no systematic seed found within 10000 attempts")

@@ -53,8 +53,9 @@ class SimPlan:
             raise ValueError(f"unknown decoder {self.decoder!r}")
         if self.decoder == "it" and isinstance(self.code, RaptorCode):
             raise ValueError("Raptor simulation supports ML decoding only")
-        if self.target_errors < 1:
-            raise ValueError("target_errors must be >= 1")
+        for name in ("target_errors", "max_trials", "workers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         self.sweep = sorted(self.sweep)
 
 
@@ -97,24 +98,28 @@ def run_trial(code, decoder: str, channel: ChannelModel, rng, zero_codeword=True
     if raptor or not zero_codeword:
         msg = BinVector(code.k, int.from_bytes(rng.bytes((code.k + 7) // 8), "little"))
         cw = code.encode(msg) if raptor else encode(code, msg)
-    res = dec(code, ReceivedWord.from_full(cw, _erased_positions(code, channel, rng)))
+    res = dec(code, ReceivedWord.from_full(cw, _erasure_mask(code, channel, rng)))
     if raptor:
         return res.ok and res.c == msg, res.stats.pivots
     return res.ok and res.recovered == cw, res.stats.pivots
 
 
-def _erased_positions(code, channel, rng) -> list:
-    """The positions one channel use erases: increasing Python ints, drawn
-    over the transmitted positions by mask (the punctured ones of an LDPC
-    code are added later, by the decoder)."""
+def _erasure_mask(code, channel, rng) -> np.ndarray:
+    """What one channel use erases, as a boolean mask over the code's n
+    positions, drawn over the transmitted positions (the punctured ones of
+    an LDPC code are added later, by the decoder)."""
     ntx = code.n_transmitted
     if channel.kind == "bec":
-        mask = rng.random(ntx) < channel.epsilon
+        drawn = rng.random(ntx) < channel.epsilon
     else:
         keep = min(channel.delta + code.k, ntx)
-        mask = np.ones(ntx, np.bool_)
-        mask[rng.choice(ntx, size=max(keep, 0), replace=False)] = False
-    return code.transmitted_array[mask].tolist()
+        drawn = np.ones(ntx, np.bool_)
+        drawn[rng.choice(ntx, size=max(keep, 0), replace=False)] = False
+    if ntx == code.n:  # every position is sent
+        return drawn
+    mask = np.zeros(code.n, np.bool_)
+    mask[code.transmitted_array] = drawn
+    return mask
 
 
 def _trial_block(code, decoder, channel, seed, point_idx, t0, t1, zero_codeword):
@@ -134,7 +139,7 @@ def run_point(plan: SimPlan, point_idx: int, value, executor=None) -> SimRecord:
     t = 0
     stop = False
     while not stop and t < plan.max_trials:
-        t1 = min(t + block * max(plan.workers, 1), plan.max_trials)
+        t1 = min(t + block * plan.workers, plan.max_trials)
         if executor is None:
             results = _trial_block(plan.code, plan.decoder, channel, plan.seed,
                                    point_idx, t, t1, plan.zero_codeword)
@@ -156,9 +161,9 @@ def run_point(plan: SimPlan, point_idx: int, value, executor=None) -> SimRecord:
                     stop = True
                     break
         t = t1
-    cer = errors / trials if trials else 0.0
-    return SimRecord(value, trials, errors, cer, wilson_halfwidth(errors, trials),
-                     piv_sum / trials if trials else 0.0)
+    # the plan holds max_trials >= 1, so every point ran a trial
+    return SimRecord(value, trials, errors, errors / trials, wilson_halfwidth(errors, trials),
+                     piv_sum / trials)
 
 
 def _split_span(t0, t1, workers):

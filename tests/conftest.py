@@ -251,15 +251,14 @@ def loop_peel_core(code, word):
             rowcnt[r] += 1
     st = decode.TriangularizationState(
         h.row_adj, h.col_adj, word.erased, unknown, rowcnt,
-        loop_parities(h, word.values), [0] * h.cols, bytearray(h.rows),
-        [r for r, cnt in enumerate(rowcnt) if cnt == 2])
-    decode._extend(st, deque(r for r, cnt in enumerate(rowcnt) if cnt == 1))
+        loop_parities(h, word.values), [0] * h.cols, bytearray(h.rows))
+    decode._peel(st, [r for r, cnt in enumerate(rowcnt) if cnt == 1])
     return st
 
 
 def list_erased_positions(code, channel, rng):
     """Reference channel draw: the per-index list comprehensions over
-    ``code.transmitted`` that ``sim._erased_positions`` replaces with numpy
+    ``code.transmitted`` that ``sim._erasure_mask`` replaces with numpy
     indexing. Consumes the generator exactly as it does."""
     transmitted = code.transmitted
     if channel.kind == "bec":
@@ -273,7 +272,7 @@ def list_erased_positions(code, channel, rng):
 def raptor_esi_draw(code, channel, rng):
     """Reference Raptor channel draw: the received ESIs, increasing, drawn
     per code over 1..n (kept where u01 >= epsilon, or a sorted choice of
-    k + delta of them). ``sim._erased_positions`` erases exactly the other
+    k + delta of them). ``sim._erasure_mask`` erases exactly the other
     positions and consumes the generator the same way."""
     p = code.params
     if channel.kind == "bec":

@@ -112,6 +112,40 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert "# target_errors=3" in out
 
 
+@pytest.mark.parametrize("text, zero", [
+    ("1", False), ("TRUE", False), ("Yes", False), ("0", True), ("false", True), ("NO", True),
+])
+def test_config_switch_reads_each_boolean_spelling(tmp_path, capsys, monkeypatch, text, zero):
+    """1/0, true/false and yes/no, in any case, set a switch from a config
+    file; what the sweep receives is the plan's ``zero_codeword``."""
+    from erasurelab import sim
+
+    plans = []
+    monkeypatch.setattr(sim, "run_sweep", lambda plan: plans.append(plan) or [])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"random_codeword={text}\n")
+    code, _ = run_cli(["simulate", "--regular", "3,6", "--n", "24", "--eps", "0.3",
+                       "--config", str(cfg)], capsys)
+    assert code == 0
+    assert [plan.zero_codeword for plan in plans] == [zero]
+
+
+@pytest.mark.parametrize("text", ["ture", "on", "", "2", "y"])
+def test_config_switch_rejects_other_text(tmp_path, capsys, text):
+    """A misspelt boolean is one error line and exit 2, not a silent
+    all-zero-codeword run."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"random_codeword={text}\n")
+    code = main(["simulate", "--regular", "3,6", "--n", "24", "--eps", "0.3",
+                 "--max-trials", "5", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"erasurelab: error: config key 'random_codeword': {text!r} is not a boolean "
+        "(1/0, true/false or yes/no)"]
+
+
 def test_unknown_flag_nonzero_exit(capsys):
     code = main(["simulate", "--bogus"])
     capsys.readouterr()

@@ -68,6 +68,38 @@ def test_received_word_reads_zero_at_erasures():
         ReceivedWord.from_full(BinVector(4), [1.5])
 
 
+def test_received_word_rejects_bools_as_positions():
+    """Only a boolean numpy array of length n is read as an erasure mask:
+    bools in a list, a tuple or any other container are not positions 0
+    and 1, and a mask of another shape is not truncated or padded."""
+    full = BinVector(4, 0b1111)
+    for erased in ([True, False, True, False], (True, False), [1, True],
+                   list(np.array([True, False, True, False])), [np.True_]):
+        with pytest.raises(ValueError, match="boolean numpy array"):
+            ReceivedWord.from_full(full, erased)
+    for mask in (np.ones(3, np.bool_), np.zeros(5, np.bool_), np.zeros((2, 2), np.bool_)):
+        with pytest.raises(ValueError, match="erasure mask shape"):
+            ReceivedWord.from_full(full, mask)
+
+
+def test_mask_and_positions_build_equal_words():
+    """A word built from an erasure mask equals the word built from the
+    mask's positions: the same values, erased positions and mask, the
+    latter the very array given."""
+    rng = np.random.default_rng(29)
+    for n in (1, 7, 8, 9, 64, 200):
+        for share in (0.0, 0.3, 1.0):
+            full = random_vector(n, rng)
+            mask = rng.random(n) < share
+            from_mask = ReceivedWord.from_full(full, mask)
+            from_list = ReceivedWord.from_full(full, np.flatnonzero(mask).tolist())
+            assert from_mask.erased_mask is mask
+            assert from_mask.values == from_list.values
+            assert from_mask.erased == from_list.erased
+            assert all(type(i) is int for i in from_mask.erased)
+            assert np.array_equal(from_mask.erased_mask, from_list.erased_mask)
+
+
 def test_erasure_mask_matches_the_generator():
     """The numpy mask clears exactly the bits the per-position generator
     sum clears, on random words with no, some and all positions erased; the
@@ -433,6 +465,40 @@ def test_row_pivot_from_a_two_unknown_row_resolves_an_unknown():
             assert after > done or not pair
             pairs += pair
     assert pairs > 1000
+
+
+def test_row_pivot_takes_the_first_row_of_two_unknowns():
+    """On every stall of the seeded systems, through the peel and through a
+    fresh system, the row whose unknown ``min_row_pivot`` inactivates is the
+    lowest-index unanchored row holding exactly two unknowns, found by a
+    scan that counts each row's unknowns afresh; with no such row, the
+    lowest-index row of the fewest unknowns above two."""
+    stalls = fallbacks = 0
+
+    def strategy(state):
+        nonlocal stalls, fallbacks
+        counts = [0 if state.anchored[r] else sum(state.unknown[u] for u in cs)
+                  for r, cs in enumerate(state.row_adj)]
+        assert counts == state.rowcnt
+        fewest = min((cnt for cnt in counts if cnt > 1), default=None)
+        p = min_row_pivot(state)
+        stalls += 1
+        if fewest is None:
+            assert p == next(u for u in state.columns if state.unknown[u])
+            return p
+        fallbacks += fewest > 2
+        row = counts.index(fewest)
+        assert state.unknown[p] and p in state.row_adj[row]
+        heaviest = max(len(state.col_adj[u]) for u in state.row_adj[row] if state.unknown[u])
+        assert p == min(u for u in state.row_adj[row]
+                        if state.unknown[u] and len(state.col_adj[u]) == heaviest)
+        return p
+
+    for code, erased in _seeded_systems():
+        w = ReceivedWord.from_full(BinVector(code.n), erased)
+        triangularize(decode._peel_core(code, w), None, strategy)
+        triangularize(*split_by_erasure(code, w), strategy)
+    assert stalls > 5000 and fallbacks > 0
 
 
 def test_pivot_strategy_called_once_per_pivot():

@@ -216,6 +216,20 @@ def test_seed_attempt_draws_k_tuples_then_n(monkeypatch):
     assert len(drawn) == 16 + 16 + 32
 
 
+@pytest.mark.parametrize("k, n, lt_seed", [(16, 32, 2), (512, 1024, 4)])
+def test_build_draws_the_precode_rows_once(monkeypatch, k, n, lt_seed):
+    """The pre-code rows depend on (k, s, h, seed) alone, so the seed search
+    draws them once however many LT seeds it tries, and the code keeps the
+    rows a direct construction draws."""
+    drawn = []
+    real = raptor._precode_rows
+    monkeypatch.setattr(raptor, "_precode_rows", lambda p: drawn.append(p) or real(p))
+    code = RaptorCode.build(k, n)
+    assert code.params.lt_seed == lt_seed
+    assert drawn == [derive_params(k, n)]
+    assert code.precode_rows == real(code.params)
+
+
 def test_systematic_transform(code16, rng):
     p = code16.params
     for _ in range(20):

@@ -4,7 +4,7 @@ import pytest
 from conftest import list_erased_positions, raptor_esi_draw
 from erasurelab import sim
 from erasurelab.binmat import BinVector
-from erasurelab.decode import DecodeResult
+from erasurelab.decode import DecodeResult, ReceivedWord
 from erasurelab.ldpc import puncture, rate_family, sample_regular
 from erasurelab.raptor import RaptorCode
 from erasurelab.sim import (
@@ -38,18 +38,28 @@ CHANNELS = [ChannelModel("bec", epsilon=e) for e in (0.0, 0.1, 0.45, 1.0)] + [
     ChannelModel("overhead", delta=d) for d in (-30, 0, 3, 100)]
 
 
+def _drawn_word(code, channel, seed):
+    """The channel's erasure mask for one seed, checked for shape, and the
+    word built from it."""
+    mask = sim._erasure_mask(code, channel, np.random.default_rng(seed))
+    assert mask.dtype == np.bool_ and mask.shape == (code.n,)
+    word = ReceivedWord.from_full(BinVector(code.n), mask)
+    assert word.erased_mask is mask
+    assert all(type(i) is int for i in word.erased)
+    return word
+
+
 def test_erased_positions_match_the_list_draw(small_code, punctured_code):
-    """The numpy draw erases exactly the positions of the per-index list
-    draw, as Python ints, for unpunctured and punctured codes alike."""
+    """The numpy mask draw erases exactly the positions of the per-index
+    list draw, for unpunctured and punctured codes alike, and the word built
+    from it holds them as Python ints."""
     codes = [small_code, punctured_code,
              puncture(small_code, [40, 41, 47], allow_systematic=True)]
     for code in codes:
         for channel in CHANNELS:
             for seed in range(10):
-                new = sim._erased_positions(code, channel, np.random.default_rng(seed))
                 old = list_erased_positions(code, channel, np.random.default_rng(seed))
-                assert new == old
-                assert all(type(i) is int for i in new)
+                assert list(_drawn_word(code, channel, seed).erased) == old
 
 
 def test_raptor_erased_positions_match_the_esi_draw(raptor_code):
@@ -59,11 +69,10 @@ def test_raptor_erased_positions_match_the_esi_draw(raptor_code):
     n = raptor_code.params.n
     for channel in CHANNELS:
         for seed in range(10):
-            erased = sim._erased_positions(raptor_code, channel, np.random.default_rng(seed))
+            erased = _drawn_word(raptor_code, channel, seed).erased
             esis = raptor_esi_draw(raptor_code, channel, np.random.default_rng(seed))
             received = {esi - 1 for esi in esis}
-            assert erased == [i for i in range(n) if i not in received]
-            assert all(type(i) is int for i in erased)
+            assert list(erased) == [i for i in range(n) if i not in received]
 
 
 # it-decoder sweeps of ``punctured_code`` with random codewords, seed 13, 200
@@ -189,6 +198,18 @@ def test_plan_rejects_unknown_names(small_code, field, value):
     plan = dict(code=small_code, decoder="ml", channel_kind="bec", sweep=[0.4])
     plan[field] = value
     with pytest.raises(ValueError, match=repr(value)):
+        SimPlan(**plan)
+
+
+@pytest.mark.parametrize("field", ["target_errors", "max_trials", "workers"])
+@pytest.mark.parametrize("value", [0, -5])
+def test_plan_rejects_counts_below_one(small_code, field, value):
+    """No trial budget, error target or worker count below 1: a plan with
+    ``max_trials=0`` would write a CER of 0 from no trials, and one with
+    ``workers=0`` would run as one worker."""
+    plan = dict(code=small_code, decoder="ml", channel_kind="bec", sweep=[0.3])
+    plan[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be >= 1, got {value}"):
         SimPlan(**plan)
 
 
