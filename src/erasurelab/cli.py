@@ -185,9 +185,11 @@ def _cmd_simulate(args, parser):
 def _cmd_bounds(args, parser):
     if args.eps is None:
         parser.error("give --eps")
+    if (args.dmin is None) != (args.amin is None):
+        parser.error("give --dmin and --amin together")
     hdr = _echo_header(args, ["n", "k", "eps", "dmin", "amin"])
     lines = [f"# {key}={val}" for key, val in hdr.items()]
-    has_floor = args.dmin is not None and args.amin is not None
+    has_floor = args.dmin is not None
     tail = analysis.WeightSpectrumTail(args.dmin, args.amin) if has_floor else None
     lines.append("epsilon,singleton,berlekamp" + (",floor" if has_floor else ""))
     for eps in args.eps:

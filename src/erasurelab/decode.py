@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import gt, index, lt
+from itertools import compress
+from operator import gt, index
 
 import numpy as np
 
@@ -36,53 +37,42 @@ class InternalConsistencyError(AssertionError):
     """Recovered word failed re-verification; decoder bug trap."""
 
 
-@dataclass
+@dataclass(eq=False)
 class ReceivedWord:
     """Channel output, for LDPC and Raptor codes alike: the length-n word with
-    every erased position reading 0, and the erased positions, each in
-    0..n-1. Position i of a Raptor word holds the symbol of ESI i+1.
-
-    ``erased`` is given as integer positions in any order, or as a boolean
-    numpy array of length n, which the word keeps as its ``erased_mask``
-    (so the caller must not modify it afterwards)."""
+    every erased position reading 0, and its erasure mask. Position i of a
+    Raptor word holds the symbol of ESI i+1. The mask is given as a boolean
+    numpy array of length n, which the word keeps (the caller must not modify
+    it afterwards), or as integer positions in 0..n-1, in any order."""
 
     n: int
     values: BinVector  # length n; the erased positions are cleared here
-    erased: tuple  # ordered erased positions (includes punctured ones)
+    erased_mask: np.ndarray  # n booleans; includes punctured positions once decoded
 
     def __post_init__(self):
-        erased = self.erased
-        if isinstance(erased, np.ndarray) and erased.dtype == np.bool_:
-            if erased.shape != (self.n,):
-                raise ValueError(f"erasure mask shape {erased.shape} != ({self.n},)")
-            self.__dict__["erased_mask"] = erased  # the cached_property's slot
-            erased = np.flatnonzero(erased).tolist()
-        else:
-            erased = list(erased)
-            if not set(map(type, erased)) <= {int}:
-                if any(isinstance(i, (bool, np.bool_)) for i in erased):
-                    raise ValueError("erased positions must be integers; an erasure "
-                                     "mask must be a boolean numpy array")
-                erased = list(map(index, erased))  # numpy integers shift to 0
-            if not all(map(lt, erased, erased[1:])):
-                erased = sorted(set(erased))
-            if erased and (erased[0] < 0 or erased[-1] >= self.n):
+        mask = self.erased_mask
+        if not (isinstance(mask, np.ndarray) and mask.dtype == np.bool_):
+            positions = list(mask)
+            if any(isinstance(i, (bool, np.bool_)) for i in positions):
+                raise ValueError("erased positions must be integers; an erasure "
+                                 "mask must be a boolean numpy array")
+            positions = list(map(index, positions))  # numpy integers shift to 0
+            if positions and (min(positions) < 0 or max(positions) >= self.n):
                 raise ValueError(f"erased positions must lie in 0..{self.n - 1}")
-        self.erased = tuple(erased)
+            mask = self.erased_mask = np.zeros(self.n, np.bool_)
+            mask[positions] = True
+        elif mask.shape != (self.n,):
+            raise ValueError(f"erasure mask shape {mask.shape} != ({self.n},)")
         if self.values.n != self.n:
             raise ValueError(f"values length {self.values.n} != n = {self.n}")
-        bits = self.values.bits
-        if bits and erased:  # a zero word needs no mask
-            bits &= ~int.from_bytes(np.packbits(self.erased_mask, bitorder="little"), "little")
-        self.values = BinVector(self.n, bits)
+        if self.values.bits:  # a zero word needs no clearing
+            cleared = ~int.from_bytes(np.packbits(mask, bitorder="little"), "little")
+            self.values = BinVector(self.n, self.values.bits & cleared)
 
     @cached_property
-    def erased_mask(self) -> np.ndarray:
-        """Per position, whether it is erased; built once, on first use,
-        unless the word was given it."""
-        mask = np.zeros(self.n, np.bool_)
-        mask[list(self.erased)] = True
-        return mask
+    def erased(self) -> tuple:
+        """The erased positions, increasing: what split_by_erasure and the oracle read."""
+        return tuple(np.flatnonzero(self.erased_mask).tolist())
 
     @classmethod
     def from_full(cls, full: BinVector, erased) -> "ReceivedWord":
@@ -125,7 +115,7 @@ class TriangularizationState:
 
     row_adj: list
     col_adj: list
-    columns: tuple  # the unknowns at the start, increasing (a range when fresh)
+    size: int  # the count of unknowns at the start
     unknown: bytearray  # per column: 1 while neither resolved nor a pivot
     rowcnt: list
     rowpar: list
@@ -137,7 +127,7 @@ class TriangularizationState:
     @property
     def left(self) -> int:
         """Unknowns neither resolved nor inactivated."""
-        return len(self.columns) - len(self.resolved) - len(self.pivots)
+        return self.size - len(self.resolved) - len(self.pivots)
 
 
 def _parities(h: SparseBinMatrix, v: BinVector) -> np.ndarray:
@@ -203,15 +193,14 @@ def _start(matrix, rowpar, word: ReceivedWord = None) -> TriangularizationState:
     word every column of this fresh system, built per decode, is unknown, and
     each row's count is its length (edge arrays would cost more than that)."""
     if word is None:
-        columns = range(matrix.cols)
         unknown = bytearray(b"\1") * matrix.cols
         counts = np.fromiter(map(len, matrix.row_adj), np.intp, matrix.rows)
     else:
-        columns, mask = word.erased, word.erased_mask
+        mask = word.erased_mask
         edge_rows, edge_cols = matrix.edges()
         unknown = bytearray(mask.tobytes())
         counts = np.bincount(edge_rows[mask[edge_cols]], minlength=matrix.rows)
-    st = TriangularizationState(matrix.row_adj, matrix.col_adj, columns, unknown,
+    st = TriangularizationState(matrix.row_adj, matrix.col_adj, unknown.count(1), unknown,
                                 counts.tolist(), rowpar, [0] * matrix.cols,
                                 bytearray(matrix.rows))
     _peel(st, np.flatnonzero(counts == 1).tolist())
@@ -220,9 +209,7 @@ def _start(matrix, rowpar, word: ReceivedWord = None) -> TriangularizationState:
 
 def _peel_core(code, word: ReceivedWord) -> TriangularizationState:
     """Peel H over the erased positions of ``word``, the known symbols giving
-    the row parities."""
-    if word.n != code.h.cols:
-        raise ValueError(f"word length {word.n} != code length {code.h.cols}")
+    the row parities; ``_with_punctured`` has checked the word's length."""
     st = _start(code.h, _parities(code.h, word.values).tolist(), word)
     # before any pivot each parity is 0 or 1 and no count is negative, so
     # par > cnt is exactly a row with no unknown left and a violated parity
@@ -238,7 +225,7 @@ def peel_decode(code, word: ReceivedWord) -> DecodeResult:
     st = _peel_core(code, word)
     stats = DecodeStats(peeled=len(st.resolved))
     if st.left:
-        residual = tuple(c for c in word.erased if st.unknown[c])
+        residual = tuple(compress(range(word.n), st.unknown))
         return DecodeResult("it_stall", residual=residual, stats=stats)
     return _finish(code, word, _filled(word.values.bits, st), stats)
 
@@ -258,7 +245,7 @@ def min_row_pivot(st: TriangularizationState) -> int:
     except ValueError:  # no row holds exactly two unknowns: scan for the fewest
         r = min(((cnt, r) for r, cnt in enumerate(rowcnt) if cnt > 1), default=(0, -1))[1]
         if r < 0:  # no unanchored row holds an unknown
-            return next(u for u in st.columns if unknown[u])
+            return unknown.index(1)
     best = weight = -1
     for u in st.row_adj[r]:  # increasing, so the first of the heaviest wins
         if unknown[u] and len(col_adj[u]) > weight:
@@ -271,7 +258,7 @@ def max_degree_pivot(st: TriangularizationState) -> int:
     index on ties, whether or not inactivating it leaves some row with a
     single unknown. A scan over the unknowns."""
     unknown, col_adj = st.unknown, st.col_adj
-    return min((u for u in st.columns if unknown[u]), key=lambda u: (-len(col_adj[u]), u))
+    return min(compress(range(len(unknown)), unknown), key=lambda u: (-len(col_adj[u]), u))
 
 
 def triangularize(system, syndrome, pivot_strategy=min_row_pivot) -> TriangularizationState:
@@ -363,7 +350,7 @@ def ml_decode(code, word: ReceivedWord, pivot_strategy=min_row_pivot) -> DecodeR
     if st.left:
         triangularize(st, None, pivot_strategy)
         rank = solve_inactivated(st)
-    stats = DecodeStats(len(st.resolved), len(st.pivots), (code.h.rows, len(word.erased)))
+    stats = DecodeStats(len(st.resolved), len(st.pivots), (code.h.rows, st.size))
     if rank is not None:
         return DecodeResult("rank_deficient", rank=rank, stats=stats)
     return _finish(code, word, _filled(word.values.bits, st), stats)
@@ -398,10 +385,16 @@ def is_stopping_set(code, positions) -> bool:
 
 
 def _with_punctured(code, word: ReceivedWord) -> ReceivedWord:
-    punct = getattr(code, "punctured", frozenset())
-    if not punct or punct <= set(word.erased):
+    """``word`` with the code's punctured positions, which are never sent,
+    erased too: the word itself when its mask already holds them."""
+    if word.n != code.h.cols:
+        raise ValueError(f"word length {word.n} != code length {code.h.cols}")
+    punct = code.punctured_array
+    if word.erased_mask[punct].all():
         return word
-    return ReceivedWord.from_full(word.values, word.erased + tuple(punct))
+    mask = word.erased_mask.copy()
+    mask[punct] = True
+    return ReceivedWord.from_full(word.values, mask)
 
 
 def _filled(bits: int, st: TriangularizationState) -> int:

@@ -34,6 +34,9 @@ class GeiraSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "taps", frozenset(self.taps))
+        if self.k < 1 or self.n <= self.k:
+            raise ConstructionError(f"GeIRA needs k >= 1 and n > k, "
+                                    f"got k = {self.k}, n = {self.n}")
         m = self.n - self.k
         if 0 not in self.taps:
             raise ConstructionError("tap set must contain 0")
@@ -155,6 +158,11 @@ class LdpcCode:
     def transmitted_array(self) -> np.ndarray:
         """``transmitted`` as an index array, for drawing erasures by mask."""
         return np.array(self.transmitted, dtype=np.intp)
+
+    @cached_property
+    def punctured_array(self) -> np.ndarray:
+        """The punctured positions as an index array, for erasing them by mask."""
+        return np.array(sorted(self.punctured), dtype=np.intp)
 
     @property
     def n_transmitted(self):

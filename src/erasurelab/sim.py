@@ -57,6 +57,14 @@ class SimPlan:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         self.sweep = sorted(self.sweep)
+        if self.channel_kind == "overhead":
+            # the draw clamps k + delta to 0..n_transmitted, so a delta past
+            # either end would silently run that end's channel
+            k, ntx = self.code.k, self.code.n_transmitted
+            bad = [d for d in self.sweep if not -k <= d <= ntx - k]
+            if bad:
+                raise ValueError(f"overhead {bad[0]} outside -{k}..{ntx - k}: a trial "
+                                 f"receives k + delta of the {ntx} transmitted symbols")
 
 
 @dataclass

@@ -250,7 +250,7 @@ def loop_peel_core(code, word):
         for r in h.col_adj[c]:
             rowcnt[r] += 1
     st = decode.TriangularizationState(
-        h.row_adj, h.col_adj, word.erased, unknown, rowcnt,
+        h.row_adj, h.col_adj, len(word.erased), unknown, rowcnt,
         loop_parities(h, word.values), [0] * h.cols, bytearray(h.rows))
     decode._peel(st, [r for r, cnt in enumerate(rowcnt) if cnt == 1])
     return st

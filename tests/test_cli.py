@@ -238,6 +238,17 @@ SPC_CODE = "ldpc 3 2\n1 3\n111\n"
     (["mindist", "--code", "code.txt"], {"code.txt": "ldpc 4 2\n"}, "missing matrix"),
     (["simulate", "--code", "code.txt", "--eps", "0.3"], {"code.txt": "ldpc 4 2"},
      "missing matrix"),
+    (["simulate", "--geira", "8,16", "--delta", "9"], {}, "overhead 9 outside -8..8"),
+    (["raptor-sim", "--k", "16", "--n", "32", "--delta", "17"], {},
+     "overhead 17 outside -16..16"),
+    (["raptor-sim", "--k", "16", "--n", "32", "--delta", "-17"], {},
+     "overhead -17 outside -16..16"),
+    (["bounds", "--n", "64", "--k", "32", "--eps", "0.1", "--dmin", "3"], {},
+     "--dmin and --amin together"),
+    (["bounds", "--n", "64", "--k", "32", "--eps", "0.1", "--amin", "3"], {},
+     "--dmin and --amin together"),
+    (["construct", "--geira", "0,16"], {}, "k = 0, n = 16"),
+    (["construct", "--geira", "8,8"], {}, "k = 8, n = 8"),
 ], ids=["step-zero", "step-negative", "stop-below-start", "step-config", "workers-flag",
         "workers-config", "code-header-k", "bounds-k-above-n", "target-errors-zero",
         "max-trials-zero", "geira-tap-too-large", "code-file-missing", "decoder-config",
@@ -248,7 +259,9 @@ SPC_CODE = "ldpc 3 2\n1 3\n111\n"
         "geira-n-in-config", "regular-with-taps", "regular-with-wc",
         "regular-taps-wc-in-config", "code-with-n", "thresholds-dv-zero",
         "thresholds-negative-rate", "geira-wc-above-n-k", "mindist-header-only",
-        "simulate-header-only"])
+        "simulate-header-only", "simulate-delta-above-n-k", "raptor-delta-above-n-k",
+        "raptor-delta-below-minus-k", "bounds-dmin-alone", "bounds-amin-alone",
+        "geira-k-zero", "geira-n-equals-k"])
 def test_bad_range_is_a_usage_error(tmp_path, capsys, args, files, says):
     """Exit 2 with one error line; ``says`` is a fragment that line must hold."""
     for name, text in files.items():

@@ -484,7 +484,7 @@ def test_row_pivot_takes_the_first_row_of_two_unknowns():
         p = min_row_pivot(state)
         stalls += 1
         if fewest is None:
-            assert p == next(u for u in state.columns if state.unknown[u])
+            assert p == next(u for u, unk in enumerate(state.unknown) if unk)
             return p
         fallbacks += fewest > 2
         row = counts.index(fewest)

@@ -178,6 +178,14 @@ def test_geira_bad_tap():
         GeiraSpec(k=4, n=8, taps=frozenset({0, 4}), wc=2)
 
 
+@pytest.mark.parametrize("k, n", [(0, 16), (-3, 8), (8, 8), (8, 5)])
+def test_geira_needs_a_message_and_parity(k, n):
+    """A GeIRA code needs k >= 1 message bits and n - k >= 1 parity checks;
+    the error names both, not a tap or an empty code written with exit 0."""
+    with pytest.raises(ConstructionError, match=f"got k = {k}, n = {n}"):
+        GeiraSpec(k=k, n=n, taps=frozenset({0}), wc=2)
+
+
 @pytest.mark.parametrize("wc", [4, 5])
 def test_geira_column_weight_below_n_k(wc):
     """Each information column takes wc distinct rows of the n-k parity

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import list_erased_positions, raptor_esi_draw
-from erasurelab import sim
+from conftest import list_erased_positions, random_vector, raptor_esi_draw
+from erasurelab import decode, sim
 from erasurelab.binmat import BinVector
 from erasurelab.decode import DecodeResult, ReceivedWord
 from erasurelab.ldpc import puncture, rate_family, sample_regular
@@ -213,6 +213,21 @@ def test_plan_rejects_counts_below_one(small_code, field, value):
         SimPlan(**plan)
 
 
+@pytest.mark.parametrize("code_name, lo, hi", [
+    ("small_code", -24, 24), ("punctured_code", -48, 16), ("raptor_code", -16, 16),
+])
+def test_plan_rejects_overheads_the_draw_clamps(code_name, lo, hi, request):
+    """An overhead sweep spans -k..n_transmitted-k: past either end the draw
+    receives none or all of the transmitted symbols, so such a point would
+    run another point's channel under its own label."""
+    code = request.getfixturevalue(code_name)
+    plan = dict(code=code, decoder="ml", channel_kind="overhead")
+    for bad in (lo - 1, hi + 1):
+        with pytest.raises(ValueError, match=f"overhead {bad} outside {lo}..{hi}"):
+            SimPlan(**plan, sweep=[0, bad])
+    assert SimPlan(**plan, sweep=[hi, lo]).sweep == [lo, hi]
+
+
 @pytest.mark.parametrize("code_name, decoder", [
     ("raptor_code", "it"), ("raptor_code", "xx"), ("small_code", "xx"), ("small_code", "ML"),
 ])
@@ -238,3 +253,66 @@ def test_wrong_recovered_word_counts_as_error(small_code, monkeypatch):
     plan = SimPlan(code=small_code, decoder="ml", channel_kind="bec", sweep=[0.1],
                    target_errors=10**6, max_trials=20, seed=1, zero_codeword=False)
     assert run_sweep(plan)[0].errors == 20
+
+
+def _punctured_codes(small_code, punctured_code):
+    return [punctured_code, puncture(small_code, [40, 41, 47], allow_systematic=True)]
+
+
+def test_with_punctured_keeps_a_word_that_erases_them(small_code, punctured_code):
+    """A word whose mask already erases every punctured position, or any
+    word of a code with none, is the word the decoders read: not rebuilt."""
+    rng = np.random.default_rng(31)
+    for code in [small_code] + _punctured_codes(small_code, punctured_code):
+        for share in (0.0, 0.3, 1.0):
+            mask = rng.random(code.n) < share
+            mask[code.punctured_array] = True
+            word = ReceivedWord.from_full(random_vector(code.n, rng), mask)
+            assert decode._with_punctured(code, word) is word
+
+
+def test_with_punctured_equals_the_word_built_from_positions(small_code, punctured_code):
+    """Otherwise the union of the word's mask with the punctured positions
+    gives the word built from the erased and punctured positions: the same
+    values, every punctured bit cleared, and the same mask; the word given
+    is left as it was."""
+    rng = np.random.default_rng(37)
+    for code in _punctured_codes(small_code, punctured_code):
+        for share in (0.0, 0.1, 0.5, 0.9):
+            for _ in range(10):
+                full = random_vector(code.n, rng)
+                mask = rng.random(code.n) < share
+                mask[code.punctured_array[0]] = False
+                word = ReceivedWord.from_full(full, mask)
+                got = decode._with_punctured(code, word)
+                ref = ReceivedWord.from_full(
+                    full, np.flatnonzero(mask).tolist() + sorted(code.punctured))
+                assert got.values == ref.values
+                assert np.array_equal(got.erased_mask, ref.erased_mask)
+                assert word.erased_mask is mask and not mask[code.punctured_array[0]]
+
+
+def test_trial_path_builds_no_positions(monkeypatch, small_code, punctured_code, raptor_code):
+    """No word of a simulated trial derives its erased positions: the draw,
+    the union with the punctured positions and every decoder read the mask
+    alone, on trials that peel, stall under peeling, and fail."""
+    words = []
+    build = ReceivedWord.from_full.__func__
+
+    def recording(cls, full, erased):
+        words.append(build(cls, full, erased))
+        return words[-1]
+
+    monkeypatch.setattr(ReceivedWord, "from_full", classmethod(recording))
+    outcomes = set()
+    for code, decoders in [(small_code, ("it", "ml", "hybrid")),
+                           (punctured_code, ("it", "ml", "hybrid")), (raptor_code, ("ml",))]:
+        for decoder in decoders:
+            for eps in (0.1, 0.45, 0.8):
+                for seed in range(6):
+                    ok, _ = run_trial(code, decoder, ChannelModel("bec", epsilon=eps),
+                                      np.random.default_rng(seed), zero_codeword=False)
+                    outcomes.add(ok)
+    assert outcomes == {True, False}
+    assert len(words) == (7 + 3) * 3 * 6  # a word per trial, a union per punctured trial
+    assert not [w for w in words if "erased" in w.__dict__]
