@@ -91,33 +91,6 @@ class WeightSpectrumTail:
     a_min: int
 
 
-def _de_converges(dist: DegreeDistribution, eps: float,
-                  iters: int = 2000, cutoff: float = 1e-9) -> bool:
-    # lam(1 - rho(1 - x)) on Python floats over the non-zero terms: cheaper
-    # per step than the numpy powers of lam_eval/rho_eval
-    lam = [(i, float(l)) for i, l in enumerate(dist.lam) if l]
-    rho = [(j, float(r)) for j, r in enumerate(dist.rho) if r]
-    # With degree-2 variables DE near 0 contracts only by the stability
-    # factor eps·lam2·rho'(1) per step: near a threshold that this factor
-    # sets, far too slowly to reach ``cutoff`` within ``iters``. So stop once
-    # rho'(1)·x_next < y. Without degree-1 variables lam(y)/y grows with y,
-    # and 1 - rho(1 - u) <= rho'(1)·u, so then eps·lam(1 - rho(1 - u)) < u
-    # for every u in (0, x] and DE goes to 0. As x -> 0 the stop becomes
-    # eps·lam2·rho'(1) < 1.
-    stable_stop = len(dist.lam) > 1 and not dist.lam[0] and dist.lam[1] > 0
-    drho = sum(j * r for j, r in rho)
-    x = eps
-    for _ in range(iters):
-        y = 1.0 - sum(r * (1.0 - x) ** j for j, r in rho)
-        x_next = eps * sum(l * y ** i for i, l in lam)
-        if x_next < cutoff or (stable_stop and drho * x_next < y):
-            return True
-        if abs(x_next - x) < 1e-15:
-            return False
-        x = x_next
-    return x < cutoff
-
-
 def _bisect(converges, tol: float) -> float:
     """Supremum, to within ``tol``, of the eps in [0, 1] where
     ``converges(eps)`` holds, for a predicate that holds below some point."""
@@ -132,17 +105,17 @@ def _bisect(converges, tol: float) -> float:
 
 
 def _closed_form_threshold(dist: DegreeDistribution):
-    """The exact IT and ML threshold of an ensemble whose edge messages
-    density evolution cannot follow to it, or None.
+    """The exact IT and ML threshold of an ensemble that the fixed-point
+    formula of ``it_threshold`` does not give exactly, or None.
 
     A degree-1 variable node's message is its channel erasure for ever,
     while its bit is recovered once the other bits of its check are. With
     every check of degree 1 (H = I, the only such ensemble of rate >= 0)
     every bit is pinned: threshold 1. Otherwise such a check holds another
     erased bit with positive probability at every eps > 0, for the IT and
-    the ML decoder alike: threshold 0. On the (2,2) cycle ensemble density
-    evolution is x -> eps·x, which tends to 0 for every eps < 1 but more
-    slowly than any iteration cap as eps nears 1: threshold 1."""
+    the ML decoder alike: threshold 0. On the (2,2) cycle ensemble
+    x / lam(1 - rho(1 - x)) is x / x, 1 for every x, but its float
+    evaluation rounds to 0.9999999999999998 at some x: threshold 1."""
     vdeg = {i + 1 for i, lam in enumerate(dist.lam) if lam}
     cdeg = {j + 1 for j, rho in enumerate(dist.rho) if rho}
     if 1 in vdeg:
@@ -152,28 +125,39 @@ def _closed_form_threshold(dist: DegreeDistribution):
     return None
 
 
-def it_threshold(dist: DegreeDistribution, tol: float = 1e-5) -> float:
-    """Supremum erasure probability for which density evolution converges."""
-    exact = _closed_form_threshold(dist)
-    if exact is not None:
-        return exact
-    return _bisect(lambda eps: _de_converges(dist, eps), tol)
+def _eps_of_x(dist: DegreeDistribution, x):
+    """(eps, y): the channel erasure eps = x / lam(y) that makes x a fixed
+    point of DE, where y = 1 - rho(1 - x). Each 1 - (1 - x)^j is taken as
+    -expm1(j·log1p(-x)), as the plain form cancels at small x; degree-1
+    checks add 0 (and 0·log1p(-1) would be nan). log1p(-1) = -inf at x = 1
+    and a lam(y) that underflows to 0 (eps = inf) raise no warning."""
+    with np.errstate(divide="ignore", over="ignore"):
+        y = sum(r * -np.expm1(j * np.log1p(-x)) for j, r in enumerate(dist.rho) if r and j)
+        return x / dist.lam_eval(y), y
 
 
-def _find_bp(dist: DegreeDistribution):
-    """Locate the minimum of p_A(x) on (0, 1] by golden-section search."""
+def _bp_point(dist: DegreeDistribution):
+    """(x_BP, eps_BP), the argmin and minimum of eps(x) over x in (0, 1]:
+    DE converges at eps iff eps·lam(1 - rho(1 - x)) < x for all such x. The
+    grid is log-spaced near 0, where the stability condition can set the
+    minimum, then linear; golden-section search refines it. The smallest
+    value seen wins, as eps(x) near 0 can be flat to within rounding."""
+    xs = np.concatenate([np.logspace(-12, -3, 2000), np.linspace(1e-3, 1.0, 20001)[1:]])
+    eps = _eps_of_x(dist, xs)[0]
+    i = int(np.argmin(eps))
+    best = (float(eps[i]), float(xs[i]))
+    a, b = (float(xs[i - 1]) if i else 0.0), float(xs[min(i + 1, len(xs) - 1)])
 
     def pa(x):
-        d = dist.lam_eval(1.0 - dist.rho_eval(1.0 - x))
-        return x / d if d > 0 else math.inf
+        return float(_eps_of_x(dist, x)[0])
 
     gr = (math.sqrt(5) - 1) / 2
-    a, b = 1e-9, 1.0
     c = b - gr * (b - a)
     d = a + gr * (b - a)
     fc, fd = pa(c), pa(d)
     for _ in range(200):
-        if fc < fd:
+        best = min(best, (fc, c), (fd, d))
+        if fc <= fd:
             b, d, fd = d, c, fc
             c = b - gr * (b - a)
             fc = pa(c)
@@ -181,18 +165,27 @@ def _find_bp(dist: DegreeDistribution):
             a, c, fc = c, d, fd
             d = a + gr * (b - a)
             fd = pa(d)
-    x_bp = 0.5 * (a + b)
-    return x_bp, pa(x_bp)
+    return best[1], best[0]
+
+
+def it_threshold(dist: DegreeDistribution) -> float:
+    """Supremum erasure probability for which density evolution converges:
+    the minimum of x / lam(1 - rho(1 - x)) over x in (0, 1]."""
+    exact = _closed_form_threshold(dist)
+    if exact is not None:
+        return exact
+    return _bp_point(dist)[1]
 
 
 def exit_curve(dist: DegreeDistribution, grid: int = 100001) -> ExitCurve:
-    """IT-decoder EXIT curve in parametric form over x in [x_BP, 1]."""
-    x_bp, eps_bp = _find_bp(dist)
+    """IT-decoder EXIT curve in parametric form over x in [x_BP, 1], on the
+    branch of largest fixed points: a point stays only if no larger x has a
+    smaller p_a, so p_a never decreases along the curve."""
+    x_bp, eps_bp = _bp_point(dist)
     xs = np.linspace(x_bp, 1.0, grid)
-    y = 1.0 - dist.rho_eval(1.0 - xs)
-    p_a = xs / dist.lam_eval(y)
-    p_e = dist.node_lambda_eval(y)
-    return ExitCurve(xs, p_a, p_e, x_bp, eps_bp)
+    p_a, y = _eps_of_x(dist, xs)
+    keep = p_a <= np.minimum.accumulate(p_a[::-1])[::-1]
+    return ExitCurve(xs[keep], p_a[keep], dist.node_lambda_eval(y[keep]), x_bp, eps_bp)
 
 
 def _area_crossing(p_a, p_e, r: float):

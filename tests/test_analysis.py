@@ -58,19 +58,18 @@ def test_it_threshold_5_15():
     assert abs(it_threshold(DegreeDistribution.regular(5, 15)) - 0.2303) < 5e-4
 
 
-def test_de_bracketing():
-    from erasurelab.analysis import _de_converges
-
-    dist = DegreeDistribution.regular(3, 6)
-    assert _de_converges(dist, 0.0)
-    assert not _de_converges(dist, 1.0)
+TABLED = ((3, 6), (4, 8), (5, 10), (6, 12), (3, 9), (4, 12), (5, 15))
+# x / lam(1 - rho(1 - x)) has its infimum as x -> 0 and a local minimum at x = 0.2265
+NON_UNIMODAL = DegreeDistribution((0.0, 0.5, 0.0, 0.0, 0.5), (0.0, 0.0, 0.0, 0.0, 0.0, 0.7, 0.3))
 
 
 def _numpy_de_converges(dist, eps, iters=2000, cutoff=1e-9):
     """Reference density evolution through the array evaluators, every
-    coefficient included: the loop `_de_converges` replaces. With degree-2
-    variables and none of degree 1 it stops, as `_de_converges` does, once
-    rho'(1)·x_next < y, the stability condition's bound."""
+    coefficient included: bisection over it checks the minimisation in
+    `it_threshold` by a second route. With degree-2 variables and none of
+    degree 1 it stops once rho'(1)·x_next < y, the stability condition's
+    bound: then lam(y)/y grows with y and 1 - rho(1 - u) <= rho'(1)·u, so DE
+    maps every u <= x below u."""
     stable_stop = len(dist.lam) > 1 and dist.lam[0] == 0 and dist.lam[1] > 0
     drho = sum(j * r for j, r in enumerate(dist.rho))
     x = eps
@@ -85,16 +84,67 @@ def _numpy_de_converges(dist, eps, iters=2000, cutoff=1e-9):
     return x < cutoff
 
 
+def _de(dist, eps, iters):
+    """The erasure probability of a variable-to-check message after
+    ``iters`` steps of density evolution at channel erasure ``eps``, and the
+    y = 1 - rho(1 - x) of the last step, on Python floats."""
+    x = y = eps
+    for _ in range(iters):
+        y = 1.0 - sum(r * (1.0 - x) ** j for j, r in enumerate(dist.rho) if r)
+        x = eps * sum(l * y ** i for i, l in enumerate(dist.lam) if l)
+    return x, y
+
+
 def test_it_threshold_matches_numpy_evaluation():
     from erasurelab.analysis import _bisect
 
     tol = 1e-5
-    dists = [DegreeDistribution.regular(dv, dc)
-             for dv, dc in ((3, 6), (4, 8), (5, 10), (6, 12), (3, 9), (4, 12), (5, 15))]
-    dists.append(DegreeDistribution((0.0, 0.5, 0.0, 0.0, 0.5), (0.0, 0.0, 0.0, 0.0, 0.0, 0.7, 0.3)))
+    dists = [DegreeDistribution.regular(dv, dc) for dv, dc in TABLED] + [NON_UNIMODAL]
+    # lam2 = 0.41: the threshold is the x -> 0 limit 1/(lam2·rho'(1)) = 0.460193,
+    # 3.8e-4 below a local minimum at x = 0.289, and by x = 1e-3 the ratio
+    # has already risen above that local minimum
+    dists.append(DegreeDistribution((0.0, 0.41, 0.0, 0.0, 0.59), (0.0, 0.0, 0.0, 0.0, 0.0, 0.7, 0.3)))
     for dist in dists:
         ref = _bisect(lambda eps: _numpy_de_converges(dist, eps), tol)
-        assert abs(it_threshold(dist, tol) - ref) <= tol
+        assert abs(it_threshold(dist) - ref) <= tol
+
+
+@pytest.mark.parametrize("dv, dc", TABLED)
+def test_de_brackets_the_tabled_thresholds(dv, dc):
+    """2000 steps of density evolution go below 1e-9 just below the
+    threshold and stay above 1e-3 just above it."""
+    dist = DegreeDistribution.regular(dv, dc)
+    eps = it_threshold(dist)
+    assert _de(dist, eps - 1e-5, 2000)[0] < 1e-9
+    assert _de(dist, eps + 1e-5, 2000)[0] > 1e-3
+
+
+def test_threshold_below_the_stability_bound():
+    """With degree-2 and degree-3 variables the threshold lies just under
+    the stability bound 1/(lam2·rho'(1)) = 0.521427, above 0.52077, where DE
+    run for 300,000 steps still converges. DE capped at 2000 steps stalled
+    short of 0 there and put the threshold at 0.52053."""
+    dist = DegreeDistribution((0.0, 0.7507, 0.2493), (0.0, 0.0, 0.4453, 0.5547))
+    assert 0.52077 < it_threshold(dist) <= 1 / (0.7507 * (2 * 0.4453 + 3 * 0.5547))
+
+
+def test_non_unimodal_ensemble_takes_the_global_minimum():
+    """x / lam(1 - rho(1 - x)) has its infimum 1/(lam2·rho'(1)) = 0.37736 as
+    x -> 0 and a local minimum 0.43352 at x = 0.2265. The EXIT curve starts
+    at the infimum and follows the largest fixed point of DE, and the area
+    bound lands between the IT threshold and capacity."""
+    dist = NON_UNIMODAL
+    eps_it = it_threshold(dist)
+    curve = exit_curve(dist)
+    assert curve.eps_bp == eps_it
+    assert abs(eps_it - 1 / (0.5 * (5 * 0.7 + 6 * 0.3))) < 1e-12
+    assert (np.diff(curve.p_a) >= 0).all()
+    _, y = _de(dist, 0.40, 200_000)
+    assert abs(dist.node_lambda_eval(y) - 0.014108) < 1e-5
+    assert abs(np.interp(0.40, curve.p_a, curve.p_e) - dist.node_lambda_eval(y)) < 1e-4
+    bound, degenerate = ml_threshold_bound(dist)
+    assert not degenerate
+    assert eps_it < bound < 1.0 - dist.rate
 
 
 def test_exit_curve_endpoints_and_monotonic():
@@ -359,12 +409,12 @@ def test_degree_two_thresholds_meet_the_stability_bound(dc):
 
 
 def test_tabled_thresholds_exact():
-    """The seven tabled ensembles have no degree-2 variables: their IT
-    thresholds are those of plain capped DE, repr for repr."""
-    pinned = {(3, 6): 0.4294395446777344, (4, 8): 0.3834419250488281,
-              (5, 10): 0.3415489196777344, (6, 12): 0.3074607849121094,
-              (3, 9): 0.2828330993652344, (4, 12): 0.2570838928222656,
-              (5, 15): 0.23032760620117188}
+    """The minima of x / lam(1 - rho(1 - x)) for the seven tabled
+    ensembles, repr for repr."""
+    pinned = {(3, 6): 0.42943981441949175, (4, 8): 0.38344657232173657,
+              (5, 10): 0.34155002304228976, (6, 12): 0.3074622614781,
+              (3, 9): 0.2828368323849195, (4, 12): 0.25708100440020015,
+              (5, 15): 0.23032886910579525}
     for (dv, dc), eps in pinned.items():
         assert it_threshold(DegreeDistribution.regular(dv, dc)) == eps
 
