@@ -14,6 +14,12 @@ import numpy as np
 from .binmat import BinVector
 from .ldpc import LdpcCode, Protograph, encode
 
+_EXIT_GRID = 100001  # points of an ensemble's EXIT curve over [x_BP, 1]
+_PROTO_EXIT_GRID = 2001  # a-priori erasures of a protograph's EXIT curve
+_PROTO_THRESHOLD_TOL = 1e-4  # bisection width of a protograph's IT threshold
+_PROTO_DE_CUTOFF = 1e-9  # posterior erasure below which protograph DE succeeds
+_MINDIST_CAP_K = 24  # largest k whose 2^k codewords the minimum distance enumerates
+
 
 @dataclass(frozen=True)
 class DegreeDistribution:
@@ -157,6 +163,8 @@ def _bp_point(dist: DegreeDistribution):
     fc, fd = pa(c), pa(d)
     for _ in range(200):
         best = min(best, (fc, c), (fd, d))
+        if (fc <= fd and d == b) or (fc > fd and c == a):  # the bracket stops shrinking
+            break
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - gr * (b - a)
@@ -177,12 +185,12 @@ def it_threshold(dist: DegreeDistribution) -> float:
     return _bp_point(dist)[1]
 
 
-def exit_curve(dist: DegreeDistribution, grid: int = 100001) -> ExitCurve:
+def exit_curve(dist: DegreeDistribution) -> ExitCurve:
     """IT-decoder EXIT curve in parametric form over x in [x_BP, 1], on the
     branch of largest fixed points: a point stays only if no larger x has a
     smaller p_a, so p_a never decreases along the curve."""
     x_bp, eps_bp = _bp_point(dist)
-    xs = np.linspace(x_bp, 1.0, grid)
+    xs = np.linspace(x_bp, 1.0, _EXIT_GRID)
     p_a, y = _eps_of_x(dist, xs)
     keep = p_a <= np.minimum.accumulate(p_a[::-1])[::-1]
     return ExitCurve(xs[keep], p_a[keep], dist.node_lambda_eval(y[keep]), x_bp, eps_bp)
@@ -205,14 +213,14 @@ def _area_crossing(p_a, p_e, r: float):
     return float(x0 + frac * (x1 - x0))
 
 
-def ml_threshold_bound(dist: DegreeDistribution, grid: int = 100001):
+def ml_threshold_bound(dist: DegreeDistribution):
     """Area-theorem upper bound p_A* on the ML threshold: the abscissa where
     the area under the IT EXIT curve, from p_A* to 1, equals the rate.
     Returns (bound, degenerate); a degenerate bound is the IT threshold."""
     exact = _closed_form_threshold(dist)
     if exact is not None:
         return exact, True
-    curve = exit_curve(dist, grid)
+    curve = exit_curve(dist)
     x = _area_crossing(curve.p_a, curve.p_e, dist.rate)
     return (curve.eps_bp, True) if x is None else (x, False)
 
@@ -307,24 +315,24 @@ def _priors(p: Protograph, eps: float):
     return [1.0 if j in p.punctured_cols else float(eps) for j in range(p.n_vars)]
 
 
-def protograph_de(p: Protograph, eps: float, cutoff: float = 1e-9) -> bool:
+def protograph_de(p: Protograph, eps: float) -> bool:
     """Whether per-edge-type DE at channel erasure eps drives every variable
     node's posterior erasure probability to zero (punctured nodes use prior 1)."""
     _, _, post = _proto_fixed_point(_edge_types(p), _priors(p, eps))
-    return all(x < cutoff for x in post)
+    return all(x < _PROTO_DE_CUTOFF for x in post)
 
 
-def protograph_it_threshold(p: Protograph, tol: float = 1e-4) -> float:
-    return _bisect(lambda eps: protograph_de(p, eps), tol)
+def protograph_it_threshold(p: Protograph) -> float:
+    return _bisect(lambda eps: protograph_de(p, eps), _PROTO_THRESHOLD_TOL)
 
 
-def protograph_exit_curve(p: Protograph, grid: int = 2001):
+def protograph_exit_curve(p: Protograph):
     """Average extrinsic erasure over transmitted VNs versus the a-priori
     erasure applied to transmitted VNs, swept downward with warm starts."""
     edges = _edge_types(p)
     sent = [j for j in range(p.n_vars) if j not in p.punctured_cols]
-    pas = np.linspace(1.0, 0.0, grid)
-    pes = np.zeros(grid)
+    pas = np.linspace(1.0, 0.0, _PROTO_EXIT_GRID)
+    pes = np.zeros(_PROTO_EXIT_GRID)
     v = None
     for i, pa in enumerate(pas):
         v, extrinsic, _ = _proto_fixed_point(edges, _priors(p, pa), v0=v)
@@ -335,10 +343,10 @@ def protograph_exit_curve(p: Protograph, grid: int = 2001):
     return pas[::-1], pes[::-1]
 
 
-def protograph_ml_bound(p: Protograph, grid: int = 2001):
+def protograph_ml_bound(p: Protograph):
     """Area-theorem bound for a protograph ensemble, rate over transmitted
     positions only."""
-    pas, pes = protograph_exit_curve(p, grid)
+    pas, pes = protograph_exit_curve(p)
     x = _area_crossing(pas, pes, p.design_rate)
     return (float(pas[0]), True) if x is None else (x, False)
 
@@ -403,14 +411,14 @@ def error_floor_estimate(tail: WeightSpectrumTail, eps: float) -> float:
     return tail.a_min * eps ** tail.d_min
 
 
-def exhaustive_min_distance(code: LdpcCode, cap_k: int = 24) -> WeightSpectrumTail:
+def exhaustive_min_distance(code: LdpcCode) -> WeightSpectrumTail:
     """Exact d_min and multiplicity by enumerating all nonzero codewords in
     Gray-code order: step i flips message bit j, the number of trailing
     zeros of i, so the codeword changes by generator word j, the codeword of
     the unit message j. Weights count transmitted positions only: punctured
     ones are never sent, so they are always erased."""
-    if code.k > cap_k:
-        raise ValueError(f"k = {code.k} exceeds enumeration cap {cap_k}")
+    if code.k > _MINDIST_CAP_K:
+        raise ValueError(f"k = {code.k} exceeds enumeration cap {_MINDIST_CAP_K}")
     sent = sum(1 << j for j in code.transmitted)
     gen = [encode(code, BinVector(code.k, 1 << j)).bits & sent for j in range(code.k)]
     best = code.n + 1

@@ -188,31 +188,28 @@ def _cmd_bounds(args, parser):
     if (args.dmin is None) != (args.amin is None):
         parser.error("give --dmin and --amin together")
     hdr = _echo_header(args, ["n", "k", "eps", "dmin", "amin"])
-    lines = [f"# {key}={val}" for key, val in hdr.items()]
-    has_floor = args.dmin is not None
-    tail = analysis.WeightSpectrumTail(args.dmin, args.amin) if has_floor else None
-    lines.append("epsilon,singleton,berlekamp" + (",floor" if has_floor else ""))
+    tail = None if args.dmin is None else analysis.WeightSpectrumTail(args.dmin, args.amin)
+    columns = "epsilon,singleton,berlekamp" + ("" if tail is None else ",floor")
+    rows = []
     for eps in args.eps:
         sb = analysis.singleton_bound(args.n, args.k, eps)
         bb = analysis.berlekamp_bound(args.n, args.k, eps)
         row = f"{eps:g},{sb:.8g},{bb:.8g}"
-        if has_floor:
+        if tail is not None:
             row += f",{analysis.error_floor_estimate(tail, eps):.8g}"
-        lines.append(row)
-    _emit("\n".join(lines) + "\n", args.out)
+        rows.append(row)
+    _emit(sim.format_csv(hdr, columns, rows), args.out)
     return 0
 
 
 def _cmd_thresholds(args, parser):
     if not args.regular:
         parser.error("give --regular dv,dc")
-    hdr = _echo_header(args, ["regular"])
-    lines = [f"# {key}={val}" for key, val in hdr.items()]
-    lines.append("ensemble,eps_it,eps_ml_bound,eps_sh")
     dv, dc = args.regular
     rep = analysis.threshold_report(analysis.DegreeDistribution.regular(dv, dc))
-    lines.append(f"({dv}:{dc}),{rep.eps_it:.6f},{rep.eps_ml_bound:.6f},{rep.eps_sh:.6f}")
-    _emit("\n".join(lines) + "\n", args.out)
+    row = f"({dv}:{dc}),{rep.eps_it:.6f},{rep.eps_ml_bound:.6f},{rep.eps_sh:.6f}"
+    _emit(sim.format_csv(_echo_header(args, ["regular"]), "ensemble,eps_it,eps_ml_bound,eps_sh",
+                         [row]), args.out)
     return 0
 
 
@@ -237,11 +234,8 @@ def _cmd_mindist(args, parser):
         parser.error("give --code")
     code = ldpc.load_code(args.code)
     tail = analysis.exhaustive_min_distance(code)
-    hdr = _echo_header(args, ["code"])
-    lines = [f"# {key}={val}" for key, val in hdr.items()]
-    lines.append("d_min,a_min")
-    lines.append(f"{tail.d_min},{tail.a_min}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(sim.format_csv(_echo_header(args, ["code"]), "d_min,a_min",
+                         [f"{tail.d_min},{tail.a_min}"]), args.out)
     return 0
 
 

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -19,6 +21,8 @@ from .ldpc import encode
 from .raptor import RaptorCode
 
 CSV_COLUMNS = "sweep_value,trials,errors,cer,ci95,mean_pivots,mean_ge_dim"
+_Z95 = 1.959964  # the normal quantile of a two-sided 95% interval
+_BLOCK = 256  # trials per worker in each round of a sweep point
 
 
 @dataclass(frozen=True)
@@ -31,7 +35,16 @@ class ChannelModel:
         if self.kind not in ("bec", "overhead"):
             raise ValueError(f"unknown channel kind {self.kind!r}")
         if self.kind == "bec" and not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must lie in [0, 1]")
+            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon!r}")
+        if self.kind == "overhead" and self.delta % 1 != 0:  # true for nan and inf too
+            raise ValueError(f"overhead must be an integer, got {self.delta!r}")
+        object.__setattr__(self, "delta", int(self.delta))  # an overhead of 2.0 draws as 2
+
+
+def _channel(kind: str, value) -> ChannelModel:
+    if kind == "bec":
+        return ChannelModel("bec", epsilon=float(value))
+    return ChannelModel("overhead", delta=value)
 
 
 @dataclass
@@ -57,6 +70,8 @@ class SimPlan:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         self.sweep = sorted(self.sweep)
+        for value in self.sweep:  # a bad value fails here, before any trial
+            _channel(self.channel_kind, value)
         if self.channel_kind == "overhead":
             # the draw clamps k + delta to 0..n_transmitted, so a delta past
             # either end would silently run that end's channel
@@ -77,13 +92,13 @@ class SimRecord:
     mean_pivots: float  # the CSV writes it to both pivot columns
 
 
-def wilson_halfwidth(errors: int, trials: int, z: float = 1.959964) -> float:
+def wilson_halfwidth(errors: int, trials: int) -> float:
     if trials == 0:
         return 0.0
     p = errors / trials
-    z2 = z * z
+    z2 = _Z95 * _Z95
     denom = 1.0 + z2 / trials
-    return z * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials)) / denom
+    return _Z95 * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials)) / denom
 
 
 def run_trial(code, decoder: str, channel: ChannelModel, rng, zero_codeword=True) -> tuple:
@@ -130,71 +145,53 @@ def _erasure_mask(code, channel, rng) -> np.ndarray:
     return mask
 
 
-def _trial_block(code, decoder, channel, seed, point_idx, t0, t1, zero_codeword):
+def _trial_block(code, decoder, channel, seed, point_idx, zero_codeword, t0, t1):
     return [run_trial(code, decoder, channel, np.random.default_rng((seed, point_idx, t)),
                       zero_codeword) for t in range(t0, t1)]
 
 
 def run_point(plan: SimPlan, point_idx: int, value, executor=None) -> SimRecord:
-    channel = (
-        ChannelModel("bec", epsilon=float(value))
-        if plan.channel_kind == "bec"
-        else ChannelModel("overhead", delta=int(value))
-    )
-    block = 256
+    """Run one sweep point until target_errors error events or max_trials,
+    in rounds of one block of up to ``_BLOCK`` trials per worker, mapped
+    through ``executor.map``, or through ``map`` here without an executor."""
+    block = partial(_trial_block, plan.code, plan.decoder, _channel(plan.channel_kind, value),
+                    plan.seed, point_idx, plan.zero_codeword)
+    run = map if executor is None else executor.map
     trials = errors = 0
     piv_sum = 0.0
-    t = 0
-    stop = False
-    while not stop and t < plan.max_trials:
-        t1 = min(t + block * plan.workers, plan.max_trials)
-        if executor is None:
-            results = _trial_block(plan.code, plan.decoder, channel, plan.seed,
-                                   point_idx, t, t1, plan.zero_codeword)
-        else:
-            spans = _split_span(t, t1, plan.workers)
-            futures = [
-                executor.submit(_trial_block, plan.code, plan.decoder, channel,
-                                plan.seed, point_idx, a, b, plan.zero_codeword)
-                for a, b in spans
-            ]
-            results = [r for f in futures for r in f.result()]
-        # scan in trial-index order so the stop point is worker-independent
+    while errors < plan.target_errors and trials < plan.max_trials:
+        t1 = min(trials + _BLOCK * plan.workers, plan.max_trials)
+        step = -(-(t1 - trials) // plan.workers)
+        starts = range(trials, t1, step)
+        # the whole round is collected, then scanned in trial-index order: the
+        # stop lands on the same trial at any worker count, with no block running
+        results = [r for rs in run(block, starts, [min(a + step, t1) for a in starts]) for r in rs]
         for ok, piv in results:
             trials += 1
             piv_sum += piv
             if not ok:
                 errors += 1
-                if errors >= plan.target_errors:
-                    stop = True
+                if errors == plan.target_errors:
                     break
-        t = t1
     # the plan holds max_trials >= 1, so every point ran a trial
     return SimRecord(value, trials, errors, errors / trials, wilson_halfwidth(errors, trials),
                      piv_sum / trials)
 
 
-def _split_span(t0, t1, workers):
-    step = max(1, (t1 - t0 + workers - 1) // workers)
-    return [(a, min(a + step, t1)) for a in range(t0, t1, step)]
-
-
 def run_sweep(plan: SimPlan) -> list:
     """Run every sweep point until target_errors error events or max_trials."""
-    if plan.workers > 1:
-        with ProcessPoolExecutor(max_workers=plan.workers) as ex:
-            return [run_point(plan, i, v, ex) for i, v in enumerate(plan.sweep)]
-    return [run_point(plan, i, v) for i, v in enumerate(plan.sweep)]
+    pool = ProcessPoolExecutor(max_workers=plan.workers) if plan.workers > 1 else nullcontext()
+    with pool as executor:
+        return [run_point(plan, i, v, executor) for i, v in enumerate(plan.sweep)]
+
+
+def format_csv(header: dict, columns: str, rows) -> str:
+    """A '# key=value' line per header entry, the column row, then the rows."""
+    lines = [f"# {key}={val}" for key, val in header.items()]
+    return "\n".join([*lines, columns, *rows]) + "\n"
 
 
 def records_to_csv(records, header: dict = None) -> str:
-    lines = []
-    for key, val in (header or {}).items():
-        lines.append(f"# {key}={val}")
-    lines.append(CSV_COLUMNS)
-    for r in records:
-        lines.append(
-            f"{r.sweep_value:g},{r.trials},{r.errors},{r.cer:.8g},"
-            f"{r.ci95:.8g},{r.mean_pivots:.8g},{r.mean_pivots:.8g}"
-        )
-    return "\n".join(lines) + "\n"
+    return format_csv(header or {}, CSV_COLUMNS, (
+        f"{r.sweep_value:g},{r.trials},{r.errors},{r.cer:.8g},"
+        f"{r.ci95:.8g},{r.mean_pivots:.8g},{r.mean_pivots:.8g}" for r in records))

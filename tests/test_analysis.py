@@ -148,7 +148,7 @@ def test_non_unimodal_ensemble_takes_the_global_minimum():
 
 
 def test_exit_curve_endpoints_and_monotonic():
-    curve = exit_curve(DegreeDistribution.regular(3, 6), grid=20001)
+    curve = exit_curve(DegreeDistribution.regular(3, 6))
     assert curve.p_a[-1] == pytest.approx(1.0)
     assert curve.p_e[-1] == pytest.approx(1.0)
     assert abs(min(curve.p_a) - 0.4294) < 1e-3

@@ -146,6 +146,22 @@ def test_config_switch_rejects_other_text(tmp_path, capsys, text):
         "(1/0, true/false or yes/no)"]
 
 
+def test_bad_eps_fails_before_any_trial(capsys, monkeypatch):
+    """An epsilon outside [0, 1] later in the sweep is one error line and
+    exit 2 before the valid points run, and no CSV is written."""
+    from erasurelab import sim
+
+    calls, real = [], sim.run_trial
+    monkeypatch.setattr(sim, "run_trial", lambda *args: calls.append(args) or real(*args))
+    code = main(["simulate", "--regular", "3,6", "--n", "96", "--eps", "0.3,1.5",
+                 "--max-trials", "20"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["erasurelab: error: epsilon must lie in [0, 1], got 1.5"]
+    assert calls == []
+
+
 def test_unknown_flag_nonzero_exit(capsys):
     code = main(["simulate", "--bogus"])
     capsys.readouterr()

@@ -97,6 +97,9 @@ def test_channel_validation():
         ChannelModel("awgn")
     with pytest.raises(ValueError):
         ChannelModel("bec", epsilon=1.5)
+    with pytest.raises(ValueError, match="overhead must be an integer, got 2.5"):
+        ChannelModel("overhead", delta=2.5)
+    assert ChannelModel("overhead", delta=2.0).delta == 2
 
 
 def test_trial_eps0_always_succeeds(small_code):
@@ -146,6 +149,29 @@ def test_worker_count_does_not_change_csv(small_code, raptor_code):
     serial = records_to_csv(run_sweep(SimPlan(**base, workers=1)))
     parallel = records_to_csv(run_sweep(SimPlan(**base, workers=2)))
     assert serial == parallel
+
+
+def test_stop_inside_a_block_is_worker_independent(small_code):
+    """A point that reaches target_errors partway through a block, after
+    several rounds at one worker and more than one round at three, stops on
+    the same trial, so the CSV bytes do not depend on the worker count."""
+    base = dict(code=small_code, decoder="it", channel_kind="bec", sweep=[0.25, 0.3],
+                target_errors=40, max_trials=5000, seed=6)
+    runs = {w: run_sweep(SimPlan(**base, workers=w)) for w in (1, 2, 3)}
+    assert records_to_csv(runs[1]) == records_to_csv(runs[2]) == records_to_csv(runs[3])
+    rec = runs[1][0]
+    block = 256  # trials per worker in a round
+    assert rec.errors == 40 and 3 * block < rec.trials < 5000 and rec.trials % block
+
+
+def test_run_point_without_executor_ignores_the_worker_count(small_code):
+    """With no executor a plan of three workers runs its blocks in this
+    process and gives the record of the one-worker plan."""
+    base = dict(code=small_code, decoder="hybrid", channel_kind="bec", sweep=[0.42],
+                target_errors=30, max_trials=2000, seed=8)
+    one = sim.run_point(SimPlan(**base, workers=1), 0, 0.42)
+    three = sim.run_point(SimPlan(**base, workers=3), 0, 0.42)
+    assert one == three and one.errors == 30
 
 
 def test_dominance_ml_vs_it(small_code):
@@ -211,6 +237,21 @@ def test_plan_rejects_counts_below_one(small_code, field, value):
     plan[field] = value
     with pytest.raises(ValueError, match=f"{field} must be >= 1, got {value}"):
         SimPlan(**plan)
+
+
+@pytest.mark.parametrize("kind, good, bad, says", [
+    ("bec", 0.3, 1.5, "epsilon must lie in [0, 1], got 1.5"),
+    ("bec", 0.3, -0.1, "epsilon must lie in [0, 1], got -0.1"),
+    ("bec", 0.3, float("nan"), "epsilon must lie in [0, 1], got nan"),
+    ("overhead", 2, 2.5, "overhead must be an integer, got 2.5"),
+])
+def test_plan_rejects_a_channel_value(small_code, kind, good, bad, says):
+    """A sweep value the channel rejects fails when the plan is built, not
+    after the points before it have run; an overhead of 2.5 would otherwise
+    run as 2 under the label 2.5."""
+    with pytest.raises(ValueError) as info:
+        SimPlan(code=small_code, decoder="ml", channel_kind=kind, sweep=[good, bad])
+    assert str(info.value) == says
 
 
 @pytest.mark.parametrize("code_name, lo, hi", [
