@@ -7,10 +7,8 @@ on n, and decoding already succeeds sometimes at delta = 0, which a plain
 LT-only decoder (needing all L intermediate symbols) cannot do.
 """
 
-import numpy as np
-
 from erasurelab.raptor import RaptorCode
-from erasurelab.sim import ChannelModel, run_trial, wilson_halfwidth
+from erasurelab.sim import SimPlan, run_sweep
 
 code = RaptorCode.build(64, 128, seed=0)
 p = code.params
@@ -18,14 +16,7 @@ print(f"# k={p.k} n={p.n} s={p.s} h={p.h} L={p.L} lt_seed={p.lt_seed}")
 print(f"# structured-GE system: (k+delta+{p.s + p.h}) x {p.L} regardless of n")
 print(f"{'delta':>5} {'trials':>7} {'errors':>7} {'CER':>9} {'ci95':>9}")
 
-for delta in range(0, 13, 2):
-    ch = ChannelModel("overhead", delta=delta)
-    errors = trials = 0
-    while errors < 30 and trials < 2000:
-        rng = np.random.default_rng((0, delta, trials))
-        ok, _ = run_trial(code, "ml", ch, rng)
-        errors += not ok
-        trials += 1
-    cer = errors / trials
-    print(f"{delta:5d} {trials:7d} {errors:7d} {cer:9.4f} "
-          f"{wilson_halfwidth(errors, trials):9.4f}")
+plan = SimPlan(code=code, decoder="ml", channel_kind="overhead", sweep=list(range(0, 13, 2)),
+               target_errors=30, max_trials=2000, seed=0)
+for r in run_sweep(plan):
+    print(f"{r.sweep_value:5d} {r.trials:7d} {r.errors:7d} {r.cer:9.4f} {r.ci95:9.4f}")

@@ -3,6 +3,9 @@ and dense Gaussian elimination used as the brute-force oracle everywhere else.
 
 Dense rows are stored as Python integers (bit j of a row word is column j),
 so row XOR and row-vector products run at word speed regardless of width.
+This module alone knows that format: ``BinVector.from_bits`` packs bits into
+such a word and ``BinVector.unpacked`` unpacks one, and every other
+conversion in the package goes through the two.
 Every linear map in the package is held as such row words, and callers work
 on ``row_words`` (or the sparse ``row_adj``/``col_adj`` lists) directly; this
 module keeps only what the package calls: elimination (solve with a vector
@@ -33,12 +36,11 @@ class BinVector:
 
     @classmethod
     def from_bits(cls, seq) -> "BinVector":
-        seq = list(seq)
-        bits = 0
-        for i, b in enumerate(seq):
-            if b:
-                bits |= 1 << i
-        return cls(len(seq), bits)
+        """The vector whose bit i is set when ``seq[i]`` is true: ``seq`` is
+        a boolean or integer numpy array, or any iterable."""
+        if not isinstance(seq, np.ndarray):
+            seq = np.fromiter(seq, np.bool_)
+        return cls(len(seq), int.from_bytes(np.packbits(seq, bitorder="little"), "little"))
 
     def __len__(self) -> int:
         return self.n
@@ -52,11 +54,11 @@ class BinVector:
         return self.bits.bit_count()
 
     def to_list(self) -> list:
-        return [(self.bits >> i) & 1 for i in range(self.n)]
+        return self.unpacked().view(np.uint8).tolist()
 
     def ones(self) -> list:
         """Positions of the set bits, increasing."""
-        return [i for i, ch in enumerate(bin(self.bits)[:1:-1]) if ch == "1"]
+        return np.flatnonzero(self.unpacked()).tolist()
 
     def unpacked(self) -> np.ndarray:
         """The bits as a length-n boolean array."""
@@ -315,11 +317,14 @@ class SparseBinMatrix:
         )
 
 
+_ZERO = ord("0")  # a text row holds the ASCII digits 0 and 1, bit j at column j
+
+
 def dense_to_text(m: DenseBinMatrix) -> str:
     """Golden-file matrix text format: "rows cols" then 0/1 rows. Bit-exact."""
     lines = [f"{m.rows} {m.cols}"]
     for w in m.row_words:
-        lines.append("".join(str((w >> j) & 1) for j in range(m.cols)))
+        lines.append((BinVector(m.cols, w).unpacked().view(np.uint8) + _ZERO).tobytes().decode())
     return "\n".join(lines) + "\n"
 
 
@@ -335,9 +340,5 @@ def dense_from_text(text: str) -> DenseBinMatrix:
         ln = ln.strip()
         if len(ln) != cols or set(ln) - {"0", "1"}:
             raise ValueError(f"bad matrix row: {ln!r}")
-        w = 0
-        for j, ch in enumerate(ln):
-            if ch == "1":
-                w |= 1 << j
-        words.append(w)
+        words.append(BinVector.from_bits(np.frombuffer(ln.encode(), np.uint8) - _ZERO).bits)
     return DenseBinMatrix(rows, cols, words)

@@ -69,7 +69,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _float_range(text):
-    """'a:b:step' inclusive grid, or a single value / comma list."""
+    """'a:b:step' grid from a up to b, b included when a whole number of
+    steps lands on it, or a single value / comma list."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -77,7 +78,9 @@ def _float_range(text):
         a, b, step = (float(p) for p in parts)
         if step <= 0 or b < a:
             raise argparse.ArgumentTypeError(f"want start <= stop and step > 0, got {text!r}")
-        count = int(round((b - a) / step)) + 1
+        # the whole steps that fit (int floors a value >= 0); the 1e-9 keeps a
+        # stop that float rounding puts a hair short, as in 0.42:0.48:0.02
+        count = int((b - a) / step + 1e-9) + 1
         return [a + i * step for i in range(count)]
     return [float(p) for p in text.split(",")]
 

@@ -66,8 +66,7 @@ class ReceivedWord:
         if self.values.n != self.n:
             raise ValueError(f"values length {self.values.n} != n = {self.n}")
         if self.values.bits:  # a zero word needs no clearing
-            cleared = ~int.from_bytes(np.packbits(mask, bitorder="little"), "little")
-            self.values = BinVector(self.n, self.values.bits & cleared)
+            self.values = BinVector(self.n, self.values.bits & ~BinVector.from_bits(mask).bits)
 
     @cached_property
     def erased(self) -> tuple:
@@ -158,7 +157,7 @@ def split_by_erasure(code, word: ReceivedWord):
         for li in local:
             col_adj[li].append(r)
     hkbar = SparseBinMatrix._raw(h.rows, len(word.erased), hk_rows, col_adj)
-    return hkbar, BinVector.from_bits(_parities(h, word.values).tolist())
+    return hkbar, BinVector.from_bits(_parities(h, word.values))
 
 
 def _peel(st: TriangularizationState, queue: list) -> None:
@@ -401,8 +400,7 @@ def _filled(bits: int, st: TriangularizationState) -> int:
     """``bits`` with every unknown of ``st`` set to its value, which is a
     bit once no pivot is left in it: the values, 0 or 1 per column, packed
     at once."""
-    packed = np.packbits(np.frombuffer(bytes(st.value), np.uint8), bitorder="little")
-    return bits | int.from_bytes(packed, "little")
+    return bits | BinVector.from_bits(np.frombuffer(bytes(st.value), np.uint8)).bits
 
 
 def _finish(code, word: ReceivedWord, bits: int, stats: DecodeStats) -> DecodeResult:

@@ -177,16 +177,12 @@ def _generic_encoder_from_h(h: SparseBinMatrix):
     """RREF of H; free columns become the information set."""
     words = h.to_dense().row_words
     pivot_cols = _gauss_jordan(words, h.cols)
-    pivot_set = set(pivot_cols)
-    info = [c for c in range(h.cols) if c not in pivot_set]
+    is_info = np.ones(h.cols, np.bool_)
+    is_info[pivot_cols] = False
+    info = np.flatnonzero(is_info).tolist()
     # x_pivot[i] = XOR over info bits present in RREF row i
-    pmap = []
-    for w in words[: len(pivot_cols)]:
-        mask = 0
-        for j, c in enumerate(info):
-            if (w >> c) & 1:
-                mask |= 1 << j
-        pmap.append(mask)
+    pmap = [BinVector.from_bits(BinVector(h.cols, w).unpacked()[is_info]).bits
+            for w in words[: len(pivot_cols)]]
     return _GenericEncoder(h.cols, info, pivot_cols, pmap), len(info)
 
 

@@ -318,9 +318,8 @@ class RaptorCode:
         if word.n != n:
             raise ValueError(f"word length {word.n} != n = {n}")
         got = ~word.erased_mask
-        syms = word.values.unpacked()[got]
-        rhs_bits = int.from_bytes(np.packbits(syms, bitorder="little").tobytes(), "little")
-        return np.flatnonzero(got).tolist(), BinVector(base + len(syms), rhs_bits << base)
+        syms = BinVector.from_bits(word.values.unpacked()[got])
+        return np.flatnonzero(got).tolist(), BinVector(base + syms.n, syms.bits << base)
 
     def _structured_system(self, word: ReceivedWord):
         """A(i1..ir) as a sparse matrix over the cached adjacency lists, and

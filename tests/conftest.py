@@ -28,6 +28,59 @@ def to_lists(m):
     return [[(w >> j) & 1 for j in range(m.cols)] for w in m.row_words]
 
 
+def loop_from_bits(seq):
+    """Reference packer: one shift per set bit, the loop ``BinVector.from_bits``
+    replaces with ``np.packbits``."""
+    seq = list(seq)
+    bits = 0
+    for i, b in enumerate(seq):
+        if b:
+            bits |= 1 << i
+    return BinVector(len(seq), bits)
+
+
+def loop_to_list(v):
+    """Reference unpacker: one shift per bit, the loop ``BinVector.to_list``
+    replaces with ``BinVector.unpacked``."""
+    return [(v.bits >> i) & 1 for i in range(v.n)]
+
+
+def loop_ones(v):
+    """Reference set-bit positions: a walk over the binary digits of the
+    word, which ``BinVector.ones`` replaces with ``BinVector.unpacked``."""
+    return [i for i, ch in enumerate(bin(v.bits)[:1:-1]) if ch == "1"]
+
+
+def loop_dense_to_text(m):
+    """Reference text writer: one character per bit."""
+    lines = [f"{m.rows} {m.cols}"]
+    for w in m.row_words:
+        lines.append("".join(str((w >> j) & 1) for j in range(m.cols)))
+    return "\n".join(lines) + "\n"
+
+
+def loop_dense_from_text(text):
+    """Reference text reader: the validation of ``binmat.dense_from_text``,
+    then one shift per character."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("missing matrix")
+    rows, cols = (int(t) for t in lines[0].split())
+    if len(lines) - 1 != rows:
+        raise ValueError(f"expected {rows} rows, found {len(lines) - 1}")
+    words = []
+    for ln in lines[1 : rows + 1]:
+        ln = ln.strip()
+        if len(ln) != cols or set(ln) - {"0", "1"}:
+            raise ValueError(f"bad matrix row: {ln!r}")
+        w = 0
+        for j, ch in enumerate(ln):
+            if ch == "1":
+                w |= 1 << j
+        words.append(w)
+    return DenseBinMatrix(rows, cols, words)
+
+
 def identity(n):
     return DenseBinMatrix(n, n, [1 << i for i in range(n)])
 
@@ -177,6 +230,25 @@ def scalar_gauss_jordan(rows, ncols):
                 rows[r] ^= pw
         pivots.append(col)
     return pivots
+
+
+def loop_rref_masks(h):
+    """Reference generic-encoder tables: RREF of H one column at a time,
+    then each pivot row's bits at the info columns gathered one bit at a
+    time, the loop ``ldpc._generic_encoder_from_h`` replaces with one
+    column gather per row. Returns (info positions, pivot positions, masks)."""
+    words = h.to_dense().row_words
+    pivot_cols = scalar_gauss_jordan(words, h.cols)
+    pivot_set = set(pivot_cols)
+    info = [c for c in range(h.cols) if c not in pivot_set]
+    pmap = []
+    for w in words[: len(pivot_cols)]:
+        mask = 0
+        for j, c in enumerate(info):
+            if (w >> c) & 1:
+                mask |= 1 << j
+        pmap.append(mask)
+    return info, pivot_cols, pmap
 
 
 def full_scan_triangularize(hkbar, rule="max_degree"):

@@ -7,6 +7,8 @@ passes when its name appears anywhere in the package as a variable, an
 attribute or an imported name (its own ``def`` or ``class`` line does not
 count). A name that another object also uses, such as ``rank`` or a method
 named like a builtin, therefore passes even when nothing calls this one.
+
+A second check, by the same walk, keeps numpy's bit packers inside ``binmat``.
 """
 
 import ast
@@ -17,17 +19,19 @@ import pytest
 PKG = Path(__file__).resolve().parent.parent / "src" / "erasurelab"
 
 
+def _names_in(path):
+    """(name, line) of each variable, attribute and imported name in a module."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name, node.lineno
+
+
 def _names_in_package():
-    names = set()
-    for path in PKG.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name)
-    return names
+    return {name for path in PKG.glob("*.py") for name, _ in _names_in(path)}
 
 
 def _public_defs(module):
@@ -47,3 +51,13 @@ def _public_defs(module):
 def test_public_api_is_named_in_the_package(module):
     names = _names_in_package()
     assert [q for q, name in _public_defs(module) if name not in names] == []
+
+
+def test_only_binmat_packs_bits():
+    """``binmat`` alone knows the packed-bit format: no other module names
+    numpy's bit packers, so every conversion between bits and packed words
+    goes through ``BinVector.from_bits`` and ``BinVector.unpacked``."""
+    found = [f"{path.name}:{line}" for path in sorted(PKG.glob("*.py"))
+             if path.name != "binmat.py"
+             for name, line in _names_in(path) if name in ("packbits", "unpackbits")]
+    assert found == []

@@ -7,6 +7,11 @@ from conftest import (
     from_rows,
     identity,
     invert,
+    loop_dense_from_text,
+    loop_dense_to_text,
+    loop_from_bits,
+    loop_ones,
+    loop_to_list,
     mul,
     mul_vec,
     scalar_gauss_jordan,
@@ -123,6 +128,69 @@ def test_dense_text_roundtrip():
     text = dense_to_text(m)
     assert text.splitlines()[0] == "3 2"
     assert dense_from_text(text) == m
+
+
+# every length up to 300, with the byte boundaries and one bit either side
+# of them drawn as often as all the others
+_LENGTHS = st.one_of(st.integers(0, 300),
+                     st.sampled_from([n for n in range(302) if n % 8 in (7, 0, 1)]))
+_BITS = _LENGTHS.flatmap(lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n))
+_FORMS = {
+    "list": list,
+    "generator": lambda bits: (b for b in bits),
+    "bool array": lambda bits: np.array(bits, np.bool_),
+    "uint8 array": lambda bits: np.array(bits, np.uint8),
+    "intp array": lambda bits: np.array(bits, np.intp),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_BITS, st.sampled_from(sorted(_FORMS)))
+def test_from_bits_matches_loop(bits, form):
+    v = BinVector.from_bits(_FORMS[form](bits))
+    assert (v.n, v.bits) == (len(bits), loop_from_bits(bits).bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_BITS)
+def test_unpacking_matches_loop(bits):
+    v = loop_from_bits(bits)
+    out = v.to_list()
+    assert out == loop_to_list(v) == bits
+    assert all(type(b) is int for b in out)
+    assert v.ones() == loop_ones(v)
+    assert BinVector.from_bits(v.unpacked()) == v
+
+
+@st.composite
+def _dense_matrix(draw):
+    cols = draw(st.integers(1, 140))
+    rows = draw(st.lists(st.integers(0, 2**cols - 1), max_size=6))
+    return DenseBinMatrix(len(rows), cols, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dense_matrix())
+def test_dense_text_matches_loop(m):
+    text = dense_to_text(m)
+    assert text == loop_dense_to_text(m)
+    assert dense_from_text(text) == loop_dense_from_text(text) == m
+
+
+def _read(parse, text):
+    try:
+        return parse(text)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["", "0 3", "2 3", "1 4", "3 2", "2 x"]),
+       st.text(alphabet="01 2\n\té", max_size=20))
+def test_damaged_dense_text_reads_as_loop(head, body):
+    """Any text, valid or not, gives the reference's matrix or its error."""
+    text = head + "\n" + body
+    assert _read(dense_from_text, text) == _read(loop_dense_from_text, text)
 
 
 def test_gauss_does_not_mutate_input():

@@ -29,6 +29,17 @@ def test_bounds_row_count(capsys):
     assert "# seed=0" in out
 
 
+@pytest.mark.parametrize("grid, points", [
+    ("0.40:0.50:0.06", ["0.4", "0.46"]),  # the next step, 0.52, is past the stop
+    ("0.42:0.48:0.02", ["0.42", "0.44", "0.46", "0.48"]),  # 0.48 lands a hair short
+    ("0.40:0.40:0.1", ["0.4"]),
+])
+def test_grid_never_passes_its_stop(capsys, grid, points):
+    code, out = run_cli(["bounds", "--n", "2048", "--k", "1024", "--eps", grid], capsys)
+    assert code == 0
+    assert [row.split(",")[0] for row in data_rows(out)[1:]] == points
+
+
 def test_bounds_with_floor(capsys):
     code, out = run_cli(["bounds", "--n", "64", "--k", "32",
                          "--eps", "0.1,0.2", "--dmin", "11", "--amin", "4"], capsys)

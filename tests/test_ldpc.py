@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bitwise_encode, code_from_rows, geira_accumulate, mul_vec, random_vector
+from conftest import (
+    bitwise_encode,
+    code_from_rows,
+    geira_accumulate,
+    loop_rref_masks,
+    mul_vec,
+    random_vector,
+)
 from erasurelab.binmat import BinVector, SparseBinMatrix
 from erasurelab.ldpc import (
     ConstructionError,
@@ -154,6 +161,36 @@ def test_table_encoder_matches_bitwise_encode_random_h(data):
     cw = encoder.encode(u)
     assert cw == bitwise_encode(code, u)
     assert not any((w & cw.bits).bit_count() & 1 for w in rows)
+
+
+def _assert_rref_masks_match_loop(h):
+    encoder, k = _generic_encoder_from_h(h)
+    info, pivots, pmap = loop_rref_masks(h)
+    assert k == len(info)
+    assert encoder.info_positions == info
+    assert encoder.pivot_positions == pivots
+    assert encoder.pmap == pmap
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rref_masks_match_loop_random_h(data):
+    """The info positions, pivot positions and per-pivot masks equal those of
+    the per-bit gather, for random H of up to 140 columns, zero columns and
+    dependent rows allowed."""
+    n = data.draw(st.integers(1, 140))
+    rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=24))
+    _assert_rref_masks_match_loop(
+        SparseBinMatrix(len(rows), n, [[c for c in range(n) if w >> c & 1] for w in rows]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sample_regular(3, 6, 1024, seed=3),
+    lambda: build_geira(GeiraSpec(k=512, n=1024, taps=frozenset({0, 1, 4, 10, 20}), wc=5,
+                                  seed=7)),
+], ids=["regular", "geira"])
+def test_rref_masks_match_loop_full_codes(build):
+    _assert_rref_masks_match_loop(build().h)
 
 
 def test_geira_1160_1044_profile(rng):
