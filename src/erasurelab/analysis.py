@@ -18,6 +18,8 @@ _EXIT_GRID = 100001  # points of an ensemble's EXIT curve over [x_BP, 1]
 _PROTO_EXIT_GRID = 2001  # a-priori erasures of a protograph's EXIT curve
 _PROTO_THRESHOLD_TOL = 1e-4  # bisection width of a protograph's IT threshold
 _PROTO_DE_CUTOFF = 1e-9  # posterior erasure below which protograph DE succeeds
+_PROTO_DE_ITERS = 20000  # DE steps before a protograph fixed point gives up
+_PROTO_DE_TOL = 1e-12  # largest message change at a protograph fixed point
 _MINDIST_CAP_K = 24  # largest k whose 2^k codewords the minimum distance enumerates
 
 
@@ -66,9 +68,6 @@ class DegreeDistribution:
     # the evaluators skip zero coefficients: such a term adds +0.0
     def lam_eval(self, x):
         return sum(l * np.power(x, i) for i, l in enumerate(self.lam) if l)
-
-    def rho_eval(self, x):
-        return sum(r * np.power(x, j) for j, r in enumerate(self.rho) if r)
 
     def node_lambda_eval(self, x):
         return sum(L * np.power(x, i + 1) for i, L in enumerate(self.node_lambda) if L)
@@ -142,12 +141,15 @@ def _eps_of_x(dist: DegreeDistribution, x):
         return x / dist.lam_eval(y), y
 
 
+@functools.lru_cache(maxsize=1)
 def _bp_point(dist: DegreeDistribution):
     """(x_BP, eps_BP), the argmin and minimum of eps(x) over x in (0, 1]:
     DE converges at eps iff eps·lam(1 - rho(1 - x)) < x for all such x. The
     grid is log-spaced near 0, where the stability condition can set the
     minimum, then linear; golden-section search refines it. The smallest
-    value seen wins, as eps(x) near 0 can be flat to within rounding."""
+    value seen wins, as eps(x) near 0 can be flat to within rounding. The
+    last result is kept, so the IT threshold and the EXIT curve of one
+    ensemble share one minimisation."""
     xs = np.concatenate([np.logspace(-12, -3, 2000), np.linspace(1e-3, 1.0, 20001)[1:]])
     eps = _eps_of_x(dist, xs)[0]
     i = int(np.argmin(eps))
@@ -297,7 +299,7 @@ def _de_kernel(edges: tuple, n_vars: int):
     return namespace["kernel"]
 
 
-def _proto_fixed_point(edges, priors, v0=None, iters: int = 20000, tol: float = 1e-12):
+def _proto_fixed_point(edges, priors, v0=None):
     """Largest fixed point of per-edge-type erasure DE, reached from above.
 
     ``edges`` is ``_edge_types(p)`` and ``priors`` holds each base column's
@@ -305,7 +307,8 @@ def _proto_fixed_point(edges, priors, v0=None, iters: int = 20000, tol: float = 
     edge type, the other two per base column.
     """
     kernel = _de_kernel(edges, len(priors))
-    v, t = kernel(priors, [1.0] * len(edges) if v0 is None else v0, iters, tol)
+    v, t = kernel(priors, [1.0] * len(edges) if v0 is None else v0,
+                  _PROTO_DE_ITERS, _PROTO_DE_TOL)
     extrinsic = [math.exp(s) for s in t]
     return v, extrinsic, [prior * x for prior, x in zip(priors, extrinsic)]
 

@@ -260,12 +260,12 @@ class SparseBinMatrix:
                     self.col_adj[c].append(r)
 
     @classmethod
-    def _raw(cls, rows: int, cols: int, row_adj, col_adj) -> "SparseBinMatrix":
+    def _raw(cls, row_adj, col_adj) -> "SparseBinMatrix":
         """Trusted constructor for internal hot paths: adjacency must already
         be sorted, duplicate-free, and mutually consistent."""
         m = cls.__new__(cls)
-        m.rows = rows
-        m.cols = cols
+        m.rows = len(row_adj)
+        m.cols = len(col_adj)
         m.row_adj = row_adj
         m.col_adj = col_adj
         m._edges = None

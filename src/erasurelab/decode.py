@@ -41,15 +41,17 @@ class InternalConsistencyError(AssertionError):
 class ReceivedWord:
     """Channel output, for LDPC and Raptor codes alike: the length-n word with
     every erased position reading 0, and its erasure mask. Position i of a
-    Raptor word holds the symbol of ESI i+1. The mask is given as a boolean
-    numpy array of length n, which the word keeps (the caller must not modify
-    it afterwards), or as integer positions in 0..n-1, in any order."""
+    Raptor word holds the symbol of ESI i+1. The length n is that of the
+    values. The mask is given as a boolean numpy array of length n, which the
+    word keeps (the caller must not modify it afterwards), or as integer
+    positions in 0..n-1, in any order."""
 
-    n: int
-    values: BinVector  # length n; the erased positions are cleared here
+    values: BinVector  # the erased positions are cleared here
     erased_mask: np.ndarray  # n booleans; includes punctured positions once decoded
+    n: int = field(init=False)
 
     def __post_init__(self):
+        self.n = self.values.n
         mask = self.erased_mask
         if not (isinstance(mask, np.ndarray) and mask.dtype == np.bool_):
             positions = list(mask)
@@ -63,8 +65,6 @@ class ReceivedWord:
             mask[positions] = True
         elif mask.shape != (self.n,):
             raise ValueError(f"erasure mask shape {mask.shape} != ({self.n},)")
-        if self.values.n != self.n:
-            raise ValueError(f"values length {self.values.n} != n = {self.n}")
         if self.values.bits:  # a zero word needs no clearing
             self.values = BinVector(self.n, self.values.bits & ~BinVector.from_bits(mask).bits)
 
@@ -75,7 +75,7 @@ class ReceivedWord:
 
     @classmethod
     def from_full(cls, full: BinVector, erased) -> "ReceivedWord":
-        return cls(full.n, full, erased)
+        return cls(full, erased)
 
 
 @dataclass
@@ -156,7 +156,7 @@ def split_by_erasure(code, word: ReceivedWord):
         hk_rows.append(local)
         for li in local:
             col_adj[li].append(r)
-    hkbar = SparseBinMatrix._raw(h.rows, len(word.erased), hk_rows, col_adj)
+    hkbar = SparseBinMatrix._raw(hk_rows, col_adj)
     return hkbar, BinVector.from_bits(_parities(h, word.values))
 
 
@@ -339,7 +339,7 @@ def solve_inactivated(state: TriangularizationState):
     return None
 
 
-def ml_decode(code, word: ReceivedWord, pivot_strategy=min_row_pivot) -> DecodeResult:
+def ml_decode(code, word: ReceivedWord) -> DecodeResult:
     """Structured-GE ML decoding: peel, and on a stall inactivate pivots and
     solve for them by dense GE. Succeeds iff the erased columns of H are
     linearly independent, exactly matching oracle_decode."""
@@ -347,7 +347,7 @@ def ml_decode(code, word: ReceivedWord, pivot_strategy=min_row_pivot) -> DecodeR
     st = _peel_core(code, word)
     rank = None
     if st.left:
-        triangularize(st, None, pivot_strategy)
+        triangularize(st, None, min_row_pivot)
         rank = solve_inactivated(st)
     stats = DecodeStats(len(st.resolved), len(st.pivots), (code.h.rows, st.size))
     if rank is not None:

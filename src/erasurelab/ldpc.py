@@ -104,28 +104,29 @@ class Protograph:
 
 class _GenericEncoder:
     """Solves H·c = 0 for the pivot positions given the info positions: the
-    bit at pivot position i is the parity of ``u & pmap[i]``. The masks come
-    from the reduced row echelon form of H, for GeIRA from the accumulator,
-    and for a Raptor code from A(1..k) (``RaptorCode._parity_masks``).
-    Encoding is one chunk-table product with the generator."""
+    pivot positions are the other positions of the n = k + len(pmap), in
+    increasing order, and the bit at the i-th of them is the parity of
+    ``u & pmap[i]``. The masks come from the reduced row echelon form of H,
+    for GeIRA from the accumulator, and for a Raptor code from A(1..k)
+    (``RaptorCode._parity_masks``). Encoding is one chunk-table product with
+    the generator."""
 
-    def __init__(self, n, info_positions, pivot_positions, pmap):
-        self.n = n
+    def __init__(self, info_positions, pmap):
         self.info_positions = info_positions
-        self.pivot_positions = pivot_positions
         self.pmap = pmap  # per pivot, mask over info bits (in info order)
+        self.n = len(info_positions) + len(pmap)
 
     @cached_property
     def generator(self) -> ChunkTables:
         """Per position, the mask over the info bits that gives its bit (a
         single bit at an info position), as chunk tables; built on the first
         encode, so a code that is never encoded does not pay for them."""
-        rows = [0] * self.n
+        rows = [None] * self.n
         for i, pos in enumerate(self.info_positions):
             rows[pos] = 1 << i
-        for mask, pos in zip(self.pmap, self.pivot_positions):
-            rows[pos] = mask
-        return ChunkTables(rows, len(self.info_positions))
+        masks = iter(self.pmap)
+        return ChunkTables([next(masks) if w is None else w for w in rows],
+                           len(self.info_positions))
 
     def encode(self, u: BinVector) -> BinVector:
         return BinVector(self.n, self.generator.apply(u.bits))
@@ -133,17 +134,17 @@ class _GenericEncoder:
 
 @dataclass
 class LdpcCode:
-    n: int
-    k: int
     h: SparseBinMatrix
+    encoder: _GenericEncoder
     punctured: frozenset = frozenset()
-    encoder: object = None
     meta: dict = field(default_factory=dict)
+    n: int = field(init=False)  # H's column count
+    k: int = field(init=False)  # the encoder's count of info positions
 
     def __post_init__(self):
         self.punctured = frozenset(self.punctured)
-        if self.h.cols != self.n:
-            raise ConstructionError("H must have n columns")
+        self.n = self.h.cols
+        self.k = len(self.encoder.info_positions)
         if any(not rs for rs in self.h.col_adj):
             raise ConstructionError("every column of H must be nonzero")
         if any(not (0 <= p < self.n) for p in self.punctured):
@@ -183,12 +184,10 @@ def _generic_encoder_from_h(h: SparseBinMatrix):
     # x_pivot[i] = XOR over info bits present in RREF row i
     pmap = [BinVector.from_bits(BinVector(h.cols, w).unpacked()[is_info]).bits
             for w in words[: len(pivot_cols)]]
-    return _GenericEncoder(h.cols, info, pivot_cols, pmap), len(info)
+    return _GenericEncoder(info, pmap)
 
 
 def encode(code: LdpcCode, u: BinVector) -> BinVector:
-    if code.encoder is None:
-        raise ConstructionError("code has no encoder")
     if len(u) != code.k:
         raise ValueError(f"message length {len(u)} != k = {code.k}")
     return code.encoder.encode(u)
@@ -204,7 +203,6 @@ def sample_regular(dv: int, dc: int, n: int, seed: int = 0) -> LdpcCode:
         raise ConstructionError(f"n*dv = {n * dv} not divisible by dc = {dc}")
     m = n * dv // dc
     rng = np.random.default_rng(seed)
-    ne = n * dv
     vn = np.repeat(np.arange(n), dv)
     for _ in range(50):
         cn = np.repeat(np.arange(m), dc)
@@ -215,13 +213,15 @@ def sample_regular(dv: int, dc: int, n: int, seed: int = 0) -> LdpcCode:
     else:
         raise ConstructionError("could not remove parallel edges")
     if n <= 256:
-        _reduce_4cycles(edges, rng, max_swaps=10 * ne)
+        _reduce_4cycles(edges, rng)
     h = SparseBinMatrix.from_entries(m, n, [(c, v) for v, c in edges])
-    encoder, k = _generic_encoder_from_h(h)
-    return LdpcCode(n, k, h, encoder=encoder, meta={"dv": dv, "dc": dc, "seed": seed})
+    return LdpcCode(h, _generic_encoder_from_h(h), meta={"dv": dv, "dc": dc, "seed": seed})
 
 
-def _remove_parallel_edges(edges, rng, max_iters=200000) -> bool:
+_PARALLEL_EDGE_ITERS = 200000  # swap attempts before a configuration is redrawn
+
+
+def _remove_parallel_edges(edges, rng) -> bool:
     from collections import Counter
 
     cnt = Counter(edges)
@@ -235,7 +235,7 @@ def _remove_parallel_edges(edges, rng, max_iters=200000) -> bool:
     iters = 0
     while pending:
         iters += 1
-        if iters > max_iters:
+        if iters > _PARALLEL_EDGE_ITERS:
             return False
         i = pending[-1]
         e = edges[i]
@@ -260,10 +260,12 @@ def _remove_parallel_edges(edges, rng, max_iters=200000) -> bool:
     return not any(v > 1 for v in cnt.values())
 
 
-def _reduce_4cycles(edges, rng, max_swaps):
-    """Bounded-effort pass breaking pairs of columns sharing two rows."""
+def _reduce_4cycles(edges, rng):
+    """Bounded-effort pass breaking pairs of columns sharing two rows: at
+    most 10 swaps per edge."""
     from collections import Counter
 
+    max_swaps = 10 * len(edges)
     n = max(v for v, _ in edges) + 1
     colmask = [0] * n
     for v, c in edges:
@@ -332,8 +334,7 @@ def build_geira(spec: GeiraSpec) -> LdpcCode:
         for t in taps:
             if t and r - t >= 0:
                 pmap[r] ^= pmap[r - t]
-    encoder = _GenericEncoder(n, range(k), range(k, n), pmap)
-    return LdpcCode(n, k, h, encoder=encoder, meta={"geira": spec})
+    return LdpcCode(h, _GenericEncoder(range(k), pmap), meta={"geira": spec})
 
 
 def lift_protograph(p: Protograph, seed: int = 0) -> LdpcCode:
@@ -359,8 +360,7 @@ def lift_protograph(p: Protograph, seed: int = 0) -> LdpcCode:
     punctured = frozenset(
         j * z + a for j in p.punctured_cols for a in range(z)
     )
-    encoder, k = _generic_encoder_from_h(h)
-    return LdpcCode(nv * z, k, h, punctured=punctured, encoder=encoder,
+    return LdpcCode(h, _generic_encoder_from_h(h), punctured=punctured,
                     meta={"protograph": p, "seed": seed})
 
 
@@ -376,8 +376,7 @@ def puncture(code: LdpcCode, positions, allow_systematic: bool = False) -> LdpcC
     new_punct = code.punctured | positions
     if code.n - len(new_punct) < code.k:
         raise ConstructionError("puncturing below k transmitted positions")
-    return LdpcCode(code.n, code.k, code.h, punctured=new_punct,
-                    encoder=code.encoder, meta=dict(code.meta))
+    return LdpcCode(code.h, code.encoder, punctured=new_punct, meta=dict(code.meta))
 
 
 def _bit_reversal_order(m: int):
@@ -429,8 +428,11 @@ def load_code(path) -> LdpcCode:
         punctured = frozenset(int(t) for t in lines[1].split(":", 1)[1].split(",") if t.strip())
         body = 2
     dense = dense_from_text("\n".join(lines[body:]))
+    if dense.cols != n:
+        raise ConstructionError(f"{path}: header gives n={n}, but H has {dense.cols} columns")
     h = SparseBinMatrix.from_dense(dense)
-    encoder, k_actual = _generic_encoder_from_h(h)
-    if k_actual != k:
-        raise ConstructionError(f"{path}: header gives k={k}, but H gives k={k_actual}")
-    return LdpcCode(n, k, h, punctured=punctured, encoder=encoder)
+    encoder = _generic_encoder_from_h(h)
+    if len(encoder.info_positions) != k:
+        raise ConstructionError(f"{path}: header gives k={k}, "
+                                f"but H gives k={len(encoder.info_positions)}")
+    return LdpcCode(h, encoder, punctured=punctured)

@@ -69,43 +69,6 @@ class NotSystematicError(ValueError):
     message in ESIs 1..k."""
 
 
-@dataclass(frozen=True)
-class RaptorParams:
-    k: int
-    s: int
-    h: int
-    n: int
-    seed: int = 0  # drives the LDPC pre-code column placement
-    lt_seed: int = 0  # systematic seed driving the LT tuple generator
-
-    def __post_init__(self):
-        if self.k < 4:
-            raise ValueError("k must be >= 4")
-        if self.n < self.k:
-            raise ValueError("n must be >= k")
-        if math.comb(self.h, self.h_prime) < self.k + self.s:
-            raise ValueError("Gray columns would not be distinct: C(h, h') < k+s")
-
-    @property
-    def h_prime(self) -> int:
-        return (self.h + 1) // 2
-
-    @property
-    def L(self) -> int:
-        return self.k + self.s + self.h
-
-
-@dataclass(frozen=True)
-class LtTuple:
-    esi: int
-    degree: int
-    indices: tuple
-
-    def __post_init__(self):
-        if len(self.indices) != self.degree:
-            raise ValueError("|indices| must equal the degree")
-
-
 def _smallest_prime_at_least(x: int) -> int:
     def is_prime(p):
         if p < 2:
@@ -123,21 +86,38 @@ def _smallest_prime_at_least(x: int) -> int:
     return p
 
 
-def derive_params(k: int, n: int = None, seed: int = 0, lt_seed: int = 0) -> RaptorParams:
-    """Pre-code sizes as functions of k: X(X-1) >= 2k, s the smallest prime
-    >= ceil(k/100) + X, h the smallest count with C(h, ceil(h/2)) >= k+s."""
-    if k < 4:
-        raise ValueError("k must be >= 4")
-    x = 1
-    while x * (x - 1) < 2 * k:
-        x += 1
-    s = _smallest_prime_at_least(math.ceil(0.01 * k) + x)
-    h = 1
-    while math.comb(h, (h + 1) // 2) < k + s:
-        h += 1
-    if n is None:
-        n = 2 * k
-    return RaptorParams(k, s, h, n, seed=seed, lt_seed=lt_seed)
+@dataclass(frozen=True)
+class RaptorParams:
+    """The sizes of a Raptor code of k message bits and n output symbols.
+    The pre-code sizes follow from k: X(X-1) >= 2k, s the smallest prime
+    >= ceil(k/100) + X, h the smallest count with C(h, ceil(h/2)) >= k+s,
+    so the k+s Gray columns of weight ceil(h/2) are distinct."""
+
+    k: int
+    n: int
+    seed: int = 0  # drives the LDPC pre-code column placement
+    lt_seed: int = 0  # systematic seed driving the LT tuple generator
+    s: int = field(init=False)
+    h: int = field(init=False)
+
+    def __post_init__(self):
+        if self.k < 4:
+            raise ValueError("k must be >= 4")
+        if self.n < self.k:
+            raise ValueError("n must be >= k")
+        x = 1
+        while x * (x - 1) < 2 * self.k:
+            x += 1
+        s = _smallest_prime_at_least(math.ceil(0.01 * self.k) + x)
+        h = 1
+        while math.comb(h, (h + 1) // 2) < self.k + s:
+            h += 1
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "h", h)
+
+    @property
+    def L(self) -> int:
+        return self.k + self.s + self.h
 
 
 def gray_half_columns(h: int, count: int) -> list:
@@ -153,24 +133,26 @@ def gray_half_columns(h: int, count: int) -> list:
         if g < (1 << h) and g.bit_count() == hp:
             out.append(g)
         b += 1
-        if b > 1 << (h + 2):
-            raise AssertionError("Gray enumeration exhausted prematurely")
     return out
 
 
+_SOLITON_C = 0.1  # robust-soliton constant c
+_SOLITON_DELTA = 0.5  # robust-soliton failure bound delta
+
+
 @lru_cache(maxsize=32)
-def _robust_soliton_cdf(L: int, c: float = 0.1, delta: float = 0.5) -> tuple:
+def _robust_soliton_cdf(L: int) -> tuple:
     """Truncated robust-soliton degree distribution over [1, L]."""
     rho = [0.0] * (L + 1)
     rho[1] = 1.0 / L
     for d in range(2, L + 1):
         rho[d] = 1.0 / (d * (d - 1))
     tau = [0.0] * (L + 1)
-    s = c * math.log(L / delta) * math.sqrt(L)
+    s = _SOLITON_C * math.log(L / _SOLITON_DELTA) * math.sqrt(L)
     pivot = max(1, min(L, int(round(L / s))))
     for d in range(1, pivot):
         tau[d] = s / (d * L)
-    tau[pivot] = s * math.log(s / delta) / L
+    tau[pivot] = s * math.log(s / _SOLITON_DELTA) / L
     total = sum(rho) + sum(tau)
     cdf = []
     acc = 0.0
@@ -181,8 +163,9 @@ def _robust_soliton_cdf(L: int, c: float = 0.1, delta: float = 0.5) -> tuple:
     return tuple(cdf)
 
 
-def lt_tuple(esi: int, params: RaptorParams) -> LtTuple:
-    """Deterministic (degree, index-set) tuple for one ESI."""
+def lt_tuple(esi: int, params: RaptorParams) -> tuple:
+    """The deterministic LT tuple of one ESI: its sorted intermediate-symbol
+    indices, as many as its degree."""
     if esi < 1:
         raise ValueError("ESIs are 1-based")
     L = params.L
@@ -206,7 +189,7 @@ def lt_tuple(esi: int, params: RaptorParams) -> LtTuple:
             j = i + st.randbelow(L - i)
             pool[i], pool[j] = pool[j], pool[i]
         chosen = pool[:d]
-    return LtTuple(esi, d, tuple(sorted(chosen)))
+    return tuple(sorted(chosen))
 
 
 def _precode_rows(params: RaptorParams) -> list:
@@ -253,7 +236,7 @@ class RaptorCode:
         self.params = p = params
         # the pre-code rows that head every received system
         self.precode_rows = precode_rows
-        self.lt_cols = [lt_tuple(esi, p).indices for esi in range(1, p.k + 1)]
+        self.lt_cols = [lt_tuple(esi, p) for esi in range(1, p.k + 1)]
         self.lt_rows = [sum(1 << i for i in cols) for cols in self.lt_cols]
         # Gauss-Jordan on A(1..k) against [0; I_k] leaves row i holding
         # intermediate symbol F_i of A(1..k) F = [0; C] as a mask over the
@@ -261,10 +244,9 @@ class RaptorCode:
         aug = self.precode_rows + [w | 1 << (p.L + i) for i, w in enumerate(self.lt_rows)]
         if len(_gauss_jordan(aug, p.L)) < p.L:
             raise NotSystematicError(f"lt_seed {p.lt_seed} is not systematic: A(1..k) is singular")
-        self.lt_cols += [lt_tuple(esi, p).indices for esi in range(p.k + 1, p.n + 1)]
+        self.lt_cols += [lt_tuple(esi, p) for esi in range(p.k + 1, p.n + 1)]
         self.lt_rows += [sum(1 << i for i in cols) for cols in self.lt_cols[p.k :]]
-        self.encoder = _GenericEncoder(p.n, range(p.k), range(p.k, p.n),
-                                       self._parity_masks([w >> p.L for w in aug]))
+        self.encoder = _GenericEncoder(range(p.k), self._parity_masks([w >> p.L for w in aug]))
         self.precode_sparse = SparseBinMatrix.from_dense(
             DenseBinMatrix(len(self.precode_rows), p.L, self.precode_rows))
         # what the channel draw reads, as on an LdpcCode: every position is sent
@@ -274,7 +256,7 @@ class RaptorCode:
     @classmethod
     def build(cls, k: int, n: int, seed: int = 0) -> "RaptorCode":
         """The code of the smallest systematic LT seed, counting up from 0."""
-        params = derive_params(k, n, seed=seed)
+        params = RaptorParams(k, n, seed=seed)
         precode_rows = _precode_rows(params)
         for lt_seed in range(10000):
             code = cls.__new__(cls)
@@ -331,7 +313,7 @@ class RaptorCode:
         for r in range(pre.rows, len(row_adj)):
             for c in row_adj[r]:
                 col_adj[c].append(r)
-        return SparseBinMatrix._raw(len(row_adj), self.params.L, row_adj, col_adj), rhs
+        return SparseBinMatrix._raw(row_adj, col_adj), rhs
 
     def decode(self, word: ReceivedWord) -> "RaptorDecodeResult":
         """Dense-GE ML decoding of A(i1..ir) F = [0; E]."""

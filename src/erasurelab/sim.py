@@ -28,23 +28,20 @@ _BLOCK = 256  # trials per worker in each round of a sweep point
 @dataclass(frozen=True)
 class ChannelModel:
     kind: str  # 'bec' | 'overhead'
-    epsilon: float = 0.0
-    delta: int = 0
+    value: float  # a bec's erasure probability in [0, 1], or an integer overhead
 
     def __post_init__(self):
-        if self.kind not in ("bec", "overhead"):
+        if self.kind == "bec":
+            value = float(self.value)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"epsilon must lie in [0, 1], got {value!r}")
+        elif self.kind == "overhead":
+            if self.value % 1 != 0:  # true for nan and inf too
+                raise ValueError(f"overhead must be an integer, got {self.value!r}")
+            value = int(self.value)  # an overhead of 2.0 draws as 2
+        else:
             raise ValueError(f"unknown channel kind {self.kind!r}")
-        if self.kind == "bec" and not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon!r}")
-        if self.kind == "overhead" and self.delta % 1 != 0:  # true for nan and inf too
-            raise ValueError(f"overhead must be an integer, got {self.delta!r}")
-        object.__setattr__(self, "delta", int(self.delta))  # an overhead of 2.0 draws as 2
-
-
-def _channel(kind: str, value) -> ChannelModel:
-    if kind == "bec":
-        return ChannelModel("bec", epsilon=float(value))
-    return ChannelModel("overhead", delta=value)
+        object.__setattr__(self, "value", value)
 
 
 @dataclass
@@ -71,7 +68,7 @@ class SimPlan:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         self.sweep = sorted(self.sweep)
         for value in self.sweep:  # a bad value fails here, before any trial
-            _channel(self.channel_kind, value)
+            ChannelModel(self.channel_kind, value)
         if self.channel_kind == "overhead":
             # the draw clamps k + delta to 0..n_transmitted, so a delta past
             # either end would silently run that end's channel
@@ -133,9 +130,9 @@ def _erasure_mask(code, channel, rng) -> np.ndarray:
     an LDPC code are added later, by the decoder)."""
     ntx = code.n_transmitted
     if channel.kind == "bec":
-        drawn = rng.random(ntx) < channel.epsilon
+        drawn = rng.random(ntx) < channel.value
     else:
-        keep = min(channel.delta + code.k, ntx)
+        keep = min(channel.value + code.k, ntx)
         drawn = np.ones(ntx, np.bool_)
         drawn[rng.choice(ntx, size=max(keep, 0), replace=False)] = False
     if ntx == code.n:  # every position is sent
@@ -154,7 +151,7 @@ def run_point(plan: SimPlan, point_idx: int, value, executor=None) -> SimRecord:
     """Run one sweep point until target_errors error events or max_trials,
     in rounds of one block of up to ``_BLOCK`` trials per worker, mapped
     through ``executor.map``, or through ``map`` here without an executor."""
-    block = partial(_trial_block, plan.code, plan.decoder, _channel(plan.channel_kind, value),
+    block = partial(_trial_block, plan.code, plan.decoder, ChannelModel(plan.channel_kind, value),
                     plan.seed, point_idx, plan.zero_codeword)
     run = map if executor is None else executor.map
     trials = errors = 0

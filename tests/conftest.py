@@ -15,7 +15,7 @@ from erasurelab.binmat import (
     rank,
 )
 from erasurelab.ldpc import LdpcCode, _generic_encoder_from_h
-from erasurelab.raptor import _precode_rows, derive_params, lt_tuple
+from erasurelab.raptor import RaptorParams, _precode_rows, lt_tuple
 
 
 def from_rows(rowlists):
@@ -153,7 +153,7 @@ def build_A(params, esis):
     rows stacked over the LT rows of ``esis``, all drawn afresh; shape
     (s+h+r) x L."""
     rows = _precode_rows(params)
-    rows += [sum(1 << i for i in lt_tuple(esi, params).indices) for esi in esis]
+    rows += [sum(1 << i for i in lt_tuple(esi, params)) for esi in esis]
     return DenseBinMatrix(len(rows), params.L, rows)
 
 
@@ -162,7 +162,7 @@ def rank_seed_search(k, n, seed=0, cap=10000):
     replaced: the smallest LT seed whose A(1..k), assembled by build_A, has
     rank L."""
     for lt_seed in range(cap):
-        params = derive_params(k, n, seed=seed, lt_seed=lt_seed)
+        params = RaptorParams(k, n, seed=seed, lt_seed=lt_seed)
         if rank(build_A(params, range(1, k + 1))) == params.L:
             return lt_seed
     raise AssertionError(f"no systematic seed below {cap}")
@@ -187,8 +187,7 @@ def geira_accumulate(code, u):
 def code_from_rows(rowlists, punctured=frozenset()):
     """LdpcCode straight from explicit parity-check rows."""
     h = SparseBinMatrix.from_dense(from_rows(rowlists))
-    encoder, k = _generic_encoder_from_h(h)
-    return LdpcCode(h.cols, k, h, punctured=frozenset(punctured), encoder=encoder)
+    return LdpcCode(h, _generic_encoder_from_h(h), punctured=frozenset(punctured))
 
 
 def random_vector(n, rng):
@@ -335,8 +334,8 @@ def list_erased_positions(code, channel, rng):
     transmitted = code.transmitted
     if channel.kind == "bec":
         u01 = rng.random(len(transmitted))
-        return [transmitted[i] for i in np.flatnonzero(u01 < channel.epsilon).tolist()]
-    keep = min(channel.delta + code.k, len(transmitted))
+        return [transmitted[i] for i in np.flatnonzero(u01 < channel.value).tolist()]
+    keep = min(channel.value + code.k, len(transmitted))
     kept = set(rng.choice(len(transmitted), size=max(keep, 0), replace=False).tolist())
     return [p for i, p in enumerate(transmitted) if i not in kept]
 
@@ -349,8 +348,8 @@ def raptor_esi_draw(code, channel, rng):
     p = code.params
     if channel.kind == "bec":
         u01 = rng.random(p.n)
-        return (np.flatnonzero(u01 >= channel.epsilon) + 1).tolist()
-    keep = min(max(p.k + channel.delta, 0), p.n)
+        return (np.flatnonzero(u01 >= channel.value) + 1).tolist()
+    keep = min(max(p.k + channel.value, 0), p.n)
     return sorted((rng.choice(p.n, size=keep, replace=False) + 1).tolist())
 
 
@@ -369,6 +368,13 @@ def sum_cleared(values, erased):
     return values.bits & ~sum(1 << i for i in erased)
 
 
+def pivot_positions(enc):
+    """The positions of an encoder that are not info positions, increasing:
+    the ones its parity masks give, in ``pmap`` order."""
+    info = set(enc.info_positions)
+    return [c for c in range(enc.n) if c not in info]
+
+
 def bitwise_encode(code, u):
     """Reference encoder: scatter the info bits one at a time through
     ``BinVector.__getitem__``, then take one parity of the message under
@@ -379,7 +385,7 @@ def bitwise_encode(code, u):
     for i, pos in enumerate(enc.info_positions):
         if u[i]:
             bits |= 1 << pos
-    for mask, pos in zip(enc.pmap, enc.pivot_positions):
+    for mask, pos in zip(enc.pmap, pivot_positions(enc)):
         if (mask & u.bits).bit_count() & 1:
             bits |= 1 << pos
     return BinVector(code.n, bits)

@@ -130,11 +130,11 @@ def _random_linear_code(n, k, rng):
                 for _ in range(n - k)]
         h = SparseBinMatrix.from_dense(DenseBinMatrix(n - k, n, rows))
         try:
-            encoder, k_actual = _generic_encoder_from_h(h)
+            encoder = _generic_encoder_from_h(h)
         except Exception:
             continue
-        if k_actual == k:
-            return LdpcCode(n, k, h, encoder=encoder)
+        if len(encoder.info_positions) == k:
+            return LdpcCode(h, encoder)
 
 
 def test_acceptance_5_bound_sanity_and_random_codes():

@@ -64,7 +64,7 @@ NON_UNIMODAL = DegreeDistribution((0.0, 0.5, 0.0, 0.0, 0.5), (0.0, 0.0, 0.0, 0.0
 
 
 def _numpy_de_converges(dist, eps, iters=2000, cutoff=1e-9):
-    """Reference density evolution through the array evaluators, every
+    """Reference density evolution through numpy powers, every nonzero
     coefficient included: bisection over it checks the minimisation in
     `it_threshold` by a second route. With degree-2 variables and none of
     degree 1 it stops once rho'(1)·x_next < y, the stability condition's
@@ -74,7 +74,7 @@ def _numpy_de_converges(dist, eps, iters=2000, cutoff=1e-9):
     drho = sum(j * r for j, r in enumerate(dist.rho))
     x = eps
     for _ in range(iters):
-        y = 1.0 - dist.rho_eval(1.0 - x)
+        y = 1.0 - sum(r * np.power(1.0 - x, j) for j, r in enumerate(dist.rho) if r)
         x_next = eps * dist.lam_eval(y)
         if x_next < cutoff or (stable_stop and drho * x_next < y):
             return True
@@ -160,6 +160,23 @@ def test_ml_bound_values():
         val, degenerate = ml_threshold_bound(DegreeDistribution.regular(dv, dc))
         assert not degenerate
         assert abs(val - target) < 5e-4
+
+
+def test_threshold_report_minimises_once(monkeypatch):
+    """One threshold report evaluates eps(x) on the minimisation's full grid
+    once: the IT threshold and the EXIT curve share the minimum."""
+    real = analysis._eps_of_x
+    grid_calls = []
+
+    def counting(dist, x):
+        if np.ndim(x) and len(x) == 2000 + 20000:  # the log-spaced and linear grids
+            grid_calls.append(dist)
+        return real(dist, x)
+
+    monkeypatch.setattr(analysis, "_eps_of_x", counting)
+    analysis._bp_point.cache_clear()
+    threshold_report(DegreeDistribution.regular(3, 6))
+    assert len(grid_calls) == 1
 
 
 def test_threshold_report_ordering():
@@ -394,9 +411,9 @@ def test_min_distance_matches_enumeration_random_codes(data):
     rows = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=n))
     assume(all(any(w >> c & 1 for w in rows) for c in range(n)))
     h = SparseBinMatrix(len(rows), n, [[c for c in range(n) if w >> c & 1] for w in rows])
-    encoder, k = _generic_encoder_from_h(h)
-    assume(k <= 12)
-    code = LdpcCode(n, k, h, encoder=encoder)
+    encoder = _generic_encoder_from_h(h)
+    assume(len(encoder.info_positions) <= 12)
+    code = LdpcCode(h, encoder)
     tail = exhaustive_min_distance(code)
     assert (tail.d_min, tail.a_min) == enumerate_min_distance(code)
 
@@ -433,7 +450,6 @@ def test_degree_distribution_rate():
     dist = DegreeDistribution.regular(3, 6)
     assert dist.rate == pytest.approx(0.5)
     assert dist.lam_eval(1.0) == pytest.approx(1.0)
-    assert dist.rho_eval(1.0) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("dv, dc, says", [

@@ -211,6 +211,8 @@ def test_replay_byte_identical(tmp_path, capsys):
 BAD_K_CODE = "ldpc 4 3\n2 4\n1100\n0011\n"
 # the (3,2) single parity check code
 SPC_CODE = "ldpc 3 2\n1 3\n111\n"
+# the (128,127) single parity check code under a header that claims n=130
+BAD_N_CODE = "ldpc 130 127\n1 128\n" + "1" * 128 + "\n"
 
 
 @pytest.mark.parametrize("args, files, says", [
@@ -223,6 +225,8 @@ SPC_CODE = "ldpc 3 2\n1 3\n111\n"
     (["raptor-sim", "--k", "16", "--n", "32", "--delta", "16", "--config", "run.cfg"],
      {"run.cfg": "workers=0\n"}, ""),
     (["mindist", "--code", "code.txt"], {"code.txt": BAD_K_CODE}, ""),
+    (["mindist", "--code", "code.txt"], {"code.txt": BAD_N_CODE},
+     "code.txt: header gives n=130, but H has 128 columns"),
     (["bounds", "--n", "64", "--k", "80", "--eps", "0.1"], {}, ""),
     (["simulate", "--regular", "3,6", "--n", "24", "--eps", "0.3", "--target-errors", "0"],
      {}, ""),
@@ -277,9 +281,9 @@ SPC_CODE = "ldpc 3 2\n1 3\n111\n"
     (["construct", "--geira", "0,16"], {}, "k = 0, n = 16"),
     (["construct", "--geira", "8,8"], {}, "k = 8, n = 8"),
 ], ids=["step-zero", "step-negative", "stop-below-start", "step-config", "workers-flag",
-        "workers-config", "code-header-k", "bounds-k-above-n", "target-errors-zero",
-        "max-trials-zero", "geira-tap-too-large", "code-file-missing", "decoder-config",
-        "simulate-delta-stop-below-start", "raptor-delta-stop-below-start",
+        "workers-config", "code-header-k", "code-header-n", "bounds-k-above-n",
+        "target-errors-zero", "max-trials-zero", "geira-tap-too-large", "code-file-missing",
+        "decoder-config", "simulate-delta-stop-below-start", "raptor-delta-stop-below-start",
         "regular-dv-zero", "regular-n-negative", "simulate-eps-and-delta",
         "simulate-delta-in-config", "construct-regular-and-geira", "simulate-regular-in-config",
         "bounds-n-zero", "bounds-dmin-zero", "bounds-amin-negative", "geira-with-n",

@@ -12,6 +12,7 @@ from conftest import (
     geira_accumulate,
     loop_rref_masks,
     mul_vec,
+    pivot_positions,
     random_vector,
 )
 from erasurelab.binmat import BinVector, SparseBinMatrix
@@ -155,7 +156,8 @@ def test_table_encoder_matches_bitwise_encode_random_h(data):
     n = data.draw(st.integers(1, 30))
     rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12))
     h = SparseBinMatrix(len(rows), n, [[c for c in range(n) if w >> c & 1] for w in rows])
-    encoder, k = _generic_encoder_from_h(h)
+    encoder = _generic_encoder_from_h(h)
+    k = len(encoder.info_positions)
     code = SimpleNamespace(n=n, encoder=encoder)
     u = BinVector(k, data.draw(st.integers(0, (1 << k) - 1)))
     cw = encoder.encode(u)
@@ -164,11 +166,10 @@ def test_table_encoder_matches_bitwise_encode_random_h(data):
 
 
 def _assert_rref_masks_match_loop(h):
-    encoder, k = _generic_encoder_from_h(h)
+    encoder = _generic_encoder_from_h(h)
     info, pivots, pmap = loop_rref_masks(h)
-    assert k == len(info)
     assert encoder.info_positions == info
-    assert encoder.pivot_positions == pivots
+    assert pivot_positions(encoder) == pivots
     assert encoder.pmap == pmap
 
 

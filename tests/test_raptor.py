@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -32,7 +33,6 @@ from erasurelab.raptor import (
     RaptorCode,
     RaptorParams,
     _robust_soliton_cdf,
-    derive_params,
     gray_half_columns,
     lt_tuple,
 )
@@ -90,21 +90,44 @@ def code16():
     return RaptorCode.build(16, 32, seed=0)
 
 
-def test_derive_params_k10():
-    p = derive_params(10, n=20)
+def test_raptor_params_k10():
+    p = RaptorParams(10, n=20)
     assert (p.s, p.h, p.L) == (7, 6, 23)
 
 
-def test_derive_params_k4():
-    p = derive_params(4, n=8)
-    assert math.comb(p.h, p.h_prime) >= 4 + p.s
+def test_raptor_params_k4():
+    p = RaptorParams(4, n=8)
+    assert math.comb(p.h, (p.h + 1) // 2) >= 4 + p.s
     assert p.L == 4 + p.s + p.h
 
 
-def test_derive_params_L_definition():
+def test_raptor_params_L_definition():
     for k in (4, 10, 57, 200):
-        p = derive_params(k, n=2 * k)
+        p = RaptorParams(k, n=2 * k)
         assert p.L == k + p.s + p.h
+
+
+def _is_prime(p):
+    return p >= 2 and all(p % f for f in range(2, math.isqrt(p) + 1))
+
+
+def test_raptor_params_take_the_least_sizes():
+    """For every k in 4..4096, s is the least prime >= ceil(k/100) + X, X the
+    least with X(X-1) >= 2k, and h the least count whose C(h, ceil(h/2))
+    weight-ceil(h/2) columns number k+s or more: so the k+s Gray columns of
+    the pre-code are distinct for every k, with no check at construction."""
+    for k in range(4, 4097):
+        p = RaptorParams(k, 2 * k)
+        x = next(x for x in itertools.count(1) if x * (x - 1) >= 2 * k)
+        lo = math.ceil(0.01 * k) + x
+        assert p.s >= lo and _is_prime(p.s), k
+        assert not any(_is_prime(q) for q in range(lo, p.s)), k
+        assert math.comb(p.h, (p.h + 1) // 2) >= k + p.s > math.comb(p.h - 1, p.h // 2), k
+    # pinned (s, h, L) at four k
+    for k, sizes in ((4, (5, 5, 14)), (10, (7, 6, 23)), (256, (29, 11, 296)),
+                     (1024, (59, 13, 1096))):
+        p = RaptorParams(k, 2 * k)
+        assert (p.s, p.h, p.L) == sizes
 
 
 def test_gray_half_columns_h4():
@@ -133,17 +156,17 @@ def test_lt_tuple_deterministic(code16):
         a = lt_tuple(esi, p)
         b = lt_tuple(esi, p)
         assert a == b
-        assert all(0 <= t < p.L for t in a.indices)
-        assert len(set(a.indices)) == a.degree
+        assert all(0 <= t < p.L for t in a)
+        assert len(set(a)) == len(a)
 
 
 def test_lt_degree_histogram():
-    p = derive_params(64, n=128)
+    p = RaptorParams(64, n=128)
     cdf = _robust_soliton_cdf(p.L)
     counts = np.zeros(p.L + 1)
     n_samples = 100000
     for esi in range(1, n_samples + 1):
-        counts[lt_tuple(esi, p).degree] += 1
+        counts[len(lt_tuple(esi, p))] += 1
     pmf = np.diff(np.concatenate([[0.0], np.asarray(cdf)]))
     for d in range(1, p.L + 1):
         expect = n_samples * pmf[d - 1]
@@ -181,7 +204,7 @@ def test_precode_examples(code16, rng):
 
 def test_systematic_seed_postcondition():
     seed = RaptorCode.build(10, 20).params.lt_seed
-    p = derive_params(10, n=20, lt_seed=seed)
+    p = RaptorParams(10, n=20, lt_seed=seed)
     a_k = build_A(p, list(range(1, 11)))
     assert rank(a_k) == p.L
     assert RaptorCode.build(10, 20).params.lt_seed == seed  # deterministic search
@@ -206,10 +229,10 @@ def test_seed_attempt_draws_k_tuples_then_n(monkeypatch):
     for lt_seed in (0, 1):
         drawn.clear()
         with pytest.raises(NotSystematicError):
-            RaptorCode(derive_params(16, 32, lt_seed=lt_seed))
+            RaptorCode(RaptorParams(16, 32, lt_seed=lt_seed))
         assert drawn == list(range(1, 17))
     drawn.clear()
-    RaptorCode(derive_params(16, 32, lt_seed=2))
+    RaptorCode(RaptorParams(16, 32, lt_seed=2))
     assert drawn == list(range(1, 33))
     drawn.clear()
     assert RaptorCode.build(16, 32).params.lt_seed == 2
@@ -226,7 +249,7 @@ def test_build_draws_the_precode_rows_once(monkeypatch, k, n, lt_seed):
     monkeypatch.setattr(raptor, "_precode_rows", lambda p: drawn.append(p) or real(p))
     code = RaptorCode.build(k, n)
     assert code.params.lt_seed == lt_seed
-    assert drawn == [derive_params(k, n)]
+    assert drawn == [RaptorParams(k, n)]
     assert code.precode_rows == real(code.params)
 
 
@@ -277,7 +300,7 @@ def test_nonsystematic_seed_rejected():
     assert RaptorCode.build(16, 32).params.lt_seed == 2
     for lt_seed in (0, 1):
         with pytest.raises(ValueError, match="not systematic"):
-            RaptorCode(derive_params(16, 32, lt_seed=lt_seed))
+            RaptorCode(RaptorParams(16, 32, lt_seed=lt_seed))
 
 
 def test_generator_route_agreement(code16, rng):
@@ -356,9 +379,9 @@ def test_symbol_file_roundtrip(code16, rng):
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        RaptorParams(k=2, s=3, h=4, n=8)
+        RaptorParams(k=2, n=8)
     with pytest.raises(ValueError):
-        derive_params(10, n=5)  # n < k
+        RaptorParams(10, n=5)  # n < k
 
 
 @pytest.fixture(scope="module")
@@ -441,14 +464,14 @@ def test_bad_esis_rejected(code16, esis):
     (ESI 0 is position -1, ESI n+1 position n) fails the range check."""
     n = code16.params.n
     with pytest.raises(ValueError, match="erased positions"):
-        ReceivedWord(n, BinVector(n), [esi - 1 for esi in esis])
+        ReceivedWord(BinVector(n), [esi - 1 for esi in esis])
 
 
 @pytest.mark.parametrize("length", [31, 33])
 def test_word_length_must_be_n(code16, length):
     for decoder in (code16.decode, code16.decode_structured):
         with pytest.raises(ValueError, match="word length"):
-            decoder(ReceivedWord(length, BinVector(length), []))
+            decoder(ReceivedWord(BinVector(length), []))
 
 
 def test_flipped_symbol_is_inconsistent(code16, rng):

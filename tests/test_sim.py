@@ -34,8 +34,8 @@ def punctured_code():
     return rate_family(sample_regular(3, 6, 96, seed=5), [0.5, 0.6, 0.75])[2]
 
 
-CHANNELS = [ChannelModel("bec", epsilon=e) for e in (0.0, 0.1, 0.45, 1.0)] + [
-    ChannelModel("overhead", delta=d) for d in (-30, 0, 3, 100)]
+CHANNELS = [ChannelModel("bec", e) for e in (0.0, 0.1, 0.45, 1.0)] + [
+    ChannelModel("overhead", d) for d in (-30, 0, 3, 100)]
 
 
 def _drawn_word(code, channel, seed):
@@ -94,30 +94,30 @@ def test_punctured_csv_pinned(punctured_code, kind, sweep):
 
 def test_channel_validation():
     with pytest.raises(ValueError):
-        ChannelModel("awgn")
+        ChannelModel("awgn", 0.1)
     with pytest.raises(ValueError):
-        ChannelModel("bec", epsilon=1.5)
+        ChannelModel("bec", 1.5)
     with pytest.raises(ValueError, match="overhead must be an integer, got 2.5"):
-        ChannelModel("overhead", delta=2.5)
-    assert ChannelModel("overhead", delta=2.0).delta == 2
+        ChannelModel("overhead", 2.5)
+    assert ChannelModel("overhead", 2.0).value == 2
 
 
 def test_trial_eps0_always_succeeds(small_code):
-    ch = ChannelModel("bec", epsilon=0.0)
+    ch = ChannelModel("bec", 0.0)
     for t in range(20):
         ok, _ = run_trial(small_code, "ml", ch, np.random.default_rng(t))
         assert ok
 
 
 def test_trial_eps1_always_fails(small_code):
-    ch = ChannelModel("bec", epsilon=1.0)
+    ch = ChannelModel("bec", 1.0)
     for t in range(20):
         ok, _ = run_trial(small_code, "ml", ch, np.random.default_rng(t))
         assert not ok
 
 
 def test_trial_full_overhead_equals_eps0(small_code):
-    ch = ChannelModel("overhead", delta=small_code.n - small_code.k)
+    ch = ChannelModel("overhead", small_code.n - small_code.k)
     for t in range(20):
         ok, _ = run_trial(small_code, "hybrid", ch, np.random.default_rng(t))
         assert ok
@@ -206,7 +206,7 @@ def test_csv_format():
 
 
 def test_raptor_overhead_trials(raptor_code):
-    ch = ChannelModel("overhead", delta=16)  # all n symbols received
+    ch = ChannelModel("overhead", 16)  # all n symbols received
     for t in range(10):
         ok, _ = run_trial(raptor_code, "ml", ch, np.random.default_rng(t))
         assert ok
@@ -276,7 +276,7 @@ def test_run_trial_rejects_a_decoder_the_code_lacks(code_name, decoder, request)
     """A direct ``run_trial`` (as the Raptor demo makes) names the decoder in
     a ValueError instead of ending in a bare KeyError."""
     code = request.getfixturevalue(code_name)
-    ch = ChannelModel("overhead", delta=2)
+    ch = ChannelModel("overhead", 2)
     with pytest.raises(ValueError, match=f"no decoder {decoder!r}"):
         run_trial(code, decoder, ch, np.random.default_rng(0))
 
@@ -286,7 +286,7 @@ def test_wrong_recovered_word_counts_as_error(small_code, monkeypatch):
     zero = BinVector(small_code.n)
     monkeypatch.setattr(sim, "ml_decode",
                         lambda code, word: DecodeResult("success", recovered=zero))
-    ch = ChannelModel("bec", epsilon=0.1)
+    ch = ChannelModel("bec", 0.1)
     ok, _ = run_trial(small_code, "ml", ch, np.random.default_rng(1), zero_codeword=True)
     assert ok
     ok, _ = run_trial(small_code, "ml", ch, np.random.default_rng(1), zero_codeword=False)
@@ -351,7 +351,7 @@ def test_trial_path_builds_no_positions(monkeypatch, small_code, punctured_code,
         for decoder in decoders:
             for eps in (0.1, 0.45, 0.8):
                 for seed in range(6):
-                    ok, _ = run_trial(code, decoder, ChannelModel("bec", epsilon=eps),
+                    ok, _ = run_trial(code, decoder, ChannelModel("bec", eps),
                                       np.random.default_rng(seed), zero_codeword=False)
                     outcomes.add(ok)
     assert outcomes == {True, False}
