@@ -195,7 +195,9 @@ def exit_curve(dist: DegreeDistribution) -> ExitCurve:
     xs = np.linspace(x_bp, 1.0, _EXIT_GRID)
     p_a, y = _eps_of_x(dist, xs)
     keep = p_a <= np.minimum.accumulate(p_a[::-1])[::-1]
-    return ExitCurve(xs[keep], p_a[keep], dist.node_lambda_eval(y[keep]), x_bp, eps_bp)
+    if not keep.all():
+        xs, p_a, y = xs[keep], p_a[keep], y[keep]
+    return ExitCurve(xs, p_a, dist.node_lambda_eval(y), x_bp, eps_bp)
 
 
 def _area_crossing(p_a, p_e, r: float):
@@ -251,10 +253,10 @@ def _de_kernel(edges: tuple, n_vars: int):
     is a local variable, and the generated source holds only edge indices and
     ``repr(float(m))`` multiplicity literals. The products are accumulated
     in the log domain so zero-probability messages stay harmless. Every sum
-    runs left to right from 0.0, not through ``sum()``, which compensates
-    on Python 3.12 and later: the float operations are those of the loop
-    over the edge types that this code unrolls (``tests/conftest.py``
-    keeps that loop as the reference).
+    runs left to right, not through ``sum()``, which compensates on Python
+    3.12 and later, so the kernel gives the same values as the loop over
+    the edge types that this code unrolls (``tests/conftest.py`` keeps that
+    loop as the reference).
     """
     rows, cols = {}, [[] for _ in range(n_vars)]
     for e, (i, j, m) in enumerate(edges):
@@ -262,11 +264,14 @@ def _de_kernel(edges: tuple, n_vars: int):
         cols[j].append((e, m))
 
     def total(target, terms, name):
-        """Lines that sum ``m * name<e>`` over ``terms`` into ``target`` from
-        0.0, left to right, a few terms per line so that a dense row's
-        expression stays shallow enough to compile."""
-        parts = [f" + {m!r} * {name}{e}" for e, m in terms]
-        return [f"{target} = {'0.0' if k == 0 else target}{''.join(parts[k:k + 16])}"
+        """Lines that sum ``m * name<e>`` over ``terms`` into ``target``,
+        left to right, a few terms per line so that a dense row's expression
+        stays shallow enough to compile. The loop's leading ``0.0 +`` and
+        its ``1.0 *`` factors are left out: neither changes a value, as no
+        term is -0.0 (log gives +0.0 at 1.0, LOG_TINY is negative and every
+        multiplicity positive)."""
+        parts = [f"{name}{e}" if m == 1.0 else f"{m!r} * {name}{e}" for e, m in terms]
+        return [f"{target} = {' + '.join(([target] if k else []) + parts[k:k + 16])}"
                 for k in range(0, len(parts), 16)]
 
     vs = ", ".join(f"v{e}" for e in range(len(edges))) + ","
@@ -329,50 +334,71 @@ def protograph_it_threshold(p: Protograph) -> float:
     return _bisect(lambda eps: protograph_de(p, eps), _PROTO_THRESHOLD_TOL)
 
 
-def protograph_exit_curve(p: Protograph):
-    """Average extrinsic erasure over transmitted VNs versus the a-priori
-    erasure applied to transmitted VNs, swept downward with warm starts."""
+def _exit_sweep(p: Protograph):
+    """Yield (p_A, p_E) down the grid from p_A = 1 to 0: p_E is the average
+    extrinsic erasure over transmitted VNs at a-priori erasure p_A on them,
+    each fixed point warm-started from the one before."""
     edges = _edge_types(p)
     sent = [j for j in range(p.n_vars) if j not in p.punctured_cols]
-    pas = np.linspace(1.0, 0.0, _PROTO_EXIT_GRID)
-    pes = np.zeros(_PROTO_EXIT_GRID)
     v = None
-    for i, pa in enumerate(pas):
+    for pa in np.linspace(1.0, 0.0, _PROTO_EXIT_GRID):
         v, extrinsic, _ = _proto_fixed_point(edges, _priors(p, pa), v0=v)
         s = 0.0
         for j in sent:
             s += extrinsic[j]
-        pes[i] = s / len(sent)
+        yield pa, s / len(sent)
+
+
+def protograph_exit_curve(p: Protograph):
+    """Average extrinsic erasure over transmitted VNs versus the a-priori
+    erasure applied to transmitted VNs, p_a increasing."""
+    pas, pes = map(np.array, zip(*_exit_sweep(p)))
     return pas[::-1], pes[::-1]
 
 
 def protograph_ml_bound(p: Protograph):
     """Area-theorem bound for a protograph ensemble, rate over transmitted
-    positions only."""
-    pas, pes = protograph_exit_curve(p)
-    x = _area_crossing(pas, pes, p.design_rate)
-    return (float(pas[0]), True) if x is None else (x, False)
+    positions only. The sweep stops once the area from p_A = 1 down exceeds
+    the rate: the points below cannot move the crossing, as the area is
+    summed from the top in the order of ``_area_crossing``'s cumsum, so the
+    crossing over the points swept gives the same values as over the whole
+    curve."""
+    r = p.design_rate
+    pas, pes, area = [], [], 0.0
+    for pa, pe in _exit_sweep(p):
+        if pas:
+            area += 0.5 * (pes[-1] + pe) * (pas[-1] - pa)
+        pas.append(pa)
+        pes.append(pe)
+        if area > r:
+            break
+    x = _area_crossing(np.array(pas[::-1]), np.array(pes[::-1]), r)
+    return (float(pas[-1]), True) if x is None else (x, False)
 
 
 # --- finite-length bounds ---------------------------------------------------
 
 @functools.lru_cache(maxsize=8)
-def _lgamma_table(n: int) -> tuple:
+def _lgamma_table(n: int) -> np.ndarray:
     """lgamma(i + 1) = log(i!) for i in 0..n, built once per n: a bound grid
     asks for the same n at every eps."""
-    return tuple(math.lgamma(i + 1) for i in range(n + 1))
+    table = np.array([math.lgamma(i + 1) for i in range(n + 1)])
+    table.flags.writeable = False
+    return table
 
 
 def _log_terms(n: int, eps: float, lo: int, hi: int) -> list:
-    """log P(i of n positions erased) for i in range(lo, hi)."""
+    """log P(i of n positions erased) for i in range(lo, hi). The array
+    expression does the scalar formula's float operations in its order, one
+    ufunc each, so every term is the value the scalar formula gives."""
     if eps == 0.0:
         return [0.0 if i == 0 else -math.inf for i in range(lo, hi)]
     if eps == 1.0:
         return [0.0 if i == n else -math.inf for i in range(lo, hi)]
     lg = _lgamma_table(n)
     log_eps, log_keep = math.log(eps), math.log1p(-eps)
-    return [lg[n] - lg[i] - lg[n - i] + i * log_eps + (n - i) * log_keep
-            for i in range(lo, hi)]
+    i = np.arange(lo, hi)
+    return (lg[n] - lg[i] - lg[n - i] + i * log_eps + (n - i) * log_keep).tolist()
 
 
 def _logsumexp(terms) -> float:

@@ -55,11 +55,15 @@ class ReceivedWord:
         mask = self.erased_mask
         if not (isinstance(mask, np.ndarray) and mask.dtype == np.bool_):
             positions = list(mask)
-            if any(isinstance(i, (bool, np.bool_)) for i in positions):
+            if {bool, np.bool_} & set(map(type, positions)):
                 raise ValueError("erased positions must be integers; an erasure "
                                  "mask must be a boolean numpy array")
-            positions = list(map(index, positions))  # numpy integers shift to 0
-            if positions and (min(positions) < 0 or max(positions) >= self.n):
+            try:  # index() takes numpy integers and rejects 1.5
+                positions = np.fromiter(map(index, positions), np.intp, len(positions))
+                inside = not positions.size or 0 <= positions.min() and positions.max() < self.n
+            except OverflowError:  # beyond any array index
+                inside = False
+            if not inside:
                 raise ValueError(f"erased positions must lie in 0..{self.n - 1}")
             mask = self.erased_mask = np.zeros(self.n, np.bool_)
             mask[positions] = True
@@ -374,13 +378,12 @@ def oracle_decode(code, word: ReceivedWord) -> DecodeResult:
 
 
 def is_stopping_set(code, positions) -> bool:
-    """Every check row touching the set touches it at least twice."""
-    pset = set(positions)
-    touched = {}
-    for c in pset:
-        for r in code.h.col_adj[c]:
-            touched[r] = touched.get(r, 0) + 1
-    return all(cnt >= 2 for cnt in touched.values())
+    """Every check row touching the set touches it at least twice: no row
+    counts exactly one of H's entries in the set's columns."""
+    rows, cols = code.h.edges()
+    in_set = np.zeros(code.h.cols, np.bool_)
+    in_set[list(positions)] = True
+    return not (np.bincount(rows[in_set[cols]], minlength=code.h.rows) == 1).any()
 
 
 def _with_punctured(code, word: ReceivedWord) -> ReceivedWord:

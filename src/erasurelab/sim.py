@@ -142,7 +142,16 @@ def _erasure_mask(code, channel, rng) -> np.ndarray:
     return mask
 
 
+_worker_code = None  # a pool worker's code, handed over once when it starts
+
+
+def _set_worker_code(code) -> None:
+    global _worker_code
+    _worker_code = code
+
+
 def _trial_block(code, decoder, channel, seed, point_idx, zero_codeword, t0, t1):
+    code = _worker_code if code is None else code
     return [run_trial(code, decoder, channel, np.random.default_rng((seed, point_idx, t)),
                       zero_codeword) for t in range(t0, t1)]
 
@@ -150,9 +159,12 @@ def _trial_block(code, decoder, channel, seed, point_idx, zero_codeword, t0, t1)
 def run_point(plan: SimPlan, point_idx: int, value, executor=None) -> SimRecord:
     """Run one sweep point until target_errors error events or max_trials,
     in rounds of one block of up to ``_BLOCK`` trials per worker, mapped
-    through ``executor.map``, or through ``map`` here without an executor."""
-    block = partial(_trial_block, plan.code, plan.decoder, ChannelModel(plan.channel_kind, value),
-                    plan.seed, point_idx, plan.zero_codeword)
+    through ``executor.map``, or through ``map`` here without an executor.
+    An executor's workers decode the code that ``run_sweep`` hands each of
+    them when it starts, so the blocks carry no code."""
+    block = partial(_trial_block, plan.code if executor is None else None, plan.decoder,
+                    ChannelModel(plan.channel_kind, value), plan.seed, point_idx,
+                    plan.zero_codeword)
     run = map if executor is None else executor.map
     trials = errors = 0
     piv_sum = 0.0
@@ -177,7 +189,10 @@ def run_point(plan: SimPlan, point_idx: int, value, executor=None) -> SimRecord:
 
 def run_sweep(plan: SimPlan) -> list:
     """Run every sweep point until target_errors error events or max_trials."""
-    pool = ProcessPoolExecutor(max_workers=plan.workers) if plan.workers > 1 else nullcontext()
+    pool = nullcontext()
+    if plan.workers > 1:
+        pool = ProcessPoolExecutor(plan.workers, initializer=_set_worker_code,
+                                   initargs=(plan.code,))
     with pool as executor:
         return [run_point(plan, i, v, executor) for i, v in enumerate(plan.sweep)]
 

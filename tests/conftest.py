@@ -308,6 +308,17 @@ def loop_parities(h, v):
     return par
 
 
+def loop_is_stopping_set(code, positions):
+    """Reference stopping-set test: a count per check row touched, from the
+    set's adjacency lists, the loop ``decode.is_stopping_set`` replaces with
+    a bincount over H's edge arrays."""
+    touched = {}
+    for c in set(positions):
+        for r in code.h.col_adj[c]:
+            touched[r] = touched.get(r, 0) + 1
+    return all(cnt >= 2 for cnt in touched.values())
+
+
 def loop_peel_core(code, word):
     """Reference peel start: the loops over the erased columns' and the known
     symbols' adjacency lists that ``decode._start`` and ``decode._parities``

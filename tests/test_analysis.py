@@ -317,6 +317,33 @@ def test_exit_curve_matches_loop(p, monkeypatch):
     assert pes.tobytes() == ref_pes.tobytes()
 
 
+def _whole_curve_bound(p):
+    """The ML bound from the crossing over the whole EXIT curve."""
+    pas, pes = analysis.protograph_exit_curve(p)
+    x = analysis._area_crossing(pas, pes, p.design_rate)
+    return (float(pas[0]), True) if x is None else (x, False)
+
+
+@pytest.mark.parametrize("p, degenerate", [
+    (ARA, False), (Protograph(base=((3, 3),)), False),
+    (Protograph(base=((2, 1, 1),)), True),  # its EXIT area never reaches its rate
+], ids=["ara", "3-3", "area-short"])
+def test_ml_bound_sweep_stops_at_the_whole_curve_crossing(p, degenerate):
+    """The sweep that stops once its area from the top passes the rate
+    gives the crossing over the whole curve, repr for repr, degenerate flag
+    included; where the area falls short the sweep runs to the end."""
+    bound = protograph_ml_bound(p)
+    assert repr(bound) == repr(_whole_curve_bound(p))
+    assert bound[1] is degenerate
+
+
+@settings(max_examples=12, deadline=None)
+@given(_protograph_case())
+def test_ml_bound_sweep_stops_at_the_whole_curve_crossing_property(case):
+    p = case[0]
+    assert repr(protograph_ml_bound(p)) == repr(_whole_curve_bound(p))
+
+
 def test_thresholds_demo_ara_line():
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))

@@ -9,6 +9,7 @@ from conftest import (
     code_from_rows,
     from_rows,
     full_scan_triangularize,
+    loop_is_stopping_set,
     loop_parities,
     loop_peel_core,
     random_vector,
@@ -78,6 +79,12 @@ def test_received_word_rejects_bools_as_positions():
     for mask in (np.ones(3, np.bool_), np.zeros(5, np.bool_), np.zeros((2, 2), np.bool_)):
         with pytest.raises(ValueError, match="erasure mask shape"):
             ReceivedWord.from_full(full, mask)
+
+
+def test_positions_beyond_any_array_index_are_out_of_range():
+    for erased in ([2**70], [-2**70], [1, 2**64]):
+        with pytest.raises(ValueError, match=r"erased positions must lie in 0\.\.3"):
+            ReceivedWord.from_full(BinVector(4), erased)
 
 
 def test_mask_and_positions_build_equal_words():
@@ -423,6 +430,18 @@ def sparse_words(draw):
     kind = draw(st.sampled_from(["random", "zero", "ones"]))
     bits = {"random": draw(st.integers(0, (1 << n) - 1)), "zero": 0, "ones": (1 << n) - 1}[kind]
     return SparseBinMatrix(len(rows), n, rows), BinVector(n, bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_words(), st.booleans())
+def test_is_stopping_set_matches_loop(case, repeat):
+    """The bincount over H's edge arrays gives the dict loop's verdict on
+    the set of a word's set bits, given as a tuple, with each position
+    twice or once."""
+    h, v = case
+    code = SimpleNamespace(h=h)
+    positions = tuple(v.ones()) * (2 if repeat else 1)
+    assert is_stopping_set(code, positions) == loop_is_stopping_set(code, positions)
 
 
 @settings(max_examples=200, deadline=None)

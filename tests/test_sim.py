@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,23 @@ def test_run_point_without_executor_ignores_the_worker_count(small_code):
     one = sim.run_point(SimPlan(**base, workers=1), 0, 0.42)
     three = sim.run_point(SimPlan(**base, workers=3), 0, 0.42)
     assert one == three and one.errors == 30
+
+
+def test_pool_blocks_carry_no_code(small_code, monkeypatch):
+    """Through an executor the blocks are sent without the code, which a
+    pool worker holds from its start, and the record is that of the run
+    without an executor."""
+    class PicklingExecutor:
+        def map(self, fn, *args):
+            sent = pickle.loads(pickle.dumps(fn))
+            assert sent.args[0] is None
+            return map(sent, *args)
+
+    monkeypatch.setattr(sim, "_worker_code", small_code)
+    base = dict(code=small_code, decoder="ml", channel_kind="bec", sweep=[0.42],
+                target_errors=30, max_trials=2000, seed=8, workers=2)
+    assert (sim.run_point(SimPlan(**base), 0, 0.42, PicklingExecutor())
+            == sim.run_point(SimPlan(**base), 0, 0.42))
 
 
 def test_dominance_ml_vs_it(small_code):
