@@ -134,10 +134,12 @@ def _eps_of_x(dist: DegreeDistribution, x):
     """(eps, y): the channel erasure eps = x / lam(y) that makes x a fixed
     point of DE, where y = 1 - rho(1 - x). Each 1 - (1 - x)^j is taken as
     -expm1(j·log1p(-x)), as the plain form cancels at small x; degree-1
-    checks add 0 (and 0·log1p(-1) would be nan). log1p(-1) = -inf at x = 1
-    and a lam(y) that underflows to 0 (eps = inf) raise no warning."""
+    checks add 0 (and 0·log1p(-1) would be nan), so y starts as zeros shaped
+    like x. log1p(-1) = -inf at x = 1 and a lam(y) that underflows to 0
+    (eps = inf) raise no warning."""
     with np.errstate(divide="ignore", over="ignore"):
-        y = sum(r * -np.expm1(j * np.log1p(-x)) for j, r in enumerate(dist.rho) if r and j)
+        y = sum((r * -np.expm1(j * np.log1p(-x)) for j, r in enumerate(dist.rho) if r and j),
+                np.zeros_like(x))
         return x / dist.lam_eval(y), y
 
 

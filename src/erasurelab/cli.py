@@ -107,16 +107,27 @@ def _pair(text):
     return int(a), int(b)
 
 
+def _header_text(v):
+    """A float as ``:g`` where that parses back to it, else as ``repr``, so
+    that a grid value such as 0.45999999999999996 survives the header."""
+    if isinstance(v, float):
+        short = f"{v:g}"
+        return short if float(short) == v else repr(v)
+    return str(v)
+
+
 def _echo_header(args, keys):
     hdr = {"command": args.command, "seed": getattr(args, "seed", 0)}
     for key in keys:
         val = getattr(args, key)
-        if val is None:
+        if val is None or val is False:
             continue
+        if val is True:  # a switch, echoed only when set
+            val = 1
         if isinstance(val, frozenset):
             val = sorted(val)
         if isinstance(val, (list, tuple)):
-            val = ",".join(f"{v:g}" if isinstance(v, float) else str(v) for v in val)
+            val = ",".join(map(_header_text, val))
         hdr[key] = val
     return hdr
 
@@ -180,7 +191,7 @@ def _cmd_simulate(args, parser):
     records = sim.run_sweep(plan)
     hdr = _echo_header(args, ["code", "regular", "geira", "taps", "wc", "n",
                               "decoder", "eps", "delta", "target_errors",
-                              "max_trials", "workers"])
+                              "max_trials", "workers", "random_codeword"])
     _emit(sim.records_to_csv(records, hdr), args.out)
     return 0
 

@@ -1,19 +1,21 @@
 """Fixed-rate systematic Raptor codec: LDPC + Gray-sequence half-symbol
-pre-code, LT layer with a pluggable deterministic tuple generator, encoding
+pre-code, LT layer with a deterministic tuple generator, encoding
 matrix assembly, systematic encoding by the parity-mask encoder of the LDPC
 codes, and ML decoding from any ESI subset, received as a
 ``decode.ReceivedWord`` whose position i holds ESI i+1.
 
-The exact MBMS tuple generators and degree tables are deliberately not
-reproduced; the defaults below (truncated robust-soliton degrees, splitmix
-ESI streams) are documented, seed-driven stand-ins with the same structure.
+LT degrees follow the standard degree table of RFC 5053 §5.4.4.2. The
+positions of each tuple's indices are a seed-driven stand-in: RFC 5053's own
+tuple generator needs its V0/V1 tables, which this package does not hold, so
+a splitmix64 stream keyed by (lt_seed, ESI) draws them instead.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from operator import xor
 
 import numpy as np
@@ -47,9 +49,6 @@ class _Stream:
     def next_u64(self) -> int:
         self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
         return _mix64(self.state)
-
-    def next_float(self) -> float:
-        return (self.next_u64() >> 11) * 2.0**-53
 
     def randbelow(self, n: int) -> int:
         # rejection sampling keeps the draw unbiased
@@ -136,59 +135,26 @@ def gray_half_columns(h: int, count: int) -> list:
     return out
 
 
-_SOLITON_C = 0.1  # robust-soliton constant c
-_SOLITON_DELTA = 0.5  # robust-soliton failure bound delta
-
-
-@lru_cache(maxsize=32)
-def _robust_soliton_cdf(L: int) -> tuple:
-    """Truncated robust-soliton degree distribution over [1, L]."""
-    rho = [0.0] * (L + 1)
-    rho[1] = 1.0 / L
-    for d in range(2, L + 1):
-        rho[d] = 1.0 / (d * (d - 1))
-    tau = [0.0] * (L + 1)
-    s = _SOLITON_C * math.log(L / _SOLITON_DELTA) * math.sqrt(L)
-    pivot = max(1, min(L, int(round(L / s))))
-    for d in range(1, pivot):
-        tau[d] = s / (d * L)
-    tau[pivot] = s * math.log(s / _SOLITON_DELTA) / L
-    total = sum(rho) + sum(tau)
-    cdf = []
-    acc = 0.0
-    for d in range(1, L + 1):
-        acc += (rho[d] + tau[d]) / total
-        cdf.append(acc)
-    cdf[-1] = 1.0
-    return tuple(cdf)
+# RFC 5053 §5.4.4.2: v in [0, 2^20) picks degree _DEGREES[j] for the j with
+# _DEGREE_BOUNDS[j] <= v < _DEGREE_BOUNDS[j+1]
+_DEGREE_BOUNDS = (0, 10241, 491582, 712794, 831695, 948446, 1032189, 1048576)
+_DEGREES = (1, 2, 3, 4, 10, 11, 40)
 
 
 def lt_tuple(esi: int, params: RaptorParams) -> tuple:
     """The deterministic LT tuple of one ESI: its sorted intermediate-symbol
-    indices, as many as its degree."""
+    indices, as many as its degree. The degree is RFC 5053's, read off the
+    low 20 bits of the ESI stream's first draw and capped at L; the indices
+    are the stream's next distinct draws below L."""
     if esi < 1:
         raise ValueError("ESIs are 1-based")
     L = params.L
     st = _Stream(params.lt_seed, esi)
-    cdf = _robust_soliton_cdf(L)
-    u = st.next_float()
-    d = 1
-    while cdf[d - 1] < u:
-        d += 1
-    if d <= L // 8:
-        chosen = []
-        seen = set()
-        while len(chosen) < d:
-            i = st.randbelow(L)
-            if i not in seen:
-                seen.add(i)
-                chosen.append(i)
-    else:
-        pool = list(range(L))
-        for i in range(d):
-            j = i + st.randbelow(L - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        chosen = pool[:d]
+    v = st.next_u64() & 0xFFFFF
+    d = min(_DEGREES[bisect_right(_DEGREE_BOUNDS, v) - 1], L)
+    chosen = set()
+    while len(chosen) < d:
+        chosen.add(st.randbelow(L))
     return tuple(sorted(chosen))
 
 

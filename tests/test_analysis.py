@@ -155,6 +155,13 @@ def test_exit_curve_endpoints_and_monotonic():
     assert all(b >= a for a, b in zip(curve.p_e, curve.p_e[1:]))
 
 
+def test_exit_curve_of_degree_one_checks_has_a_point_per_x():
+    """With every check of degree 1, y = 1 - rho(1 - x) sums no terms; p_e is
+    still one value per point of the curve, not a scalar."""
+    curve = exit_curve(DegreeDistribution.regular(1, 1))
+    assert curve.p_e.shape == curve.p_a.shape
+
+
 def test_ml_bound_values():
     for dv, dc, target in ((3, 6, 0.4881), (6, 12, 0.4999), (4, 12, 0.3302)):
         val, degenerate = ml_threshold_bound(DegreeDistribution.regular(dv, dc))

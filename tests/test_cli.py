@@ -104,6 +104,39 @@ def test_header_echoes_only_the_chosen_code_flags(capsys):
     assert "# n=24" in out and "# taps=" not in out and "# wc=" not in out
 
 
+def _header(text):
+    return [l for l in text.splitlines() if l.startswith("#")]
+
+
+def test_header_echoes_random_codeword_only_when_set(capsys):
+    """The switch changes the data rows, so a run with it must not share the
+    header of a run without it; runs without it keep their old header."""
+    args = ["simulate", "--regular", "3,6", "--n", "96", "--eps", "0.42:0.48:0.02",
+            "--max-trials", "20"]
+    code, plain = run_cli(args, capsys)
+    assert code == 0
+    assert not any(l.startswith("# random_codeword") for l in _header(plain))
+    code, random = run_cli(args + ["--random-codeword"], capsys)
+    assert code == 0
+    assert [l for l in _header(random) if l.startswith("# random_codeword")] == [
+        "# random_codeword=1"]
+
+
+def test_header_floats_parse_back_to_the_grid(capsys):
+    """A header float is written short where that reads back exactly and in
+    full where it does not, as for the third point of 0.42:0.48:0.02."""
+    code, out = run_cli(["simulate", "--regular", "3,6", "--n", "96",
+                         "--eps", "0.42:0.48:0.02", "--max-trials", "5"], capsys)
+    assert code == 0
+    assert "# eps=0.42,0.44,0.45999999999999996,0.48" in _header(out)
+    code, out = run_cli(["bounds", "--n", "2048", "--k", "1024",
+                         "--eps", "0.40:0.50:0.005"], capsys)
+    assert code == 0
+    (line,) = [l for l in _header(out) if l.startswith("# eps=")]
+    assert [float(v) for v in line[len("# eps="):].split(",")] == [
+        0.40 + i * 0.005 for i in range(21)]
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cpath = tmp_path / "code.txt"
     run_cli(["construct", "--regular", "3,6", "--n", "24", "--out", str(cpath)], capsys)

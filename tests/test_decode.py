@@ -35,7 +35,7 @@ from erasurelab.decode import (
     split_by_erasure,
     triangularize,
 )
-from erasurelab.ldpc import sample_regular
+from erasurelab.ldpc import GeiraSpec, build_geira, sample_regular
 from erasurelab.raptor import RaptorCode
 
 SPC3 = [[1, 1, 1]]
@@ -326,6 +326,27 @@ def test_punctured_positions_always_erased():
     res = ml_decode(code, ReceivedWord.from_full(BinVector(3), []))
     assert res.ok
     assert res.recovered.to_list() == [0, 0, 0]
+
+
+@pytest.mark.parametrize("code", [
+    pytest.param(sample_regular(3, 6, 12, seed=4), id="regular-3-6-n12"),
+    pytest.param(build_geira(GeiraSpec(k=7, n=14, taps=frozenset({0, 1}), wc=3, seed=1)),
+                 id="geira-7-14"),
+])
+def test_peel_residual_is_the_largest_stopping_set(code):
+    """Peeling stalls on the union of the stopping sets inside the erasure
+    set, the largest stopping set there (Di, Proietti, Telatar, Richardson &
+    Urbanke, IEEE T-IT 2002), and succeeds when that union is empty. The
+    code's stopping sets are listed once; then every erasure pattern is
+    checked against them."""
+    n = code.n
+    patterns = np.arange(1 << n)
+    bits = (patterns[:, None] >> np.arange(n)) & 1
+    stopping = patterns[[is_stopping_set(code, np.flatnonzero(b)) for b in bits]]
+    for mask in patterns:
+        largest = np.bitwise_or.reduce(stopping[(stopping & ~mask) == 0])
+        res = peel_decode(code, ReceivedWord(BinVector(n), np.flatnonzero(bits[mask]).tolist()))
+        assert sum(1 << j for j in res.residual) == largest, mask
 
 
 def test_is_stopping_set():

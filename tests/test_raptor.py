@@ -32,7 +32,6 @@ from erasurelab.raptor import (
     NotSystematicError,
     RaptorCode,
     RaptorParams,
-    _robust_soliton_cdf,
     gray_half_columns,
     lt_tuple,
 )
@@ -160,20 +159,32 @@ def test_lt_tuple_deterministic(code16):
         assert len(set(a)) == len(a)
 
 
+# the degree table of RFC 5053 §5.4.4.2: degree d[j] for f[j] <= v < f[j+1],
+# v uniform on [0, 2^20)
+RFC5053_F = (0, 10241, 491582, 712794, 831695, 948446, 1032189, 1048576)
+RFC5053_D = (1, 2, 3, 4, 10, 11, 40)
+
+
 def test_lt_degree_histogram():
-    p = RaptorParams(64, n=128)
-    cdf = _robust_soliton_cdf(p.L)
-    counts = np.zeros(p.L + 1)
-    n_samples = 100000
-    for esi in range(1, n_samples + 1):
-        counts[len(lt_tuple(esi, p))] += 1
-    pmf = np.diff(np.concatenate([[0.0], np.asarray(cdf)]))
-    for d in range(1, p.L + 1):
-        expect = n_samples * pmf[d - 1]
-        if expect < 10:
-            continue
-        sigma = math.sqrt(expect * (1 - pmf[d - 1]))
-        assert abs(counts[d] - expect) <= 3.5 * sigma, f"degree {d}"
+    """LT degrees follow the RFC 5053 table, capped at L (86 at k=64, where
+    nothing is capped; 14 at k=4, where degree 40 becomes 14), and no other
+    degree occurs."""
+    for k in (64, 4):
+        p = RaptorParams(k, n=2 * k)
+        counts = np.zeros(p.L + 1)
+        n_samples = 100000
+        for esi in range(1, n_samples + 1):
+            counts[len(lt_tuple(esi, p))] += 1
+        pmf = np.zeros(p.L + 1)
+        for d, lo, hi in zip(RFC5053_D, RFC5053_F, RFC5053_F[1:]):
+            pmf[min(d, p.L)] += (hi - lo) / 2**20
+        assert counts[pmf == 0].sum() == 0, k
+        for d in range(1, p.L + 1):
+            expect = n_samples * pmf[d]
+            if expect < 10:
+                continue
+            sigma = math.sqrt(expect * (1 - pmf[d]))
+            assert abs(counts[d] - expect) <= 3.5 * sigma, f"k={k}, degree {d}"
 
 
 def test_build_A_structure(code16):
@@ -216,7 +227,7 @@ def test_systematic_seed_postcondition():
 def test_build_finds_the_rank_search_seed(k, n, seed):
     """The seed that build accepts, the first one whose single elimination
     finds L pivots, is the smallest seed the rank search over build_A finds;
-    the grid holds points whose first seeds fail (lt_seed 1 to 12)."""
+    the grid holds points whose first seeds fail (lt_seed 2 to 13)."""
     assert RaptorCode.build(k, n, seed=seed).params.lt_seed == rank_seed_search(k, n, seed)
 
 
@@ -226,20 +237,20 @@ def test_seed_attempt_draws_k_tuples_then_n(monkeypatch):
     drawn = []
     real = raptor.lt_tuple
     monkeypatch.setattr(raptor, "lt_tuple", lambda esi, p: drawn.append(esi) or real(esi, p))
-    for lt_seed in (0, 1):
+    for lt_seed in range(5):
         drawn.clear()
         with pytest.raises(NotSystematicError):
             RaptorCode(RaptorParams(16, 32, lt_seed=lt_seed))
         assert drawn == list(range(1, 17))
     drawn.clear()
-    RaptorCode(RaptorParams(16, 32, lt_seed=2))
+    RaptorCode(RaptorParams(16, 32, lt_seed=5))
     assert drawn == list(range(1, 33))
     drawn.clear()
-    assert RaptorCode.build(16, 32).params.lt_seed == 2
-    assert len(drawn) == 16 + 16 + 32
+    assert RaptorCode.build(16, 32).params.lt_seed == 5
+    assert len(drawn) == 5 * 16 + 32
 
 
-@pytest.mark.parametrize("k, n, lt_seed", [(16, 32, 2), (512, 1024, 4)])
+@pytest.mark.parametrize("k, n, lt_seed", [(16, 32, 5), (512, 1024, 2)])
 def test_build_draws_the_precode_rows_once(monkeypatch, k, n, lt_seed):
     """The pre-code rows depend on (k, s, h, seed) alone, so the seed search
     draws them once however many LT seeds it tries, and the code keeps the
@@ -295,10 +306,10 @@ def test_recover_c_matches_lt_rows(name, request):
 
 
 def test_nonsystematic_seed_rejected():
-    """For k=16, n=32 the LT seeds 0 and 1 leave A(1..k) singular; 2 is the
+    """For k=16, n=32 the LT seeds 0 to 4 leave A(1..k) singular; 5 is the
     first systematic one."""
-    assert RaptorCode.build(16, 32).params.lt_seed == 2
-    for lt_seed in (0, 1):
+    assert RaptorCode.build(16, 32).params.lt_seed == 5
+    for lt_seed in range(5):
         with pytest.raises(ValueError, match="not systematic"):
             RaptorCode(RaptorParams(16, 32, lt_seed=lt_seed))
 
