@@ -9,6 +9,15 @@ dense GE runs only on the small residual pivot system. The hybrid decoder
 (peel, then ML) is the same decoder under its older name. ``solve_inactivated`` is the one solve stage
 after triangularization, for LDPC and Raptor systems alike: gather A', solve
 it for the pivots, substitute them back.
+
+A decode of a received word crosses H's cached edge arrays once at each
+end. At the start, one gather of a per-position key and one bincount give
+every row both its count of erased positions and the parity of its known
+symbols; the word's bits become the columns' first values. At the end, the
+resolved values fill that array, and the same reduction over it re-checks
+every parity before the word is packed once. The scan for a row the known
+symbols violate runs on a stall, and on a finished peel only when the
+re-check fails, as only then can it find one.
 """
 
 from __future__ import annotations
@@ -54,19 +63,7 @@ class ReceivedWord:
         self.n = self.values.n
         mask = self.erased_mask
         if not (isinstance(mask, np.ndarray) and mask.dtype == np.bool_):
-            positions = list(mask)
-            if {bool, np.bool_} & set(map(type, positions)):
-                raise ValueError("erased positions must be integers; an erasure "
-                                 "mask must be a boolean numpy array")
-            try:  # index() takes numpy integers and rejects 1.5
-                positions = np.fromiter(map(index, positions), np.intp, len(positions))
-                inside = not positions.size or 0 <= positions.min() and positions.max() < self.n
-            except OverflowError:  # beyond any array index
-                inside = False
-            if not inside:
-                raise ValueError(f"erased positions must lie in 0..{self.n - 1}")
-            mask = self.erased_mask = np.zeros(self.n, np.bool_)
-            mask[positions] = True
+            mask = self.erased_mask = _position_mask(mask, self.n)
         elif mask.shape != (self.n,):
             raise ValueError(f"erasure mask shape {mask.shape} != ({self.n},)")
         if self.values.bits:  # a zero word needs no clearing
@@ -80,6 +77,25 @@ class ReceivedWord:
     @classmethod
     def from_full(cls, full: BinVector, erased) -> "ReceivedWord":
         return cls(full, erased)
+
+
+def _position_mask(positions, n: int) -> np.ndarray:
+    """n booleans, set at ``positions``: integers in 0..n-1, in any order.
+    Bools are refused, so that a list of them is not read as a mask."""
+    positions = list(positions)
+    if {bool, np.bool_} & set(map(type, positions)):
+        raise ValueError("erased positions must be integers; an erasure "
+                         "mask must be a boolean numpy array")
+    try:  # index() takes numpy integers and rejects 1.5
+        positions = np.fromiter(map(index, positions), np.intp, len(positions))
+        inside = not positions.size or 0 <= positions.min() and positions.max() < n
+    except OverflowError:  # beyond any array index
+        inside = False
+    if not inside:
+        raise ValueError(f"erased positions must lie in 0..{n - 1}")
+    mask = np.zeros(n, np.bool_)
+    mask[positions] = True
+    return mask
 
 
 @dataclass
@@ -110,7 +126,8 @@ class TriangularizationState:
     coefficient of pivot i: a resolved unknown holds its expression over the
     pivots. ``rowcnt[r]`` counts the unknowns row r still holds and
     ``rowpar[r]`` is the XOR of the values of its other columns, known
-    symbols included.
+    symbols included. ``value`` holds a known column's symbol from the
+    start, so once every value is a bit it is the recovered word.
     ``resolved`` holds the diagonal-extension order, ``pivots`` the
     inactivated unknowns, and ``anchored[r]`` marks a row consumed to resolve
     an unknown. back_substitute turns every value into the unknown's bit.
@@ -122,7 +139,7 @@ class TriangularizationState:
     unknown: bytearray  # per column: 1 while neither resolved nor a pivot
     rowcnt: list
     rowpar: list
-    value: list  # per column; 0 for a column that was never unknown
+    value: bytearray  # per column; a list of ints once a pivot is taken
     anchored: bytearray
     resolved: list = field(default_factory=list)
     pivots: list = field(default_factory=list)
@@ -133,15 +150,12 @@ class TriangularizationState:
         return self.size - len(self.resolved) - len(self.pivots)
 
 
-def _parities(h: SparseBinMatrix, v: BinVector) -> np.ndarray:
-    """Per row of ``h``, the parity of the set bits of ``v`` it holds: the
-    syndrome H·v as an array of 0s and 1s. One gather of the word's bits at
-    H's edge arrays, kept on the matrix, and a bincount of the rows hit; a
-    zero word costs only the zeros."""
-    if not v.bits:
-        return np.zeros(h.rows, np.intp)
+def _row_sums(h: SparseBinMatrix, key: np.ndarray) -> np.ndarray:
+    """Per row of ``h``, the sum of ``key``, one number per column, over the
+    row's columns, as integers: one gather at H's edge arrays, kept on the
+    matrix, and one weighted bincount. A row with no entries sums to 0."""
     edge_rows, edge_cols = h.edges()
-    return np.bincount(edge_rows[v.unpacked()[edge_cols]], minlength=h.rows) & 1
+    return np.bincount(edge_rows, key[edge_cols], h.rows).astype(np.intp)
 
 
 def split_by_erasure(code, word: ReceivedWord):
@@ -161,7 +175,7 @@ def split_by_erasure(code, word: ReceivedWord):
         for li in local:
             col_adj[li].append(r)
     hkbar = SparseBinMatrix._raw(hk_rows, col_adj)
-    return hkbar, BinVector.from_bits(_parities(h, word.values))
+    return hkbar, BinVector.from_bits(_row_sums(h, word.values.unpacked()) & 1)
 
 
 def _peel(st: TriangularizationState, queue: list) -> None:
@@ -189,37 +203,48 @@ def _peel(st: TriangularizationState, queue: list) -> None:
                 queue.append(r2)
 
 
-def _start(matrix, rowpar, word: ReceivedWord = None) -> TriangularizationState:
-    """Peel matrix·x = rowpar until no row holds a single unknown. The
-    unknowns are the erased positions of ``word``, and one bincount of its
-    erased mask over the matrix's edge arrays counts each row's. Without a
-    word every column of this fresh system, built per decode, is unknown, and
-    each row's count is its length (edge arrays would cost more than that)."""
-    if word is None:
-        unknown = bytearray(b"\1") * matrix.cols
-        counts = np.fromiter(map(len, matrix.row_adj), np.intp, matrix.rows)
-    else:
-        mask = word.erased_mask
-        edge_rows, edge_cols = matrix.edges()
-        unknown = bytearray(mask.tobytes())
-        counts = np.bincount(edge_rows[mask[edge_cols]], minlength=matrix.rows)
+def _start(matrix, unknown: bytearray, counts: np.ndarray, rowpar: list,
+           value: bytearray) -> TriangularizationState:
+    """Peel matrix·x = rowpar, the columns flagged in ``unknown`` unknown and
+    ``counts`` counting each row's, until no row holds a single unknown."""
     st = TriangularizationState(matrix.row_adj, matrix.col_adj, unknown.count(1), unknown,
-                                counts.tolist(), rowpar, [0] * matrix.cols,
-                                bytearray(matrix.rows))
+                                counts.tolist(), rowpar, value, bytearray(matrix.rows))
     _peel(st, np.flatnonzero(counts == 1).tolist())
     return st
+
+
+def _word_start(h: SparseBinMatrix, word: ReceivedWord) -> tuple:
+    """Per row of ``h``, its count of erased positions of ``word`` (an array)
+    and the parity of its known set bits (a list), and the word's bits as
+    the columns' first values. One reduction over H's edges gives both
+    per-row figures: each position's key is erased·M + bit, M being the
+    power of two above n and so above every row's weight, and a row's key
+    sum is its count of unknowns times M plus its count of set known bits,
+    whose parity is that of the sum. A zero word needs the counts only."""
+    mask = word.erased_mask
+    if not word.values.bits:
+        return _row_sums(h, mask), [0] * h.rows, bytearray(h.cols)
+    shift = h.cols.bit_length()
+    bits = word.values.unpacked()
+    key = mask.astype(np.int32) << shift
+    key |= bits
+    sums = _row_sums(h, key)
+    return sums >> shift, (sums & 1).tolist(), bytearray(bits)
 
 
 def _peel_core(code, word: ReceivedWord) -> TriangularizationState:
     """Peel H over the erased positions of ``word``, the known symbols giving
     the row parities; ``_with_punctured`` has checked the word's length."""
-    st = _start(code.h, _parities(code.h, word.values).tolist(), word)
-    # before any pivot each parity is 0 or 1 and no count is negative, so
-    # par > cnt is exactly a row with no unknown left and a violated parity
+    return _start(code.h, bytearray(word.erased_mask), *_word_start(code.h, word))
+
+
+def _check_known(st: TriangularizationState) -> None:
+    """Raise InconsistentInputError at the first row left with no unknown
+    whose parity the known symbols violate. Before any pivot each parity is
+    0 or 1 and no count is negative, so par > cnt is exactly such a row."""
     if any(map(gt, st.rowpar, st.rowcnt)):
         r = list(map(gt, st.rowpar, st.rowcnt)).index(True)
         raise InconsistentInputError(f"check row {r} violated by known symbols")
-    return st
 
 
 def peel_decode(code, word: ReceivedWord) -> DecodeResult:
@@ -228,9 +253,10 @@ def peel_decode(code, word: ReceivedWord) -> DecodeResult:
     st = _peel_core(code, word)
     stats = DecodeStats(peeled=len(st.resolved))
     if st.left:
+        _check_known(st)
         residual = tuple(compress(range(word.n), st.unknown))
         return DecodeResult("it_stall", residual=residual, stats=stats)
-    return _finish(code, word, _filled(word.values.bits, st), stats)
+    return _finish(code.h, _values(st), stats, st)
 
 
 def min_row_pivot(st: TriangularizationState) -> int:
@@ -280,8 +306,12 @@ def triangularize(system, syndrome, pivot_strategy=min_row_pivot) -> Triangulari
     """
     if isinstance(system, TriangularizationState):
         st = system
-    else:
-        st = _start(system, syndrome.to_list())
+    else:  # every column of this fresh system, built per decode, is unknown
+        st = _start(system, bytearray(b"\1") * system.cols,
+                    np.fromiter(map(len, system.row_adj), np.intp, system.rows),
+                    syndrome.to_list(), bytearray(system.cols))
+    if st.left:  # a pivot's value takes more than a byte
+        st.value = list(st.value)
     col_adj, unknown, rowcnt, rowpar, value = st.col_adj, st.unknown, st.rowcnt, st.rowpar, st.value
     pivots = st.pivots
     while st.left:
@@ -351,12 +381,13 @@ def ml_decode(code, word: ReceivedWord) -> DecodeResult:
     st = _peel_core(code, word)
     rank = None
     if st.left:
+        _check_known(st)
         triangularize(st, None, min_row_pivot)
         rank = solve_inactivated(st)
     stats = DecodeStats(len(st.resolved), len(st.pivots), (code.h.rows, st.size))
     if rank is not None:
         return DecodeResult("rank_deficient", rank=rank, stats=stats)
-    return _finish(code, word, _filled(word.values.bits, st), stats)
+    return _finish(code.h, _values(st), stats, st)
 
 
 # ML decoding peels first, so the hybrid decoder is the ML decoder.
@@ -371,19 +402,16 @@ def oracle_decode(code, word: ReceivedWord) -> DecodeResult:
     stats = DecodeStats(system_shape=(hkbar.rows, hkbar.cols))
     if solution is None:
         return DecodeResult("rank_deficient", rank=rank, stats=stats)
-    bits = word.values.bits
-    for li in solution.ones():
-        bits |= 1 << word.erased[li]
-    return _finish(code, word, bits, stats)
+    recovered = word.values.unpacked()
+    recovered[np.flatnonzero(word.erased_mask)[solution.ones()]] = True
+    return _finish(code.h, recovered, stats)
 
 
 def is_stopping_set(code, positions) -> bool:
     """Every check row touching the set touches it at least twice: no row
-    counts exactly one of H's entries in the set's columns."""
-    rows, cols = code.h.edges()
-    in_set = np.zeros(code.h.cols, np.bool_)
-    in_set[list(positions)] = True
-    return not (np.bincount(rows[in_set[cols]], minlength=code.h.rows) == 1).any()
+    counts exactly one of H's entries in the set's columns. ``positions``
+    are integers in 0..n-1, checked as ``ReceivedWord`` checks them."""
+    return not (_row_sums(code.h, _position_mask(positions, code.h.cols)) == 1).any()
 
 
 def _with_punctured(code, word: ReceivedWord) -> ReceivedWord:
@@ -399,17 +427,22 @@ def _with_punctured(code, word: ReceivedWord) -> ReceivedWord:
     return ReceivedWord.from_full(word.values, mask)
 
 
-def _filled(bits: int, st: TriangularizationState) -> int:
-    """``bits`` with every unknown of ``st`` set to its value, which is a
-    bit once no pivot is left in it: the values, 0 or 1 per column, packed
-    at once."""
-    return bits | BinVector.from_bits(np.frombuffer(bytes(st.value), np.uint8)).bits
+def _values(st: TriangularizationState) -> np.ndarray:
+    """The value of every column of ``st`` as an array of booleans, once
+    each is a bit: the recovered word, known symbols included."""
+    return np.frombuffer(bytes(st.value), np.bool_)
 
 
-def _finish(code, word: ReceivedWord, bits: int, stats: DecodeStats) -> DecodeResult:
-    recovered = BinVector(word.n, bits)
-    # bug trap: any success must satisfy every parity check
-    par = _parities(code.h, recovered)
+def _finish(h: SparseBinMatrix, recovered: np.ndarray, stats: DecodeStats,
+            st: TriangularizationState = None) -> DecodeResult:
+    """Success for ``recovered``, n booleans, once it passes the bug trap:
+    every parity check of ``h``, taken from the word itself by the start's
+    reduction. A peel that finished with no pivot holds in ``st.rowpar``
+    each row's parity under that word, so the known-symbol check runs only
+    when the trap fires, to report inconsistent input as such."""
+    par = _row_sums(h, recovered) & 1
     if par.any():
+        if st is not None and not st.pivots:
+            _check_known(st)
         raise InternalConsistencyError(f"check row {par.argmax()} violated after decode")
-    return DecodeResult("success", recovered=recovered, stats=stats)
+    return DecodeResult("success", recovered=BinVector.from_bits(recovered), stats=stats)

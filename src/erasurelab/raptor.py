@@ -305,7 +305,7 @@ class RaptorCode:
         stats = DecodeStats(len(state.resolved), len(state.pivots), shape)
         if ge_rank is not None:
             return RaptorDecodeResult("rank_deficient", rank=ge_rank, stats=stats)
-        f = BinVector(self.params.L, _decode._filled(0, state))
+        f = BinVector.from_bits(_decode._values(state))
         return RaptorDecodeResult("success", c=self._recover_c(f), f=f, stats=stats)
 
 

@@ -299,7 +299,7 @@ def full_scan_triangularize(hkbar, rule="max_degree"):
 
 def loop_parities(h, v):
     """Reference syndrome H·v as a list: one loop over the set bits of ``v``
-    and their adjacency lists, the loop ``decode._parities`` replaces with a
+    and their adjacency lists, the loop ``decode._row_sums`` replaces with a
     gather at H's edge arrays and a bincount."""
     par = [0] * h.rows
     for c in v.ones():
@@ -321,9 +321,9 @@ def loop_is_stopping_set(code, positions):
 
 def loop_peel_core(code, word):
     """Reference peel start: the loops over the erased columns' and the known
-    symbols' adjacency lists that ``decode._start`` and ``decode._parities``
-    replace with bincounts over H's edge arrays, then the same diagonal
-    extension."""
+    symbols' adjacency lists that ``decode._peel_core`` replaces with one
+    reduction over H's edge arrays, then the same diagonal extension. Each
+    known symbol is its column's value from the start."""
     h = code.h
     unknown = bytearray(h.cols)
     rowcnt = [0] * h.rows
@@ -331,9 +331,12 @@ def loop_peel_core(code, word):
         unknown[c] = 1
         for r in h.col_adj[c]:
             rowcnt[r] += 1
+    value = bytearray(h.cols)
+    for c in word.values.ones():
+        value[c] = 1
     st = decode.TriangularizationState(
         h.row_adj, h.col_adj, len(word.erased), unknown, rowcnt,
-        loop_parities(h, word.values), [0] * h.cols, bytearray(h.rows))
+        loop_parities(h, word.values), value, bytearray(h.rows))
     decode._peel(st, [r for r, cnt in enumerate(rowcnt) if cnt == 1])
     return st
 

@@ -201,11 +201,22 @@ def test_peel_4cycle_stall():
     assert is_stopping_set(code, res.residual)
 
 
-def test_peel_inconsistent_input():
-    # two checks force the erased bit to both 1 and 0: corrupted input
+@pytest.mark.parametrize("decoder", [peel_decode, ml_decode, hybrid_decode])
+def test_peel_inconsistent_input(decoder):
+    # two checks force the erased bit to both 1 and 0: corrupted input; the
+    # peel finishes, so the re-check fires first and the scan names the row
     code = code_from_rows([[1, 1], [1, 0]])
-    with pytest.raises(InconsistentInputError, match="check row 1 "):
-        peel_decode(code, word(code, [0, 1], [0]))
+    with pytest.raises(InconsistentInputError, match="^check row 1 violated by known symbols$"):
+        decoder(code, word(code, [0, 1], [0]))
+
+
+@pytest.mark.parametrize("decoder", [peel_decode, ml_decode, hybrid_decode])
+def test_inconsistent_input_at_a_stall(decoder):
+    # rows 0 and 1 hold both erased bits, so the peel stalls; row 2 holds
+    # only the known bit, which violates it
+    code = code_from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+    with pytest.raises(InconsistentInputError, match="^check row 2 violated by known symbols$"):
+        decoder(code, word(code, [0, 0, 1], [0, 1]))
 
 
 def test_triangularize_lower_triangular_no_pivots():
@@ -355,6 +366,33 @@ def test_is_stopping_set():
     chain = code_from_rows(CHAIN)
     assert not is_stopping_set(chain, [0])
     assert is_stopping_set(chain, [])
+    assert is_stopping_set(chain, set())
+    assert not is_stopping_set(chain, np.flatnonzero([1, 0, 0]))
+
+
+def test_is_stopping_set_rejects_negative_positions():
+    code = sample_regular(3, 6, 12, seed=4)
+    with pytest.raises(ValueError, match=r"^erased positions must lie in 0\.\.11$"):
+        is_stopping_set(code, [-1])
+
+
+def test_is_stopping_set_rejects_a_list_of_bools():
+    # read as a mask, [True] * 12 would be the whole word, a stopping set;
+    # as positions it would be {1}, which is not one
+    code = sample_regular(3, 6, 12, seed=4)
+    assert is_stopping_set(code, range(12)) and not is_stopping_set(code, [1])
+    with pytest.raises(ValueError, match="^erased positions must be integers"):
+        is_stopping_set(code, [True] * 12)
+
+
+def test_is_stopping_set_rejects_bad_positions():
+    # the errors of ReceivedWord, not numpy's indexing errors
+    code = sample_regular(3, 6, 12, seed=4)
+    for positions in ([12], [0, 2**70]):
+        with pytest.raises(ValueError, match=r"^erased positions must lie in 0\.\.11$"):
+            is_stopping_set(code, positions)
+    with pytest.raises(TypeError):  # not truncated to position 1
+        is_stopping_set(code, [1.5])
 
 
 def test_stats_system_shape():
@@ -473,14 +511,43 @@ def test_parities_and_recheck_match_loop(case):
     nonzero, naming its first violated row."""
     h, v = case
     ref = loop_parities(h, v)
-    assert decode._parities(h, v).tolist() == ref
-    code = SimpleNamespace(h=h)
-    w = ReceivedWord.from_full(v, ())
+    assert (decode._row_sums(h, v.unpacked()) & 1).tolist() == ref
     if any(ref):
         with pytest.raises(InternalConsistencyError, match=f"check row {ref.index(1)} "):
-            decode._finish(code, w, v.bits, decode.DecodeStats())
+            decode._finish(h, v.unpacked(), decode.DecodeStats())
     else:
-        assert decode._finish(code, w, v.bits, decode.DecodeStats()).recovered == v
+        assert decode._finish(h, v.unpacked(), decode.DecodeStats()).recovered == v
+
+
+def _assert_start_matches_loop(h, w):
+    """The fused start gives each row's count of erased positions, from a
+    count loop, and its known parity, from the syndrome loop, and takes the
+    word's bits as the first values."""
+    counts, rowpar, value = decode._word_start(h, w)
+    assert counts.tolist() == [sum(w.erased_mask[c] for c in cs) for cs in h.row_adj]
+    assert rowpar == loop_parities(h, w.values)
+    assert value == bytearray(w.values.to_list())
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_words(), st.data())
+def test_word_start_matches_loop(case, data):
+    """Empty rows, the zero word and the all-ones word included, with any
+    positions erased."""
+    h, v = case
+    erased = data.draw(st.sets(st.integers(0, h.cols - 1)))
+    _assert_start_matches_loop(h, ReceivedWord.from_full(v, sorted(erased)))
+
+
+def test_word_start_counts_past_a_byte():
+    """A row of 300 entries, more than any 8-bit field of the key holds,
+    every one of them erased or every one a known 1."""
+    n = 400
+    h = SparseBinMatrix(3, n, [range(300), [], range(1, n, 2)])
+    ones = BinVector(n, (1 << n) - 1)
+    for erased in (range(300), range(299), range(n), (), (299,)):
+        for v in (ones, BinVector(n)):
+            _assert_start_matches_loop(h, ReceivedWord.from_full(v, list(erased)))
 
 
 def test_row_pivot_from_a_two_unknown_row_resolves_an_unknown():
