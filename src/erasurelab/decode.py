@@ -205,8 +205,9 @@ def _peel(st: TriangularizationState, queue: list) -> None:
 
 def _start(matrix, unknown: bytearray, counts: np.ndarray, rowpar: list,
            value: bytearray) -> TriangularizationState:
-    """Peel matrix·x = rowpar, the columns flagged in ``unknown`` unknown and
-    ``counts`` counting each row's, until no row holds a single unknown."""
+    """Peel matrix·x = rowpar until no row holds a single unknown. ``unknown``
+    flags the unknown columns, ``counts`` counts each row's, and ``value``
+    holds every column's first value."""
     st = TriangularizationState(matrix.row_adj, matrix.col_adj, unknown.count(1), unknown,
                                 counts.tolist(), rowpar, value, bytearray(matrix.rows))
     _peel(st, np.flatnonzero(counts == 1).tolist())
