@@ -3,21 +3,24 @@
 Subcommands:
 
   construct   build an LDPC code and write it in the code file format
-  simulate    Monte Carlo sweep for an LDPC code (BEC or fixed-overhead)
+  simulate    Monte Carlo sweep for an LDPC or fixed-rate Raptor code
+              (BEC or fixed-overhead)
   bounds      Singleton / Berlekamp bounds over an epsilon grid
   thresholds  IT threshold, ML-threshold area bound and Shannon limit
               for an unstructured ensemble
-  raptor-sim  fixed-overhead sweep for a fixed-rate Raptor code
   mindist     exhaustive minimum distance of a stored code
 
 Options may come from a flat key=value config file (--config); explicit
 command-line flags override config entries. Every CSV-producing run echoes
-its full resolved configuration and seed as '#' comment lines.
+every option of its command that is set, resolved, as '#' comment lines;
+each key but 'command' and 'lt_seed' is a config key, so the header read
+back as a config file replays the run.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import analysis, ldpc, raptor, sim
@@ -68,6 +71,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"erasurelab: error: {message}\n")
 
 
+# the most points a range may hold, checked before the range is built
+_MAX_GRID = 10**6
+
+
 def _float_range(text):
     """'a:b:step' grid from a up to b, b included when a whole number of
     steps lands on it, or a single value / comma list."""
@@ -76,12 +83,16 @@ def _float_range(text):
         if len(parts) != 3:
             raise argparse.ArgumentTypeError("expected start:stop:step")
         a, b, step = (float(p) for p in parts)
+        if not all(map(math.isfinite, (a, b, step))):
+            raise argparse.ArgumentTypeError(f"want a finite start, stop and step, got {text!r}")
         if step <= 0 or b < a:
             raise argparse.ArgumentTypeError(f"want start <= stop and step > 0, got {text!r}")
         # the whole steps that fit (int floors a value >= 0); the 1e-9 keeps a
         # stop that float rounding puts a hair short, as in 0.42:0.48:0.02
-        count = int((b - a) / step + 1e-9) + 1
-        return [a + i * step for i in range(count)]
+        steps = (b - a) / step + 1e-9
+        if steps >= _MAX_GRID:  # inf too, where b - a overflows
+            raise argparse.ArgumentTypeError(f"{text!r} has more than {_MAX_GRID} points")
+        return [a + i * step for i in range(int(steps) + 1)]
     return [float(p) for p in text.split(",")]
 
 
@@ -91,6 +102,8 @@ def _int_range(text):
         a, b = (int(p) for p in text.split(":"))
         if b < a:
             raise argparse.ArgumentTypeError(f"want start <= stop, got {text!r}")
+        if b - a >= _MAX_GRID:
+            raise argparse.ArgumentTypeError(f"{text!r} has more than {_MAX_GRID} points")
         return list(range(a, b + 1))
     return [int(p) for p in text.split(",")]
 
@@ -116,19 +129,19 @@ def _header_text(v):
     return str(v)
 
 
-def _echo_header(args, keys):
-    hdr = {"command": args.command, "seed": getattr(args, "seed", 0)}
-    for key in keys:
-        val = getattr(args, key)
-        if val is None or val is False:
+def _echo_header(args, parser):
+    """Every option of the command that is set, in declaration order, so
+    that the header is the run's config file (less ``command``)."""
+    hdr = {"command": args.command}
+    for action in parser.commands[args.command]._actions:
+        val = getattr(args, action.dest, None)  # None for help, which has no value
+        if action.dest in ("config", "out") or val is None or val is False:
             continue
         if val is True:  # a switch, echoed only when set
             val = 1
-        if isinstance(val, frozenset):
-            val = sorted(val)
         if isinstance(val, (list, tuple)):
             val = ",".join(map(_header_text, val))
-        hdr[key] = val
+        hdr[action.dest] = val
     return hdr
 
 
@@ -141,17 +154,17 @@ def _emit(text, out_path):
 
 
 # the code selectors and the code flags each one takes
-_CODE_FLAGS = {"code": (), "regular": ("n",), "geira": ("taps", "wc")}
+_CODE_FLAGS = {"code": (), "regular": ("n",), "geira": ("taps", "wc"), "raptor": ()}
 _GEIRA_DEFAULTS = {"taps": "0,1", "wc": 3}
 
 
 def _build_code(args, parser):
-    given = [key for key in _CODE_FLAGS if getattr(args, key)]
-    if not given:
-        parser.error("give one of --code, --regular or --geira")
-    if len(given) > 1:
-        parser.error(f"give one of --code, --regular or --geira, not "
-                     f"{' and '.join('--' + key for key in given)}")
+    kinds = [key for key in _CODE_FLAGS if hasattr(args, key)]  # construct has no --raptor
+    given = [key for key in kinds if getattr(args, key)]
+    if len(given) != 1:
+        *rest, last = (f"--{key}" for key in kinds)
+        not_these = f", not {' and '.join('--' + key for key in given)}" if given else ""
+        parser.error(f"give one of {', '.join(rest)} or {last}{not_these}")
     kind = given[0]
     stray = [f"--{key}" for key in ("n", "taps", "wc")
              if getattr(args, key) is not None and key not in _CODE_FLAGS[kind]]
@@ -159,6 +172,9 @@ def _build_code(args, parser):
         parser.error(f"--{kind} does not take {' or '.join(stray)}")
     if kind == "code":
         return ldpc.load_code(args.code)
+    if kind == "raptor":
+        k, n = args.raptor
+        return raptor.RaptorCode.build(k, n, seed=args.seed)
     if kind == "regular":
         if args.n is None:
             parser.error("--regular needs --n")
@@ -189,19 +205,19 @@ def _cmd_simulate(args, parser):
                        zero_codeword=not args.random_codeword,
                        workers=args.workers)
     records = sim.run_sweep(plan)
-    hdr = _echo_header(args, ["code", "regular", "geira", "taps", "wc", "n",
-                              "decoder", "eps", "delta", "target_errors",
-                              "max_trials", "workers", "random_codeword"])
+    hdr = _echo_header(args, parser)
+    if args.raptor:  # no config key: the build finds it from k, n and seed
+        hdr["lt_seed"] = code.params.lt_seed
     _emit(sim.records_to_csv(records, hdr), args.out)
     return 0
 
 
 def _cmd_bounds(args, parser):
-    if args.eps is None:
-        parser.error("give --eps")
+    if None in (args.n, args.k, args.eps):
+        parser.error("give --n, --k and --eps")
     if (args.dmin is None) != (args.amin is None):
         parser.error("give --dmin and --amin together")
-    hdr = _echo_header(args, ["n", "k", "eps", "dmin", "amin"])
+    hdr = _echo_header(args, parser)
     tail = None if args.dmin is None else analysis.WeightSpectrumTail(args.dmin, args.amin)
     columns = "epsilon,singleton,berlekamp" + ("" if tail is None else ",floor")
     rows = []
@@ -222,24 +238,8 @@ def _cmd_thresholds(args, parser):
     dv, dc = args.regular
     rep = analysis.threshold_report(analysis.DegreeDistribution.regular(dv, dc))
     row = f"({dv}:{dc}),{rep.eps_it:.6f},{rep.eps_ml_bound:.6f},{rep.eps_sh:.6f}"
-    _emit(sim.format_csv(_echo_header(args, ["regular"]), "ensemble,eps_it,eps_ml_bound,eps_sh",
+    _emit(sim.format_csv(_echo_header(args, parser), "ensemble,eps_it,eps_ml_bound,eps_sh",
                          [row]), args.out)
-    return 0
-
-
-def _cmd_raptor_sim(args, parser):
-    if args.delta is None:
-        parser.error("give --delta")
-    code = raptor.RaptorCode.build(args.k, args.n, seed=args.seed)
-    plan = sim.SimPlan(code=code, decoder="ml", channel_kind="overhead",
-                       sweep=args.delta, target_errors=args.target_errors,
-                       max_trials=args.max_trials, seed=args.seed,
-                       workers=args.workers)
-    records = sim.run_sweep(plan)
-    hdr = _echo_header(args, ["k", "n", "delta", "target_errors",
-                              "max_trials", "workers"])
-    hdr["lt_seed"] = code.params.lt_seed
-    _emit(sim.records_to_csv(records, hdr), args.out)
     return 0
 
 
@@ -248,7 +248,7 @@ def _cmd_mindist(args, parser):
         parser.error("give --code")
     code = ldpc.load_code(args.code)
     tail = analysis.exhaustive_min_distance(code)
-    _emit(sim.format_csv(_echo_header(args, ["code"]), "d_min,a_min",
+    _emit(sim.format_csv(_echo_header(args, parser), "d_min,a_min",
                          [f"{tail.d_min},{tail.a_min}"]), args.out)
     return 0
 
@@ -281,20 +281,23 @@ def _make_parser():
     common(sp)
     code_flags(sp)
 
-    sp = subs.add_parser("simulate", help="Monte Carlo sweep for an LDPC code")
+    # the header echoes a command's options in the order declared here
+    sp = subs.add_parser("simulate", help="Monte Carlo sweep for an LDPC or Raptor code")
     common(sp)
     code_flags(sp)
-    sweep_flags(sp)
+    sp.add_argument("--raptor", type=_pair, metavar="K,N",
+                    help="a fixed-rate Raptor code (ML decoding, random inputs)")
     sp.add_argument("--decoder", choices=("it", "ml", "hybrid"), default="ml")
     sp.add_argument("--eps", type=_float_range, metavar="A:B:STEP")
     sp.add_argument("--delta", type=_int_range, metavar="A:B")
+    sweep_flags(sp)
     sp.add_argument("--random-codeword", action="store_true",
                     help="encode random inputs instead of the all-zero word")
 
     sp = subs.add_parser("bounds", help="Singleton/Berlekamp bound grid")
     common(sp)
-    sp.add_argument("--n", type=_positive, required=True)
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--n", type=_positive)
+    sp.add_argument("--k", type=int)
     sp.add_argument("--eps", type=_float_range, metavar="A:B:STEP")
     sp.add_argument("--dmin", type=_positive, help="floor estimate: minimum distance")
     sp.add_argument("--amin", type=_positive, help="floor estimate: multiplicity")
@@ -302,13 +305,6 @@ def _make_parser():
     sp = subs.add_parser("thresholds", help="ensemble threshold report")
     common(sp)
     sp.add_argument("--regular", type=_pair, metavar="DV,DC")
-
-    sp = subs.add_parser("raptor-sim", help="Raptor fixed-overhead sweep")
-    common(sp)
-    sweep_flags(sp)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--delta", type=_int_range, metavar="A:B")
 
     sp = subs.add_parser("mindist", help="exhaustive minimum distance")
     common(sp)
@@ -321,7 +317,6 @@ _DISPATCH = {
     "simulate": _cmd_simulate,
     "bounds": _cmd_bounds,
     "thresholds": _cmd_thresholds,
-    "raptor-sim": _cmd_raptor_sim,
     "mindist": _cmd_mindist,
 }
 

@@ -220,14 +220,55 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert code != 0
 
 
-def test_raptor_sim_runs(capsys):
-    code, out = run_cli(["raptor-sim", "--k", "16", "--n", "32",
+def test_simulate_raptor_runs(capsys):
+    code, out = run_cli(["simulate", "--raptor", "16,32",
                          "--delta", "14:16", "--target-errors", "2",
                          "--max-trials", "40"], capsys)
     assert code == 0
     rows = data_rows(out)
     assert len(rows) == 4
-    assert "# k=16" in out and "# n=32" in out
+    assert "# raptor=16,32" in out
+
+
+def test_bounds_takes_n_and_k_from_config(tmp_path, capsys):
+    """``--n`` and ``--k`` may come from a config file, as every other
+    command's needed values may."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n=64\nk=32\n")
+    code, out = run_cli(["bounds", "--eps", "0.3", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert out == run_cli(["bounds", "--n", "64", "--k", "32", "--eps", "0.3"], capsys)[1]
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--regular", "3,6", "--n", "96", "--eps", "0.42:0.48:0.02",
+     "--max-trials", "20"],
+    ["simulate", "--geira", "8,16", "--delta", "0:2", "--decoder", "it", "--max-trials", "20"],
+    ["simulate", "--code", "code.txt", "--eps", "0.3", "--seed", "4", "--max-trials", "20"],
+    ["simulate", "--regular", "3,6", "--n", "24", "--eps", "0.3", "--random-codeword",
+     "--max-trials", "20"],
+    ["simulate", "--regular", "3,6", "--n", "24", "--eps", "0.3,0.4", "--workers", "2",
+     "--max-trials", "20"],
+    ["simulate", "--raptor", "16,32", "--delta", "0:2", "--seed", "3", "--max-trials", "20"],
+    ["simulate", "--raptor", "16,32", "--eps", "0.1,0.2", "--max-trials", "20"],
+    ["bounds", "--n", "64", "--k", "32", "--eps", "0.1,0.2", "--dmin", "11", "--amin", "4"],
+    ["thresholds", "--regular", "3,6"],
+    ["mindist", "--code", "code.txt"],
+], ids=["simulate-eps-grid", "simulate-delta", "simulate-code", "simulate-random-codeword",
+        "simulate-workers", "raptor-delta", "raptor-eps", "bounds", "thresholds", "mindist"])
+def test_header_replays_as_config(tmp_path, capsys, args):
+    """A CSV's header, less ``command`` and ``lt_seed``, is a config file
+    that alone reproduces the CSV byte for byte."""
+    path = tmp_path / "code.txt"
+    run_cli(["construct", "--regular", "3,6", "--n", "24", "--seed", "1", "--out", str(path)],
+            capsys)
+    args = [str(path) if a == "code.txt" else a for a in args]
+    code, out = run_cli(args, capsys)
+    assert code == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{line[2:]}\n" for line in _header(out)
+                           if not line.startswith(("# command=", "# lt_seed="))))
+    assert run_cli([args[0], "--config", str(cfg)], capsys) == (0, out)
 
 
 def test_replay_byte_identical(tmp_path, capsys):
@@ -254,8 +295,8 @@ BAD_N_CODE = "ldpc 130 127\n1 128\n" + "1" * 128 + "\n"
     (["bounds", "--n", "64", "--k", "32", "--eps", "0.2:0.1:0.05"], {}, ""),
     (["bounds", "--n", "64", "--k", "32", "--config", "run.cfg"],
      {"run.cfg": "eps=0.1:0.2:0\n"}, ""),
-    (["raptor-sim", "--k", "16", "--n", "32", "--delta", "16", "--workers", "0"], {}, ""),
-    (["raptor-sim", "--k", "16", "--n", "32", "--delta", "16", "--config", "run.cfg"],
+    (["simulate", "--raptor", "16,32", "--delta", "16", "--workers", "0"], {}, ""),
+    (["simulate", "--raptor", "16,32", "--delta", "16", "--config", "run.cfg"],
      {"run.cfg": "workers=0\n"}, ""),
     (["mindist", "--code", "code.txt"], {"code.txt": BAD_K_CODE}, ""),
     (["mindist", "--code", "code.txt"], {"code.txt": BAD_N_CODE},
@@ -269,7 +310,7 @@ BAD_N_CODE = "ldpc 130 127\n1 128\n" + "1" * 128 + "\n"
     (["simulate", "--regular", "3,6", "--n", "24", "--eps", "0.3", "--config", "run.cfg"],
      {"run.cfg": "decoder=bogus\n"}, ""),
     (["simulate", "--regular", "3,6", "--n", "24", "--delta", "5:1"], {}, "5:1"),
-    (["raptor-sim", "--k", "16", "--n", "32", "--delta", "3:1"], {}, "3:1"),
+    (["simulate", "--raptor", "16,32", "--delta", "3:1"], {}, "3:1"),
     (["simulate", "--regular", "0,6", "--n", "12", "--eps", "0.3"], {}, "dv must be >= 1"),
     (["construct", "--regular", "3,6", "--n", "-6"], {}, "n must be >= 1, got -6"),
     (["simulate", "--regular", "3,6", "--n", "24", "--eps", "0.3", "--delta", "1:2"], {},
@@ -303,9 +344,9 @@ BAD_N_CODE = "ldpc 130 127\n1 128\n" + "1" * 128 + "\n"
     (["simulate", "--code", "code.txt", "--eps", "0.3"], {"code.txt": "ldpc 4 2"},
      "missing matrix"),
     (["simulate", "--geira", "8,16", "--delta", "9"], {}, "overhead 9 outside -8..8"),
-    (["raptor-sim", "--k", "16", "--n", "32", "--delta", "17"], {},
+    (["simulate", "--raptor", "16,32", "--delta", "17"], {},
      "overhead 17 outside -16..16"),
-    (["raptor-sim", "--k", "16", "--n", "32", "--delta", "-17"], {},
+    (["simulate", "--raptor", "16,32", "--delta", "-17"], {},
      "overhead -17 outside -16..16"),
     (["bounds", "--n", "64", "--k", "32", "--eps", "0.1", "--dmin", "3"], {},
      "--dmin and --amin together"),
@@ -313,6 +354,23 @@ BAD_N_CODE = "ldpc 130 127\n1 128\n" + "1" * 128 + "\n"
      "--dmin and --amin together"),
     (["construct", "--geira", "0,16"], {}, "k = 0, n = 16"),
     (["construct", "--geira", "8,8"], {}, "k = 8, n = 8"),
+    (["simulate", "--raptor", "16,32", "--delta", "0", "--decoder", "it"], {},
+     "supports ML decoding only"),
+    (["simulate", "--raptor", "16,32", "--delta", "0", "--n", "32"], {},
+     "--raptor does not take --n"),
+    (["simulate", "--raptor", "3,32", "--delta", "0"], {}, "k must be >= 4"),
+    (["construct", "--raptor", "16,32"], {}, "unrecognized arguments: --raptor 16,32"),
+    (["raptor-sim", "--k", "16", "--n", "32", "--delta", "0"], {},
+     "invalid choice: 'raptor-sim'"),
+    (["bounds", "--n", "64", "--k", "32", "--eps", "0:inf:0.1"], {}, "finite"),
+    (["simulate", "--regular", "3,6", "--n", "24", "--eps", "0:1:inf"], {}, "finite"),
+    (["bounds", "--n", "64", "--k", "32", "--eps=-1e308:1e308:1"], {},
+     "more than 1000000 points"),
+    (["bounds", "--n", "64", "--k", "32", "--eps", "0:1:1e-300"], {},
+     "more than 1000000 points"),
+    (["simulate", "--regular", "3,6", "--n", "24", "--delta", "0:1000000000000"], {},
+     "more than 1000000 points"),
+    (["bounds", "--k", "32", "--eps", "0.3"], {}, "give --n, --k and --eps"),
 ], ids=["step-zero", "step-negative", "stop-below-start", "step-config", "workers-flag",
         "workers-config", "code-header-k", "code-header-n", "bounds-k-above-n",
         "target-errors-zero", "max-trials-zero", "geira-tap-too-large", "code-file-missing",
@@ -325,7 +383,10 @@ BAD_N_CODE = "ldpc 130 127\n1 128\n" + "1" * 128 + "\n"
         "thresholds-negative-rate", "geira-wc-above-n-k", "mindist-header-only",
         "simulate-header-only", "simulate-delta-above-n-k", "raptor-delta-above-n-k",
         "raptor-delta-below-minus-k", "bounds-dmin-alone", "bounds-amin-alone",
-        "geira-k-zero", "geira-n-equals-k"])
+        "geira-k-zero", "geira-n-equals-k", "raptor-decoder-it", "raptor-with-n",
+        "raptor-k-below-4", "construct-raptor", "raptor-sim-gone", "eps-stop-inf",
+        "eps-step-inf", "eps-span-overflows", "eps-grid-too-large", "delta-grid-too-large",
+        "bounds-n-missing"])
 def test_bad_range_is_a_usage_error(tmp_path, capsys, args, files, says):
     """Exit 2 with one error line; ``says`` is a fragment that line must hold."""
     for name, text in files.items():
