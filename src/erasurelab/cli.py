@@ -130,10 +130,10 @@ def _header_text(v):
 
 
 def _echo_header(args, parser):
-    """Every option of the command that is set, in declaration order, so
-    that the header is the run's config file (less ``command``)."""
+    """Every option of the command's ``parser`` that is set, in declaration
+    order, so that the header is the run's config file (less ``command``)."""
     hdr = {"command": args.command}
-    for action in parser.commands[args.command]._actions:
+    for action in parser._actions:
         val = getattr(args, action.dest, None)  # None for help, which has no value
         if action.dest in ("config", "out") or val is None or val is False:
             continue
@@ -197,6 +197,8 @@ def _cmd_construct(args, parser):
 def _cmd_simulate(args, parser):
     if (args.eps is None) == (args.delta is None):
         parser.error("give one of --eps or --delta")
+    if args.raptor and args.random_codeword:  # a Raptor sweep always encodes random inputs
+        parser.error("--raptor does not take --random-codeword")
     kind, sweep = ("bec", args.eps) if args.eps is not None else ("overhead", args.delta)
     code = _build_code(args, parser)
     plan = sim.SimPlan(code=code, decoder=args.decoder, channel_kind=kind,
@@ -325,12 +327,12 @@ def main(argv=None):
     parser = _make_parser()
     try:
         args = parser.parse_args(argv)
+        sub = parser.commands[args.command]
         if args.config:
             # config values become defaults, so the flags given still win
-            sub = parser.commands[args.command]
             sub.set_defaults(**_config_defaults(sub, args.config))
             args = parser.parse_args(argv)
-        return _DISPATCH[args.command](args, parser)
+        return _DISPATCH[args.command](args, sub)  # usage errors show the command's usage
     except SystemExit as exc:
         return exc.code or 0
     except (ValueError, OSError) as exc:

@@ -5,6 +5,7 @@ rate-compatible puncturing of parity bits."""
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -108,7 +109,7 @@ class _GenericEncoder:
     increasing order, and the bit at the i-th of them is the parity of
     ``u & pmap[i]``. The masks come from the reduced row echelon form of H,
     for GeIRA from the accumulator, and for a Raptor code from A(1..k)
-    (``RaptorCode._parity_masks``). Encoding is one chunk-table product with
+    (``RaptorCode.__init__``). Encoding is one chunk-table product with
     the generator."""
 
     def __init__(self, info_positions, pmap):
@@ -221,16 +222,25 @@ def sample_regular(dv: int, dc: int, n: int, seed: int = 0) -> LdpcCode:
 _PARALLEL_EDGE_ITERS = 200000  # swap attempts before a configuration is redrawn
 
 
-def _remove_parallel_edges(edges, rng) -> bool:
-    from collections import Counter
+def _swap(edges, cnt, i, j) -> bool:
+    """Turn edges i = (v, c) and j = (v2, c2) into (v, c2) and (v2, c),
+    keeping the edge counts ``cnt``, unless the two share a node or a new
+    edge is already there."""
+    (v, c), (v2, c2) = edges[i], edges[j]
+    ne1, ne2 = (v, c2), (v2, c)
+    if v == v2 or c == c2 or cnt[ne1] or cnt[ne2]:
+        return False
+    cnt.subtract((edges[i], edges[j]))
+    cnt.update((ne1, ne2))
+    edges[i], edges[j] = ne1, ne2
+    return True
 
+
+def _remove_parallel_edges(edges, rng) -> bool:
     cnt = Counter(edges)
-    pending = []
-    seen = Counter()
-    for i, e in enumerate(edges):
-        seen[e] += 1
-        if seen[e] > 1:
-            pending.append(i)
+    first = {}
+    # every repeat of an edge, in order
+    pending = [i for i, e in enumerate(edges) if first.setdefault(e, i) != i]
     ne = len(edges)
     iters = 0
     while pending:
@@ -238,33 +248,14 @@ def _remove_parallel_edges(edges, rng) -> bool:
         if iters > _PARALLEL_EDGE_ITERS:
             return False
         i = pending[-1]
-        e = edges[i]
-        if cnt[e] == 1:
+        if cnt[edges[i]] == 1 or _swap(edges, cnt, i, int(rng.integers(ne))):
             pending.pop()
-            continue
-        j = int(rng.integers(ne))
-        v, c = e
-        v2, c2 = edges[j]
-        if j == i or v == v2 or c == c2:
-            continue
-        ne1, ne2 = (v, c2), (v2, c)
-        if cnt[ne1] or cnt[ne2]:
-            continue
-        cnt[e] -= 1
-        cnt[edges[j]] -= 1
-        cnt[ne1] += 1
-        cnt[ne2] += 1
-        edges[i] = ne1
-        edges[j] = ne2
-        pending.pop()
     return not any(v > 1 for v in cnt.values())
 
 
 def _reduce_4cycles(edges, rng):
     """Bounded-effort pass breaking pairs of columns sharing two rows: at
     most 10 swaps per edge."""
-    from collections import Counter
-
     max_swaps = 10 * len(edges)
     n = max(v for v, _ in edges) + 1
     colmask = [0] * n
@@ -284,21 +275,11 @@ def _reduce_4cycles(edges, rng):
             for _ in range(20):
                 j = int(rng.integers(len(edges)))
                 v2, c2 = edges[j]
-                if v2 in (a, b) or c2 == c:
-                    continue
-                ne1, ne2 = (b, c2), (v2, c)
-                if cnt[ne1] or cnt[ne2]:
-                    continue
-                cnt[(b, c)] -= 1
-                cnt[(v2, c2)] -= 1
-                cnt[ne1] += 1
-                cnt[ne2] += 1
-                edges[i] = ne1
-                edges[j] = ne2
-                colmask[b] ^= (1 << c) | (1 << c2)
-                colmask[v2] ^= (1 << c) | (1 << c2)
-                swaps += 1
-                break
+                if v2 != a and _swap(edges, cnt, i, j):
+                    colmask[b] ^= (1 << c) | (1 << c2)
+                    colmask[v2] ^= (1 << c) | (1 << c2)
+                    swaps += 1
+                    break
 
 
 def build_geira(spec: GeiraSpec) -> LdpcCode:

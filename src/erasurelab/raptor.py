@@ -59,28 +59,14 @@ class _Stream:
                 return u % n
 
 
-class DecodingError(ValueError):
-    pass
-
-
 class NotSystematicError(ValueError):
     """The LT seed leaves A(1..k) singular, so the code cannot carry the
     message in ESIs 1..k."""
 
 
 def _smallest_prime_at_least(x: int) -> int:
-    def is_prime(p):
-        if p < 2:
-            return False
-        f = 2
-        while f * f <= p:
-            if p % f == 0:
-                return False
-            f += 1
-        return True
-
     p = max(2, x)
-    while not is_prime(p):
+    while any(p % f == 0 for f in range(2, math.isqrt(p) + 1)):
         p += 1
     return p
 
@@ -129,7 +115,7 @@ def gray_half_columns(h: int, count: int) -> list:
     b = 0
     while len(out) < count:
         g = b ^ (b >> 1)
-        if g < (1 << h) and g.bit_count() == hp:
+        if g.bit_count() == hp:
             out.append(g)
         b += 1
     return out
@@ -168,16 +154,15 @@ def _precode_rows(params: RaptorParams) -> list:
     st = _Stream(params.seed, 0xC0DE)
     seen = set()
     for j in range(k):
-        for _ in range(10000):
+        # k < C(s, 3) for every k, so an unused weight-3 pattern always exists
+        while True:
             picked = set()
             while len(picked) < 3:
                 picked.add(st.randbelow(s))
             key = frozenset(picked)
-            if key not in seen or len(seen) >= math.comb(s, 3):
+            if key not in seen:
                 seen.add(key)
                 break
-        else:
-            raise AssertionError("could not place a distinct weight-3 column")
         for r in picked:
             rows[r] |= 1 << j
     for j, g in enumerate(gray_half_columns(h, k + s)):
@@ -194,25 +179,24 @@ class RaptorCode:
         """Assemble the code, testing its seed on the way: the LT tuples of
         ESIs 1..k are drawn first, and if A(1..k) is singular nothing more is
         drawn and ``NotSystematicError`` is raised."""
-        self._assemble(params, _precode_rows(params))
-
-    def _assemble(self, params: RaptorParams, precode_rows: list) -> None:
-        """``__init__`` given the pre-code rows, which do not depend on the LT
-        seed, so that ``build`` draws them once for all the seeds it tries."""
         self.params = p = params
         # the pre-code rows that head every received system
-        self.precode_rows = precode_rows
+        self.precode_rows = _precode_rows(p)
         self.lt_cols = [lt_tuple(esi, p) for esi in range(1, p.k + 1)]
-        self.lt_rows = [sum(1 << i for i in cols) for cols in self.lt_cols]
         # Gauss-Jordan on A(1..k) against [0; I_k] leaves row i holding
         # intermediate symbol F_i of A(1..k) F = [0; C] as a mask over the
         # message bits, or fewer than L pivots for a seed that is not systematic
-        aug = self.precode_rows + [w | 1 << (p.L + i) for i, w in enumerate(self.lt_rows)]
+        aug = self.precode_rows + [sum(1 << i for i in cols) | 1 << (p.L + j)
+                                   for j, cols in enumerate(self.lt_cols)]
         if len(_gauss_jordan(aug, p.L)) < p.L:
             raise NotSystematicError(f"lt_seed {p.lt_seed} is not systematic: A(1..k) is singular")
         self.lt_cols += [lt_tuple(esi, p) for esi in range(p.k + 1, p.n + 1)]
-        self.lt_rows += [sum(1 << i for i in cols) for cols in self.lt_cols[p.k :]]
-        self.encoder = _GenericEncoder(range(p.k), self._parity_masks([w >> p.L for w in aug]))
+        self.lt_rows = [sum(1 << i for i in cols) for cols in self.lt_cols]
+        # each ESI past k (1..k are the message) as a mask over the message
+        # bits: the XOR of the masks f of the symbols in its LT tuple
+        f = [w >> p.L for w in aug]
+        self.encoder = _GenericEncoder(
+            range(p.k), [reduce(xor, [f[i] for i in cols], 0) for cols in self.lt_cols[p.k :]])
         self.precode_sparse = SparseBinMatrix.from_dense(
             DenseBinMatrix(len(self.precode_rows), p.L, self.precode_rows))
         # what the channel draw reads, as on an LdpcCode: every position is sent
@@ -223,23 +207,14 @@ class RaptorCode:
     def build(cls, k: int, n: int, seed: int = 0) -> "RaptorCode":
         """The code of the smallest systematic LT seed, counting up from 0."""
         params = RaptorParams(k, n, seed=seed)
-        precode_rows = _precode_rows(params)
         for lt_seed in range(10000):
-            code = cls.__new__(cls)
             try:
-                code._assemble(replace(params, lt_seed=lt_seed), precode_rows)
-                return code
+                return cls(replace(params, lt_seed=lt_seed))
             except NotSystematicError:
                 pass
-        raise DecodingError("no systematic seed found within 10000 attempts")
+        raise NotSystematicError("no systematic seed found within 10000 attempts")
 
     # -- encoding ------------------------------------------------------------
-
-    def _parity_masks(self, f: list) -> list:
-        """Each ESI past k as a mask over the message bits: the XOR of the
-        masks ``f`` of the intermediate symbols in its LT tuple (ESIs 1..k
-        are the message itself)."""
-        return [reduce(xor, [f[i] for i in cols], 0) for cols in self.lt_cols[self.params.k :]]
 
     def encode(self, c: BinVector) -> BinVector:
         """The codeword of message ``c``, whose first k positions carry it."""

@@ -371,6 +371,10 @@ BAD_N_CODE = "ldpc 130 127\n1 128\n" + "1" * 128 + "\n"
     (["simulate", "--regular", "3,6", "--n", "24", "--delta", "0:1000000000000"], {},
      "more than 1000000 points"),
     (["bounds", "--k", "32", "--eps", "0.3"], {}, "give --n, --k and --eps"),
+    (["simulate", "--raptor", "16,32", "--delta", "0", "--random-codeword"], {},
+     "--raptor does not take --random-codeword"),
+    (["simulate", "--raptor", "16,32", "--delta", "0", "--config", "run.cfg"],
+     {"run.cfg": "random_codeword=1\n"}, "--raptor does not take --random-codeword"),
 ], ids=["step-zero", "step-negative", "stop-below-start", "step-config", "workers-flag",
         "workers-config", "code-header-k", "code-header-n", "bounds-k-above-n",
         "target-errors-zero", "max-trials-zero", "geira-tap-too-large", "code-file-missing",
@@ -386,7 +390,7 @@ BAD_N_CODE = "ldpc 130 127\n1 128\n" + "1" * 128 + "\n"
         "geira-k-zero", "geira-n-equals-k", "raptor-decoder-it", "raptor-with-n",
         "raptor-k-below-4", "construct-raptor", "raptor-sim-gone", "eps-stop-inf",
         "eps-step-inf", "eps-span-overflows", "eps-grid-too-large", "delta-grid-too-large",
-        "bounds-n-missing"])
+        "bounds-n-missing", "raptor-random-codeword", "raptor-random-codeword-in-config"])
 def test_bad_range_is_a_usage_error(tmp_path, capsys, args, files, says):
     """Exit 2 with one error line; ``says`` is a fragment that line must hold."""
     for name, text in files.items():
@@ -399,6 +403,23 @@ def test_bad_range_is_a_usage_error(tmp_path, capsys, args, files, says):
     assert captured.err.splitlines()[-1].startswith("erasurelab: error: ")
     assert says in captured.err.splitlines()[-1]
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("args, says", [
+    (["simulate", "--raptor", "16,32", "--delta", "0", "--n", "32"],
+     "--raptor does not take --n"),
+    (["bounds", "--k", "32", "--eps", "0.3"], "give --n, --k and --eps"),
+    (["construct", "--regular", "3,6"], "--regular needs --n"),
+    (["thresholds"], "give --regular dv,dc"),
+    (["mindist"], "give --code"),
+], ids=["simulate", "bounds", "construct", "thresholds", "mindist"])
+def test_usage_error_prints_the_command_usage(capsys, args, says):
+    """A command's own checks print that command's usage line, as argparse's
+    errors do, not the top-level one."""
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: erasurelab {args[0]} ")
+    assert err.rstrip("\n").endswith(f"erasurelab: error: {says}")
 
 
 @pytest.fixture(scope="module")

@@ -246,22 +246,10 @@ def test_seed_attempt_draws_k_tuples_then_n(monkeypatch):
     RaptorCode(RaptorParams(16, 32, lt_seed=5))
     assert drawn == list(range(1, 33))
     drawn.clear()
-    assert RaptorCode.build(16, 32).params.lt_seed == 5
+    code = RaptorCode.build(16, 32)
+    assert code.params.lt_seed == 5
     assert len(drawn) == 5 * 16 + 32
-
-
-@pytest.mark.parametrize("k, n, lt_seed", [(16, 32, 5), (512, 1024, 2)])
-def test_build_draws_the_precode_rows_once(monkeypatch, k, n, lt_seed):
-    """The pre-code rows depend on (k, s, h, seed) alone, so the seed search
-    draws them once however many LT seeds it tries, and the code keeps the
-    rows a direct construction draws."""
-    drawn = []
-    real = raptor._precode_rows
-    monkeypatch.setattr(raptor, "_precode_rows", lambda p: drawn.append(p) or real(p))
-    code = RaptorCode.build(k, n)
-    assert code.params.lt_seed == lt_seed
-    assert drawn == [RaptorParams(k, n)]
-    assert code.precode_rows == real(code.params)
+    assert code.precode_rows == raptor._precode_rows(code.params)
 
 
 def test_systematic_transform(code16, rng):
