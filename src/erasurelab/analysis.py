@@ -351,13 +351,6 @@ def _exit_sweep(p: Protograph):
         yield pa, s / len(sent)
 
 
-def protograph_exit_curve(p: Protograph):
-    """Average extrinsic erasure over transmitted VNs versus the a-priori
-    erasure applied to transmitted VNs, p_a increasing."""
-    pas, pes = map(np.array, zip(*_exit_sweep(p)))
-    return pas[::-1], pes[::-1]
-
-
 def protograph_ml_bound(p: Protograph):
     """Area-theorem bound for a protograph ensemble, rate over transmitted
     positions only. The sweep stops once the area from p_A = 1 down exceeds

@@ -50,9 +50,6 @@ class BinVector:
             raise IndexError(i)
         return (self.bits >> i) & 1
 
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
     def to_list(self) -> list:
         return self.unpacked().view(np.uint8).tolist()
 

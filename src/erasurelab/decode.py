@@ -23,7 +23,6 @@ re-check fails, as only then can it find one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import compress
 from operator import gt, index
 
@@ -68,11 +67,6 @@ class ReceivedWord:
             raise ValueError(f"erasure mask shape {mask.shape} != ({self.n},)")
         if self.values.bits:  # a zero word needs no clearing
             self.values = BinVector(self.n, self.values.bits & ~BinVector.from_bits(mask).bits)
-
-    @cached_property
-    def erased(self) -> tuple:
-        """The erased positions, increasing: what split_by_erasure and the oracle read."""
-        return tuple(np.flatnonzero(self.erased_mask).tolist())
 
     @classmethod
     def from_full(cls, full: BinVector, erased) -> "ReceivedWord":
@@ -164,11 +158,12 @@ def split_by_erasure(code, word: ReceivedWord):
     h = code.h
     if word.n != h.cols:
         raise ValueError(f"word length {word.n} != code length {h.cols}")
+    erased = np.flatnonzero(word.erased_mask).tolist()
     pos = [-1] * word.n
-    for i, c in enumerate(word.erased):
+    for i, c in enumerate(erased):
         pos[c] = i
     hk_rows = []
-    col_adj = [[] for _ in word.erased]
+    col_adj = [[] for _ in erased]
     for r, cs in enumerate(h.row_adj):
         local = [pos[c] for c in cs if pos[c] >= 0]
         hk_rows.append(local)

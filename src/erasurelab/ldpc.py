@@ -1,6 +1,6 @@
 """LDPC code constructions and encoders: regular ensemble sampling, GeIRA
-repeat-accumulate codes, protograph lifting with puncturing, and
-rate-compatible puncturing of parity bits."""
+repeat-accumulate codes, protograph lifting with puncturing, and code
+file I/O."""
 
 from __future__ import annotations
 
@@ -237,6 +237,8 @@ def _swap(edges, cnt, i, j) -> bool:
 
 
 def _remove_parallel_edges(edges, rng) -> bool:
+    """Swap every repeated edge away, False once the swap budget runs out: a
+    swap only adds absent edges, so no repeat is left when ``pending`` empties."""
     cnt = Counter(edges)
     first = {}
     # every repeat of an edge, in order
@@ -250,7 +252,7 @@ def _remove_parallel_edges(edges, rng) -> bool:
         i = pending[-1]
         if cnt[edges[i]] == 1 or _swap(edges, cnt, i, int(rng.integers(ne))):
             pending.pop()
-    return not any(v > 1 for v in cnt.values())
+    return True
 
 
 def _reduce_4cycles(edges, rng):
@@ -360,39 +362,12 @@ def puncture(code: LdpcCode, positions, allow_systematic: bool = False) -> LdpcC
     return LdpcCode(code.h, code.encoder, punctured=new_punct, meta=dict(code.meta))
 
 
-def _bit_reversal_order(m: int):
-    nb = max(1, (m - 1).bit_length())
-    order = sorted(range(1 << nb), key=lambda i: int(format(i, f"0{nb}b")[::-1], 2))
-    return [i for i in order if i < m]
-
-
-def rate_family(mother: LdpcCode, rates) -> list:
-    """Nested rate-compatible family: transmitted count round(k/R); punctured
-    parity positions drawn from a fixed bit-reversal spreading order."""
-    systematic = set(mother.encoder.info_positions)
-    parity = [i for i in mother.transmitted if i not in systematic]
-    order = [parity[i] for i in _bit_reversal_order(len(parity))]
-    family = []
-    for r in sorted(rates):
-        target = int(mother.k / r + 0.5)
-        drop = mother.n_transmitted - target
-        if drop < 0:
-            raise ConstructionError(f"rate {r} below the mother code rate")
-        family.append(puncture(mother, order[:drop]) if drop else mother)
-    return family
-
-
 def code_to_text(code: LdpcCode) -> str:
     out = [f"ldpc {code.n} {code.k}"]
     if code.punctured:
         out.append("punctured: " + ",".join(str(i) for i in sorted(code.punctured)))
     out.append(dense_to_text(code.h.to_dense()))
     return "\n".join(out)
-
-
-def save_code(code: LdpcCode, path) -> None:
-    with open(path, "w") as f:
-        f.write(code_to_text(code))
 
 
 def load_code(path) -> LdpcCode:
@@ -416,4 +391,8 @@ def load_code(path) -> LdpcCode:
     if len(encoder.info_positions) != k:
         raise ConstructionError(f"{path}: header gives k={k}, "
                                 f"but H gives k={len(encoder.info_positions)}")
-    return LdpcCode(h, encoder, punctured=punctured)
+    code = LdpcCode(h, encoder, punctured=punctured)
+    if code.n_transmitted < k:
+        raise ConstructionError(f"{path}: punctured positions leave {code.n_transmitted} "
+                                f"transmitted, fewer than k={k}")
+    return code

@@ -327,7 +327,8 @@ def loop_peel_core(code, word):
     h = code.h
     unknown = bytearray(h.cols)
     rowcnt = [0] * h.rows
-    for c in word.erased:
+    erased = np.flatnonzero(word.erased_mask).tolist()
+    for c in erased:
         unknown[c] = 1
         for r in h.col_adj[c]:
             rowcnt[r] += 1
@@ -335,7 +336,7 @@ def loop_peel_core(code, word):
     for c in word.values.ones():
         value[c] = 1
     st = decode.TriangularizationState(
-        h.row_adj, h.col_adj, len(word.erased), unknown, rowcnt,
+        h.row_adj, h.col_adj, len(erased), unknown, rowcnt,
         loop_parities(h, word.values), value, bytearray(h.rows))
     decode._peel(st, [r for r, cnt in enumerate(rowcnt) if cnt == 1])
     return st

@@ -313,20 +313,26 @@ def test_de_kernel_matches_loop_property(case):
     _assert_matches_loop(*case)
 
 
+def _exit_curve(p):
+    """The whole EXIT curve of ``analysis._exit_sweep``, p_A increasing."""
+    pas, pes = map(np.array, zip(*analysis._exit_sweep(p)))
+    return pas[::-1], pes[::-1]
+
+
 @pytest.mark.parametrize("p", [ARA, Protograph(base=((3, 3),))], ids=["ara", "3-3"])
 def test_exit_curve_matches_loop(p, monkeypatch):
     """The whole warm-started EXIT sweep gives the same arrays, byte for
     byte, as the reference loop."""
-    pas, pes = analysis.protograph_exit_curve(p)
+    pas, pes = _exit_curve(p)
     monkeypatch.setattr(analysis, "_proto_fixed_point", loop_proto_fixed_point)
-    ref_pas, ref_pes = analysis.protograph_exit_curve(p)
+    ref_pas, ref_pes = _exit_curve(p)
     assert pas.tobytes() == ref_pas.tobytes()
     assert pes.tobytes() == ref_pes.tobytes()
 
 
 def _whole_curve_bound(p):
     """The ML bound from the crossing over the whole EXIT curve."""
-    pas, pes = analysis.protograph_exit_curve(p)
+    pas, pes = _exit_curve(p)
     x = analysis._area_crossing(pas, pes, p.design_rate)
     return (float(pas[0]), True) if x is None else (x, False)
 

@@ -37,7 +37,7 @@ def test_binvector_basics():
     v = BinVector.from_bits([1, 0, 1, 1])
     assert len(v) == 4
     assert v.to_list() == [1, 0, 1, 1]
-    assert v.weight() == 3
+    assert v.bits.bit_count() == 3
     assert v.ones() == [0, 2, 3]
     assert BinVector(5).ones() == []
 

@@ -285,6 +285,8 @@ def test_replay_byte_identical(tmp_path, capsys):
 BAD_K_CODE = "ldpc 4 3\n2 4\n1100\n0011\n"
 # the (3,2) single parity check code
 SPC_CODE = "ldpc 3 2\n1 3\n111\n"
+# the same code with two of its three positions punctured, one fewer sent than k
+SPC_BELOW_K_CODE = "ldpc 3 2\npunctured: 0,1\n1 3\n111\n"
 # the (128,127) single parity check code under a header that claims n=130
 BAD_N_CODE = "ldpc 130 127\n1 128\n" + "1" * 128 + "\n"
 
@@ -301,6 +303,10 @@ BAD_N_CODE = "ldpc 130 127\n1 128\n" + "1" * 128 + "\n"
     (["mindist", "--code", "code.txt"], {"code.txt": BAD_K_CODE}, ""),
     (["mindist", "--code", "code.txt"], {"code.txt": BAD_N_CODE},
      "code.txt: header gives n=130, but H has 128 columns"),
+    (["mindist", "--code", "code.txt"], {"code.txt": SPC_BELOW_K_CODE},
+     "code.txt: punctured positions leave 1 transmitted, fewer than k=2"),
+    (["simulate", "--code", "code.txt", "--eps", "0.1"], {"code.txt": SPC_BELOW_K_CODE},
+     "code.txt: punctured positions leave 1 transmitted, fewer than k=2"),
     (["bounds", "--n", "64", "--k", "80", "--eps", "0.1"], {}, ""),
     (["simulate", "--regular", "3,6", "--n", "24", "--eps", "0.3", "--target-errors", "0"],
      {}, ""),
@@ -376,7 +382,8 @@ BAD_N_CODE = "ldpc 130 127\n1 128\n" + "1" * 128 + "\n"
     (["simulate", "--raptor", "16,32", "--delta", "0", "--config", "run.cfg"],
      {"run.cfg": "random_codeword=1\n"}, "--raptor does not take --random-codeword"),
 ], ids=["step-zero", "step-negative", "stop-below-start", "step-config", "workers-flag",
-        "workers-config", "code-header-k", "code-header-n", "bounds-k-above-n",
+        "workers-config", "code-header-k", "code-header-n", "mindist-punctured-below-k",
+        "simulate-punctured-below-k", "bounds-k-above-n",
         "target-errors-zero", "max-trials-zero", "geira-tap-too-large", "code-file-missing",
         "decoder-config", "simulate-delta-stop-below-start", "raptor-delta-stop-below-start",
         "regular-dv-zero", "regular-n-negative", "simulate-eps-and-delta",
@@ -427,9 +434,7 @@ def punctured_code_text(tmp_path_factory):
     path = tmp_path_factory.mktemp("code") / "code.txt"
     assert main(["construct", "--regular", "3,6", "--n", "12", "--seed", "2",
                  "--out", str(path)]) == 0
-    code = ldpc.puncture(ldpc.load_code(path), [0])
-    ldpc.save_code(code, path)
-    return path.read_text()
+    return ldpc.code_to_text(ldpc.puncture(ldpc.load_code(path), [0]))
 
 
 @settings(max_examples=60, deadline=None,

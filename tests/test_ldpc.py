@@ -21,14 +21,13 @@ from erasurelab.ldpc import (
     GeiraSpec,
     Protograph,
     build_geira,
+    code_to_text,
     encode,
     _generic_encoder_from_h,
     lift_protograph,
     load_code,
     puncture,
-    rate_family,
     sample_regular,
-    save_code,
 )
 
 ARA_BASE = ((2, 1, 1, 1, 0), (1, 2, 1, 1, 0), (2, 0, 0, 0, 1))
@@ -68,10 +67,10 @@ def test_regular_no_parallel_edges(seed):
 
 def test_encode_zero_and_random(rng):
     code = sample_regular(3, 6, 24, seed=2)
-    assert encode(code, BinVector(code.k)).weight() == 0
+    assert encode(code, BinVector(code.k)).bits.bit_count() == 0
     for _ in range(50):
         cw = encode(code, random_vector(code.k, rng))
-        assert syndrome(code, cw).weight() == 0
+        assert syndrome(code, cw).bits.bit_count() == 0
 
 
 def test_geira_accumulator_structure():
@@ -93,7 +92,7 @@ def test_geira_running_xor_single_tap_pair(rng):
     for r in range(4):
         acc ^= hu_col0[r]
         assert cw[4 + r] == acc
-    assert syndrome(code, cw).weight() == 0
+    assert syndrome(code, cw).bits.bit_count() == 0
 
 
 @pytest.mark.parametrize("spec", [
@@ -135,7 +134,7 @@ SMALL_CODES = {
                                               seed=5)),
     "lifted-ara": lambda: lift_protograph(Protograph(base=ARA_BASE, punctured_cols=frozenset({0}),
                                                      lift=3), seed=1),
-    "punctured": lambda: rate_family(sample_regular(3, 6, 30, seed=4), [0.6])[0],
+    "punctured": lambda: puncture(sample_regular(3, 6, 30, seed=4), [0, 2, 4, 8, 12]),
 }
 
 
@@ -200,7 +199,7 @@ def test_geira_1160_1044_profile(rng):
     assert (code.n, code.k) == (1160, 1044)
     for _ in range(100):
         cw = encode(code, random_vector(code.k, rng))
-        assert syndrome(code, cw).weight() == 0
+        assert syndrome(code, cw).bits.bit_count() == 0
 
 
 def test_geira_mean_row_weight_target():
@@ -324,23 +323,27 @@ def test_puncture_guards():
         puncture(code, list(range(13)), allow_systematic=True)  # below k transmitted
 
 
-def test_rate_family_transmitted_counts():
-    spec = GeiraSpec(k=502, n=1004, taps=frozenset({0, 1}), wc=5, seed=0)
-    mother = build_geira(spec)
-    rates = [1 / 2, 3 / 5, 2 / 3, 3 / 4, 4 / 5]
-    family = rate_family(mother, rates)
-    assert [c.n_transmitted for c in family] == [1004, 837, 753, 669, 628]
-    # nested: higher-rate members puncture supersets
-    sets = [c.punctured for c in family]
-    for a, b in zip(sets, sets[1:]):
-        assert a <= b
-
-
 def test_save_load_roundtrip(tmp_path):
     code = puncture(sample_regular(3, 6, 24, seed=6), [20, 21], allow_systematic=True)
     path = tmp_path / "code.txt"
-    save_code(code, path)
+    path.write_text(code_to_text(code))
     loaded = load_code(path)
     assert loaded.h == code.h
     assert loaded.punctured == code.punctured
     assert (loaded.n, loaded.k) == (code.n, code.k)
+
+
+def test_load_code_keeps_k_transmitted_positions(tmp_path):
+    """A code file may puncture down to k transmitted positions, any
+    positions at all, but no further."""
+    code = sample_regular(3, 6, 24, seed=6)
+    head, body = code_to_text(code).split("\n", 1)
+    path = tmp_path / "code.txt"
+
+    def punctured_first(count):
+        path.write_text(f"{head}\npunctured: {','.join(map(str, range(count)))}\n{body}")
+        return path
+
+    assert load_code(punctured_first(code.n - code.k)).n_transmitted == code.k
+    with pytest.raises(ConstructionError, match=f"fewer than k={code.k}"):
+        load_code(punctured_first(code.n - code.k + 1))
