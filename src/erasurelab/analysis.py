@@ -443,7 +443,7 @@ def exhaustive_min_distance(code: LdpcCode) -> WeightSpectrumTail:
     ones are never sent, so they are always erased."""
     if code.k > _MINDIST_CAP_K:
         raise ValueError(f"k = {code.k} exceeds enumeration cap {_MINDIST_CAP_K}")
-    sent = sum(1 << j for j in code.transmitted)
+    sent = BinVector.from_bits(~code.punctured_mask).bits
     gen = [encode(code, BinVector(code.k, 1 << j)).bits & sent for j in range(code.k)]
     best = code.n + 1
     mult = 0

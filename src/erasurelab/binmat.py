@@ -15,7 +15,6 @@ conversion and the text format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -97,21 +96,6 @@ class DenseBinMatrix:
         return f"DenseBinMatrix({self.rows}x{self.cols})"
 
 
-@dataclass
-class SolveOutcome:
-    """Result of GF(2) Gaussian elimination on M x = rhs.
-
-    ``solution`` is a particular solution with free variables set to zero,
-    or None when the system is inconsistent; ``unique`` means consistent
-    with full column rank.
-    """
-
-    rank: int
-    consistent: bool
-    unique: bool
-    solution: BinVector
-
-
 # Columns per elimination block; 6 and 7 measured fastest among 4-10 on the
 # pivot systems of GeIRA (1024,512) ML decoding.
 _BLOCK = 6
@@ -171,22 +155,23 @@ def _gauss_jordan(rows: list, ncols: int) -> list:
     return pivots
 
 
-def dense_gauss_solve(m: DenseBinMatrix, rhs: BinVector) -> SolveOutcome:
-    """Brute-force Gaussian elimination; the input matrix is not mutated."""
+def dense_gauss_solve(m: DenseBinMatrix, rhs: BinVector) -> tuple:
+    """Brute-force Gaussian elimination of M x = rhs; the input matrix is not
+    mutated. Returns (solution, rank): a particular solution with the free
+    variables set to zero, or None when the system is inconsistent, and the
+    rank of M. The solution is unique when the rank is M's column count."""
     if rhs.n != m.rows:
         raise DimensionError(f"rhs length {rhs.n} != row count {m.rows}")
     nc = m.cols
     aug = [w | ((rhs.bits >> i) & 1) << nc for i, w in enumerate(m.row_words)]
     pivots = _gauss_jordan(aug, nc)
     rank = len(pivots)
-    consistent = all(w >> nc == 0 for w in aug[rank:])
-    solution = None
-    if consistent:
-        bits = 0
-        for i, col in enumerate(pivots):
-            bits |= (aug[i] >> nc) << col
-        solution = BinVector(nc, bits)
-    return SolveOutcome(rank, consistent, consistent and rank == nc, solution)
+    if any(w >> nc for w in aug[rank:]):
+        return None, rank
+    bits = 0
+    for i, col in enumerate(pivots):
+        bits |= (aug[i] >> nc) << col
+    return BinVector(nc, bits), rank
 
 
 def rank(m: DenseBinMatrix) -> int:

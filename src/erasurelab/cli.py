@@ -155,7 +155,7 @@ def _emit(text, out_path):
 
 # the code selectors and the code flags each one takes
 _CODE_FLAGS = {"code": (), "regular": ("n",), "geira": ("taps", "wc"), "raptor": ()}
-_GEIRA_DEFAULTS = {"taps": "0,1", "wc": 3}
+_GEIRA_DEFAULTS = {"taps": [0, 1], "wc": 3}
 
 
 def _build_code(args, parser):
@@ -184,7 +184,7 @@ def _build_code(args, parser):
         if getattr(args, key) is None:
             setattr(args, key, default)
     k, n = args.geira
-    return ldpc.build_geira(ldpc.GeiraSpec(k=k, n=n, taps=frozenset(_int_range(args.taps)),
+    return ldpc.build_geira(ldpc.GeiraSpec(k=k, n=n, taps=frozenset(args.taps),
                                            wc=args.wc, seed=args.seed))
 
 
@@ -262,15 +262,16 @@ def _make_parser():
 
     def common(sp):
         sp.add_argument("--config", help="flat key=value config file")
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", help="output path (default: stdout)")
 
     def code_flags(sp):
+        # first: a construct or simulate header echoes it after the command
+        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--code", help="path to a stored code file")
         sp.add_argument("--regular", type=_pair, metavar="DV,DC")
         sp.add_argument("--geira", type=_pair, metavar="K,N")
-        taps, wc = _GEIRA_DEFAULTS["taps"], _GEIRA_DEFAULTS["wc"]
-        sp.add_argument("--taps", help=f"GeIRA accumulator taps (default {taps})")
+        taps, wc = ",".join(map(str, _GEIRA_DEFAULTS["taps"])), _GEIRA_DEFAULTS["wc"]
+        sp.add_argument("--taps", type=_int_range, help=f"GeIRA accumulator taps (default {taps})")
         sp.add_argument("--wc", type=int, help=f"GeIRA column weight (default {wc})")
         sp.add_argument("--n", type=int, help="block length of a --regular code")
 

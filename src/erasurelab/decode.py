@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import gt, index
+from operator import gt
 
 import numpy as np
 
@@ -50,9 +50,8 @@ class ReceivedWord:
     """Channel output, for LDPC and Raptor codes alike: the length-n word with
     every erased position reading 0, and its erasure mask. Position i of a
     Raptor word holds the symbol of ESI i+1. The length n is that of the
-    values. The mask is given as a boolean numpy array of length n, which the
-    word keeps (the caller must not modify it afterwards), or as integer
-    positions in 0..n-1, in any order."""
+    values. The mask is a boolean numpy array of shape (n,), which the word
+    keeps (the caller must not modify it afterwards)."""
 
     values: BinVector  # the erased positions are cleared here
     erased_mask: np.ndarray  # n booleans; includes punctured positions once decoded
@@ -61,10 +60,7 @@ class ReceivedWord:
     def __post_init__(self):
         self.n = self.values.n
         mask = self.erased_mask
-        if not (isinstance(mask, np.ndarray) and mask.dtype == np.bool_):
-            mask = self.erased_mask = _position_mask(mask, self.n)
-        elif mask.shape != (self.n,):
-            raise ValueError(f"erasure mask shape {mask.shape} != ({self.n},)")
+        _check_mask(mask, self.n)
         if self.values.bits:  # a zero word needs no clearing
             self.values = BinVector(self.n, self.values.bits & ~BinVector.from_bits(mask).bits)
 
@@ -73,23 +69,10 @@ class ReceivedWord:
         return cls(full, erased)
 
 
-def _position_mask(positions, n: int) -> np.ndarray:
-    """n booleans, set at ``positions``: integers in 0..n-1, in any order.
-    Bools are refused, so that a list of them is not read as a mask."""
-    positions = list(positions)
-    if {bool, np.bool_} & set(map(type, positions)):
-        raise ValueError("erased positions must be integers; an erasure "
-                         "mask must be a boolean numpy array")
-    try:  # index() takes numpy integers and rejects 1.5
-        positions = np.fromiter(map(index, positions), np.intp, len(positions))
-        inside = not positions.size or 0 <= positions.min() and positions.max() < n
-    except OverflowError:  # beyond any array index
-        inside = False
-    if not inside:
-        raise ValueError(f"erased positions must lie in 0..{n - 1}")
-    mask = np.zeros(n, np.bool_)
-    mask[positions] = True
-    return mask
+def _check_mask(mask, n: int) -> None:
+    """Raise ValueError unless ``mask`` is a boolean numpy array of shape (n,)."""
+    if not (isinstance(mask, np.ndarray) and mask.dtype == np.bool_ and mask.shape == (n,)):
+        raise ValueError(f"an erasure mask must be a boolean numpy array of shape ({n},)")
 
 
 @dataclass
@@ -103,7 +86,7 @@ class DecodeStats:
 class DecodeResult:
     status: str  # 'success' | 'it_stall' | 'rank_deficient'
     recovered: BinVector = None
-    residual: tuple = ()
+    residual: np.ndarray = None  # a stall's unresolved positions, as n booleans
     rank: int = None
     stats: DecodeStats = field(default_factory=DecodeStats)
 
@@ -250,8 +233,7 @@ def peel_decode(code, word: ReceivedWord) -> DecodeResult:
     stats = DecodeStats(peeled=len(st.resolved))
     if st.left:
         _check_known(st)
-        residual = tuple(compress(range(word.n), st.unknown))
-        return DecodeResult("it_stall", residual=residual, stats=stats)
+        return DecodeResult("it_stall", residual=np.frombuffer(st.unknown, np.bool_), stats=stats)
     return _finish(code.h, _values(st), stats, st)
 
 
@@ -343,12 +325,10 @@ def reduce_to_aprime(state: TriangularizationState):
 def solve_pivots(aprime: DenseBinMatrix, rhs_prime: BinVector):
     """Dense GE on a system; returns (solution, rank), the solution None when
     the system is rank deficient."""
-    out = dense_gauss_solve(aprime, rhs_prime)
-    if not out.consistent:
+    solution, rank = dense_gauss_solve(aprime, rhs_prime)
+    if solution is None:
         raise InconsistentInputError("received symbols are inconsistent")
-    if not out.unique:
-        return None, out.rank
-    return out.solution, out.rank
+    return (solution if rank == aprime.cols else None), rank
 
 
 def back_substitute(state: TriangularizationState, pivot_values: BinVector) -> None:
@@ -403,11 +383,12 @@ def oracle_decode(code, word: ReceivedWord) -> DecodeResult:
     return _finish(code.h, recovered, stats)
 
 
-def is_stopping_set(code, positions) -> bool:
+def is_stopping_set(code, mask) -> bool:
     """Every check row touching the set touches it at least twice: no row
-    counts exactly one of H's entries in the set's columns. ``positions``
-    are integers in 0..n-1, checked as ``ReceivedWord`` checks them."""
-    return not (_row_sums(code.h, _position_mask(positions, code.h.cols)) == 1).any()
+    counts exactly one of H's entries in the set's columns. The set is an
+    erasure mask, checked as ``ReceivedWord`` checks one."""
+    _check_mask(mask, code.h.cols)
+    return not (_row_sums(code.h, mask) == 1).any()
 
 
 def _with_punctured(code, word: ReceivedWord) -> ReceivedWord:
@@ -415,12 +396,10 @@ def _with_punctured(code, word: ReceivedWord) -> ReceivedWord:
     erased too: the word itself when its mask already holds them."""
     if word.n != code.h.cols:
         raise ValueError(f"word length {word.n} != code length {code.h.cols}")
-    punct = code.punctured_array
-    if word.erased_mask[punct].all():
+    punct = code.punctured_mask
+    if not code.punctured or word.erased_mask[punct].all():
         return word
-    mask = word.erased_mask.copy()
-    mask[punct] = True
-    return ReceivedWord.from_full(word.values, mask)
+    return ReceivedWord.from_full(word.values, word.erased_mask | punct)
 
 
 def _values(st: TriangularizationState) -> np.ndarray:

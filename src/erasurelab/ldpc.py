@@ -152,19 +152,12 @@ class LdpcCode:
             raise ConstructionError("punctured positions out of range")
 
     @cached_property
-    def transmitted(self) -> tuple:
-        """The positions sent over the channel, increasing; computed once."""
-        return tuple(i for i in range(self.n) if i not in self.punctured)
-
-    @cached_property
-    def transmitted_array(self) -> np.ndarray:
-        """``transmitted`` as an index array, for drawing erasures by mask."""
-        return np.array(self.transmitted, dtype=np.intp)
-
-    @cached_property
-    def punctured_array(self) -> np.ndarray:
-        """The punctured positions as an index array, for erasing them by mask."""
-        return np.array(sorted(self.punctured), dtype=np.intp)
+    def punctured_mask(self) -> np.ndarray:
+        """n booleans, set at the punctured positions, which are never sent;
+        computed once."""
+        mask = np.zeros(self.n, np.bool_)
+        mask[list(self.punctured)] = True
+        return mask
 
     @property
     def n_transmitted(self):

@@ -201,7 +201,6 @@ class RaptorCode:
             DenseBinMatrix(len(self.precode_rows), p.L, self.precode_rows))
         # what the channel draw reads, as on an LdpcCode: every position is sent
         self.k, self.n, self.n_transmitted = p.k, p.n, p.n
-        self.transmitted_array = np.arange(p.n)
 
     @classmethod
     def build(cls, k: int, n: int, seed: int = 0) -> "RaptorCode":

@@ -8,6 +8,7 @@ sweep is reproducible regardless of how trials are distributed over workers.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -138,7 +139,7 @@ def _erasure_mask(code, channel, rng) -> np.ndarray:
     if ntx == code.n:  # every position is sent
         return drawn
     mask = np.zeros(code.n, np.bool_)
-    mask[code.transmitted_array] = drawn
+    mask[~code.punctured_mask] = drawn
     return mask
 
 
@@ -188,11 +189,13 @@ def run_point(plan: SimPlan, point_idx: int, value, executor=None) -> SimRecord:
 
 
 def run_sweep(plan: SimPlan) -> list:
-    """Run every sweep point until target_errors error events or max_trials."""
+    """Run every sweep point until target_errors error events or max_trials.
+    The pool holds at most one process per CPU; the rounds still split into
+    ``plan.workers`` blocks, so the rows are those of any other pool."""
     pool = nullcontext()
     if plan.workers > 1:
-        pool = ProcessPoolExecutor(plan.workers, initializer=_set_worker_code,
-                                   initargs=(plan.code,))
+        pool = ProcessPoolExecutor(min(plan.workers, os.cpu_count() or 1),
+                                   initializer=_set_worker_code, initargs=(plan.code,))
     with pool as executor:
         return [run_point(plan, i, v, executor) for i, v in enumerate(plan.sweep)]
 

@@ -190,6 +190,13 @@ def code_from_rows(rowlists, punctured=frozenset()):
     return LdpcCode(h, _generic_encoder_from_h(h), punctured=frozenset(punctured))
 
 
+def erased_at(n, positions):
+    """The erasure mask of length ``n`` set at ``positions``, in any order."""
+    mask = np.zeros(n, np.bool_)
+    mask[list(positions)] = True
+    return mask
+
+
 def random_vector(n, rng):
     return BinVector(n, int.from_bytes(rng.bytes((n + 7) // 8 or 1), "little") & ((1 << n) - 1))
 
@@ -343,10 +350,10 @@ def loop_peel_core(code, word):
 
 
 def list_erased_positions(code, channel, rng):
-    """Reference channel draw: the per-index list comprehensions over
-    ``code.transmitted`` that ``sim._erasure_mask`` replaces with numpy
+    """Reference channel draw: the per-index list comprehensions over the
+    transmitted positions that ``sim._erasure_mask`` replaces with numpy
     indexing. Consumes the generator exactly as it does."""
-    transmitted = code.transmitted
+    transmitted = [i for i in range(code.n) if i not in code.punctured]
     if channel.kind == "bec":
         u01 = rng.random(len(transmitted))
         return [transmitted[i] for i in np.flatnonzero(u01 < channel.value).tolist()]
@@ -373,7 +380,7 @@ def raptor_word(e, esis):
     order) of the codeword ``e`` arrive: position i holds ESI i+1, and every
     position whose ESI did not arrive is erased."""
     got = {esi - 1 for esi in esis}
-    return decode.ReceivedWord.from_full(e, [i for i in range(e.n) if i not in got])
+    return decode.ReceivedWord.from_full(e, erased_at(e.n, set(range(e.n)) - got))
 
 
 def sum_cleared(values, erased):
@@ -424,7 +431,7 @@ def enumerate_min_distance(code):
     best, mult = code.n + 1, 0
     for msg in range(1, 1 << code.k):
         word = code.encoder.encode(BinVector(code.k, msg))
-        w = sum(word[j] for j in code.transmitted)
+        w = sum(word[j] for j in range(code.n) if j not in code.punctured)
         if w < best:
             best, mult = w, 1
         elif w == best:

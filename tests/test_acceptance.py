@@ -83,21 +83,20 @@ def test_acceptance_2_ara_protograph():
 def test_acceptance_3_oracle_equivalence_exhaustive():
     shapes = [(2, 4, 8), (2, 4, 10), (3, 6, 10), (2, 3, 12), (2, 4, 14)]
     rng = np.random.default_rng(99)
+    # ML decoding peels first, so the hybrid decoder is the ML decoder
+    assert hybrid_decode is ml_decode
     checked = 0
     for i in range(20):
         dv, dc, n = shapes[i % len(shapes)]
         code = sample_regular(dv, dc, n, seed=1000 + i)
         cw = encode(code, random_vector(code.k, rng))
         for mask in range(1 << n):
-            erased = [j for j in range(n) if (mask >> j) & 1]
-            word = ReceivedWord.from_full(cw, erased)
+            word = ReceivedWord.from_full(cw, BinVector(n, mask).unpacked())
             a = ml_decode(code, word)
             b = oracle_decode(code, word)
             assert a.status == b.status, (i, mask)
             if a.ok:
                 assert a.recovered == b.recovered == cw, (i, mask)
-            h = hybrid_decode(code, word)
-            assert h.status == a.status, (i, mask)
             checked += 1
     print(f"\ncriterion 3 PASS: {checked} exhaustive patterns across 20 codes")
 
@@ -110,9 +109,7 @@ def test_acceptance_4_peeling_dominance_and_stopping_sets():
     stalls = successes = 0
     for t in range(n_trials):
         rng = np.random.default_rng((21, 0, t))
-        u01 = rng.random(code.n)
-        erased = np.flatnonzero(u01 < eps).tolist()
-        word = ReceivedWord.from_full(cw, erased)
+        word = ReceivedWord.from_full(cw, rng.random(code.n) < eps)
         res = peel_decode(code, word)
         if res.ok:
             successes += 1
@@ -153,8 +150,7 @@ def test_acceptance_5_bound_sanity_and_random_codes():
             t = 0
             while errors < 40 and t < 30000:
                 trng = np.random.default_rng((5, ci, pi, t))
-                erased = np.flatnonzero(trng.random(64) < eps).tolist()
-                res = ml_decode(code, ReceivedWord.from_full(cw, erased))
+                res = ml_decode(code, ReceivedWord.from_full(cw, trng.random(64) < eps))
                 errors += not res.ok
                 trials += 1
                 t += 1
@@ -193,8 +189,7 @@ def test_acceptance_6_geira_waterfall_near_bound():
     errors = trials = 0
     while errors < 100 and trials < 60000:
         rng = np.random.default_rng((6, 0, trials))
-        erased = np.flatnonzero(rng.random(code.n) < eps).tolist()
-        res = ml_decode(code, ReceivedWord.from_full(cw, erased))
+        res = ml_decode(code, ReceivedWord.from_full(cw, rng.random(code.n) < eps))
         errors += not res.ok
         trials += 1
     assert errors >= 100, f"only {errors} error events in {trials} trials"

@@ -43,26 +43,27 @@ def test_binvector_basics():
 
 
 def test_gauss_identity():
-    out = dense_gauss_solve(identity(3), BinVector.from_bits([1, 0, 1]))
-    assert out.unique
-    assert out.solution.to_list() == [1, 0, 1]
+    solution, r = dense_gauss_solve(identity(3), BinVector.from_bits([1, 0, 1]))
+    assert r == 3
+    assert solution.to_list() == [1, 0, 1]
 
 
 def test_gauss_duplicate_rows():
     m = from_rows([[1, 1], [1, 1]])
-    out = dense_gauss_solve(m, BinVector(2))
-    assert not out.unique
-    assert out.rank == 1
-    assert m.cols - out.rank == 1
+    solution, r = dense_gauss_solve(m, BinVector(2))
+    assert r == 1 and m.cols - r == 1  # consistent, one free variable, set to 0
+    assert solution.to_list() == [0, 0]
+    # the rows disagree, so no solution
+    assert dense_gauss_solve(m, BinVector.from_bits([1, 0])) == (None, 1)
 
 
 def test_gauss_hamming_zero_syndrome():
     rows = [[(c + 1) >> b & 1 for c in range(7)] for b in range(3)]
     # the columns at positions 0, 1, 3 carry e1, e2, e3
     sub = from_rows([[r[c] for c in (0, 1, 3)] for r in rows])
-    out = dense_gauss_solve(sub, BinVector(3))
-    assert out.unique
-    assert out.solution.to_list() == [0, 0, 0]
+    solution, r = dense_gauss_solve(sub, BinVector(3))
+    assert r == 3
+    assert solution.to_list() == [0, 0, 0]
 
 
 def test_gauss_dim_mismatch():

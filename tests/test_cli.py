@@ -26,7 +26,7 @@ def test_bounds_row_count(capsys):
     rows = data_rows(out)
     assert rows[0] == "epsilon,singleton,berlekamp"
     assert len(rows) == 22  # header + 21 grid points
-    assert "# seed=0" in out
+    assert "# seed=" not in out  # bounds draws nothing, so takes no seed
 
 
 @pytest.mark.parametrize("grid, points", [
@@ -381,6 +381,11 @@ BAD_N_CODE = "ldpc 130 127\n1 128\n" + "1" * 128 + "\n"
      "--raptor does not take --random-codeword"),
     (["simulate", "--raptor", "16,32", "--delta", "0", "--config", "run.cfg"],
      {"run.cfg": "random_codeword=1\n"}, "--raptor does not take --random-codeword"),
+    (["construct", "--geira", "64,128", "--taps", "5:1"], {}, "argument --taps: want start"),
+    (["construct", "--geira", "64,128", "--taps", "0:2000000"], {},
+     "argument --taps: '0:2000000' has more than 1000000 points"),
+    (["bounds", "--n", "8", "--k", "4", "--eps", "0.1", "--seed", "1"], {},
+     "unrecognized arguments: --seed 1"),
 ], ids=["step-zero", "step-negative", "stop-below-start", "step-config", "workers-flag",
         "workers-config", "code-header-k", "code-header-n", "mindist-punctured-below-k",
         "simulate-punctured-below-k", "bounds-k-above-n",
@@ -397,7 +402,8 @@ BAD_N_CODE = "ldpc 130 127\n1 128\n" + "1" * 128 + "\n"
         "geira-k-zero", "geira-n-equals-k", "raptor-decoder-it", "raptor-with-n",
         "raptor-k-below-4", "construct-raptor", "raptor-sim-gone", "eps-stop-inf",
         "eps-step-inf", "eps-span-overflows", "eps-grid-too-large", "delta-grid-too-large",
-        "bounds-n-missing", "raptor-random-codeword", "raptor-random-codeword-in-config"])
+        "bounds-n-missing", "raptor-random-codeword", "raptor-random-codeword-in-config",
+        "geira-taps-stop-below-start", "geira-taps-grid-too-large", "bounds-seed"])
 def test_bad_range_is_a_usage_error(tmp_path, capsys, args, files, says):
     """Exit 2 with one error line; ``says`` is a fragment that line must hold."""
     for name, text in files.items():

@@ -457,11 +457,11 @@ _TAIL = list(range(3, 19))
     pytest.param([1, 2, 33], id="esis5"),
 ])
 def test_bad_esis_rejected(code16, esis):
-    """A word names its symbols by position, so it cannot hold a duplicate
-    ESI; an ESI outside 1..n is a position outside the word, and erasing it
-    (ESI 0 is position -1, ESI n+1 position n) fails the range check."""
+    """A word erases by a mask over its positions, so it cannot name an ESI
+    twice or one outside 1..n (ESI 0 would be position -1, ESI n+1 position
+    n): a list of positions is refused whatever it holds."""
     n = code16.params.n
-    with pytest.raises(ValueError, match="erased positions"):
+    with pytest.raises(ValueError, match="erasure mask must be a boolean numpy array"):
         ReceivedWord(BinVector(n), [esi - 1 for esi in esis])
 
 
@@ -469,7 +469,7 @@ def test_bad_esis_rejected(code16, esis):
 def test_word_length_must_be_n(code16, length):
     for decoder in (code16.decode, code16.decode_structured):
         with pytest.raises(ValueError, match="word length"):
-            decoder(ReceivedWord(BinVector(length), []))
+            decoder(ReceivedWord(BinVector(length), np.zeros(length, np.bool_)))
 
 
 def test_flipped_symbol_is_inconsistent(code16, rng):

@@ -3,7 +3,7 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import list_erased_positions, random_vector, raptor_esi_draw
+from conftest import erased_at, list_erased_positions, random_vector, raptor_esi_draw
 from erasurelab import decode, sim
 from erasurelab.binmat import BinVector
 from erasurelab.decode import DecodeResult, ReceivedWord
@@ -192,6 +192,39 @@ def test_pool_blocks_carry_no_code(small_code, monkeypatch):
             == sim.run_point(SimPlan(**base), 0, 0.42))
 
 
+@pytest.mark.parametrize("workers, cpus, pool", [(100000, 3, 3), (2, None, 1)])
+def test_pool_holds_at_most_one_process_per_cpu(small_code, monkeypatch, workers, cpus, pool):
+    """A pool gets one process per CPU at most, and one when the CPU count is
+    unknown, while each round still splits into ``workers`` blocks, so the
+    records are those of one worker. The executor maps in this process, so
+    the test starts none."""
+    sizes, blocks = [], []
+
+    class InProcessExecutor:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, starts, stops):
+            blocks.append(len(starts))
+            return map(fn, starts, stops)
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", InProcessExecutor)
+    monkeypatch.setattr(sim, "_worker_code", None)
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
+    base = dict(code=small_code, decoder="ml", channel_kind="bec", sweep=[0.42, 0.45],
+                target_errors=30, max_trials=600, seed=8)
+    assert run_sweep(SimPlan(**base, workers=workers)) == run_sweep(SimPlan(**base))
+    assert sizes == [pool]
+    assert blocks[0] == min(workers, 600)
+
+
 def test_dominance_ml_vs_it(small_code):
     base = dict(code=small_code, channel_kind="bec", sweep=[0.38],
                 target_errors=10**9, max_trials=400, seed=2)
@@ -325,7 +358,7 @@ def test_with_punctured_keeps_a_word_that_erases_them(small_code, punctured_code
     for code in [small_code] + _punctured_codes(small_code, punctured_code):
         for share in (0.0, 0.3, 1.0):
             mask = rng.random(code.n) < share
-            mask[code.punctured_array] = True
+            mask[code.punctured_mask] = True
             word = ReceivedWord.from_full(random_vector(code.n, rng), mask)
             assert decode._with_punctured(code, word) is word
 
@@ -337,18 +370,19 @@ def test_with_punctured_equals_the_word_built_from_positions(small_code, punctur
     is left as it was."""
     rng = np.random.default_rng(37)
     for code in _punctured_codes(small_code, punctured_code):
+        first = min(code.punctured)
         for share in (0.0, 0.1, 0.5, 0.9):
             for _ in range(10):
                 full = random_vector(code.n, rng)
                 mask = rng.random(code.n) < share
-                mask[code.punctured_array[0]] = False
+                mask[first] = False
                 word = ReceivedWord.from_full(full, mask)
                 got = decode._with_punctured(code, word)
                 ref = ReceivedWord.from_full(
-                    full, np.flatnonzero(mask).tolist() + sorted(code.punctured))
+                    full, erased_at(code.n, np.flatnonzero(mask).tolist() + sorted(code.punctured)))
                 assert got.values == ref.values
                 assert np.array_equal(got.erased_mask, ref.erased_mask)
-                assert word.erased_mask is mask and not mask[code.punctured_array[0]]
+                assert word.erased_mask is mask and not mask[first]
 
 
 def test_trial_path_builds_no_positions(monkeypatch, small_code, punctured_code, raptor_code):
