@@ -75,10 +75,8 @@ class DegreeDistribution:
 
 @dataclass
 class ExitCurve:
-    x: np.ndarray
     p_a: np.ndarray
     p_e: np.ndarray
-    x_bp: float
     eps_bp: float
 
 
@@ -194,12 +192,11 @@ def exit_curve(dist: DegreeDistribution) -> ExitCurve:
     branch of largest fixed points: a point stays only if no larger x has a
     smaller p_a, so p_a never decreases along the curve."""
     x_bp, eps_bp = _bp_point(dist)
-    xs = np.linspace(x_bp, 1.0, _EXIT_GRID)
-    p_a, y = _eps_of_x(dist, xs)
+    p_a, y = _eps_of_x(dist, np.linspace(x_bp, 1.0, _EXIT_GRID))
     keep = p_a <= np.minimum.accumulate(p_a[::-1])[::-1]
     if not keep.all():
-        xs, p_a, y = xs[keep], p_a[keep], y[keep]
-    return ExitCurve(xs, p_a, dist.node_lambda_eval(y), x_bp, eps_bp)
+        p_a, y = p_a[keep], y[keep]
+    return ExitCurve(p_a, dist.node_lambda_eval(y), eps_bp)
 
 
 def _area_crossing(p_a, p_e, r: float):

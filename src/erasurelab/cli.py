@@ -327,12 +327,14 @@ _DISPATCH = {
 def main(argv=None):
     parser = _make_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
         sub = parser.commands[args.command]
         if args.config:
             # config values become defaults, so the flags given still win
             sub.set_defaults(**_config_defaults(sub, args.config))
-            args = parser.parse_args(argv)
+            args, extra = parser.parse_known_args(argv)
+        if extra:  # the command's leftovers, reported under its own usage
+            sub.error(f"unrecognized arguments: {' '.join(extra)}")
         return _DISPATCH[args.command](args, sub)  # usage errors show the command's usage
     except SystemExit as exc:
         return exc.code or 0

@@ -41,6 +41,8 @@ class GeiraSpec:
         m = self.n - self.k
         if 0 not in self.taps:
             raise ConstructionError("tap set must contain 0")
+        if min(self.taps) < 0:
+            raise ConstructionError(f"taps must be >= 0, got {min(self.taps)}")
         if max(self.taps) >= m:
             raise ConstructionError(f"tap {max(self.taps)} exceeds n-k-1 = {m - 1}")
         if self.wc < 2:
@@ -138,7 +140,6 @@ class LdpcCode:
     h: SparseBinMatrix
     encoder: _GenericEncoder
     punctured: frozenset = frozenset()
-    meta: dict = field(default_factory=dict)
     n: int = field(init=False)  # H's column count
     k: int = field(init=False)  # the encoder's count of info positions
 
@@ -162,10 +163,6 @@ class LdpcCode:
     @property
     def n_transmitted(self):
         return self.n - len(self.punctured)
-
-    @property
-    def rate(self):
-        return self.k / self.n_transmitted
 
 
 def _generic_encoder_from_h(h: SparseBinMatrix):
@@ -193,6 +190,8 @@ def sample_regular(dv: int, dc: int, n: int, seed: int = 0) -> LdpcCode:
     for name, val in (("dv", dv), ("dc", dc), ("n", n)):
         if val < 1:
             raise ConstructionError(f"{name} must be >= 1, got {val}")
+    if dc > n:  # a check joins dc distinct variables
+        raise ConstructionError(f"check degree dc = {dc} exceeds n = {n}")
     if (n * dv) % dc:
         raise ConstructionError(f"n*dv = {n * dv} not divisible by dc = {dc}")
     m = n * dv // dc
@@ -209,7 +208,7 @@ def sample_regular(dv: int, dc: int, n: int, seed: int = 0) -> LdpcCode:
     if n <= 256:
         _reduce_4cycles(edges, rng)
     h = SparseBinMatrix.from_entries(m, n, [(c, v) for v, c in edges])
-    return LdpcCode(h, _generic_encoder_from_h(h), meta={"dv": dv, "dc": dc, "seed": seed})
+    return LdpcCode(h, _generic_encoder_from_h(h))
 
 
 _PARALLEL_EDGE_ITERS = 200000  # swap attempts before a configuration is redrawn
@@ -310,7 +309,7 @@ def build_geira(spec: GeiraSpec) -> LdpcCode:
         for t in taps:
             if t and r - t >= 0:
                 pmap[r] ^= pmap[r - t]
-    return LdpcCode(h, _GenericEncoder(range(k), pmap), meta={"geira": spec})
+    return LdpcCode(h, _GenericEncoder(range(k), pmap))
 
 
 def lift_protograph(p: Protograph, seed: int = 0) -> LdpcCode:
@@ -336,23 +335,7 @@ def lift_protograph(p: Protograph, seed: int = 0) -> LdpcCode:
     punctured = frozenset(
         j * z + a for j in p.punctured_cols for a in range(z)
     )
-    return LdpcCode(h, _generic_encoder_from_h(h), punctured=punctured,
-                    meta={"protograph": p, "seed": seed})
-
-
-def puncture(code: LdpcCode, positions, allow_systematic: bool = False) -> LdpcCode:
-    positions = set(positions)
-    if not positions:
-        return code
-    if not allow_systematic:
-        systematic = set(code.encoder.info_positions)
-        clash = positions & systematic
-        if clash:
-            raise ConstructionError(f"puncturing systematic positions {sorted(clash)[:5]}")
-    new_punct = code.punctured | positions
-    if code.n - len(new_punct) < code.k:
-        raise ConstructionError("puncturing below k transmitted positions")
-    return LdpcCode(code.h, code.encoder, punctured=new_punct, meta=dict(code.meta))
+    return LdpcCode(h, _generic_encoder_from_h(h), punctured=punctured)
 
 
 def code_to_text(code: LdpcCode) -> str:

@@ -21,8 +21,9 @@ from operator import xor
 import numpy as np
 
 from .binmat import BinVector, ChunkTables, DenseBinMatrix, SparseBinMatrix, _gauss_jordan
-# unused here: the benchmark's tracer wraps ``raptor.rank`` to count seed
-# attempts, so the name stays bound while the tracer patches attributes
+# nothing here calls ``rank``; the benchmark's tracer patches ``raptor.rank``
+# by name, so the name stays bound, and its ``raptor.seed_attempts`` reads 0
+# (ROADMAP item 17a)
 from .binmat import rank  # noqa: F401
 from . import decode as _decode
 from .decode import DecodeStats, ReceivedWord

@@ -168,10 +168,10 @@ def rank_seed_search(k, n, seed=0, cap=10000):
     raise AssertionError(f"no systematic seed below {cap}")
 
 
-def geira_accumulate(code, u):
+def geira_accumulate(code, spec, u):
     """Reference GeIRA encoder: forward substitution through the accumulator,
-    one parity bit at a time, reading H_u and the taps off the code."""
-    spec = code.meta["geira"]
+    one parity bit at a time, reading H_u off the code and the taps off the
+    ``GeiraSpec`` it was built from."""
     k, m = spec.k, spec.n - spec.k
     parity = 0
     for r in range(m):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,6 @@ from erasurelab.ldpc import (
     Protograph,
     _generic_encoder_from_h,
     lift_protograph,
-    puncture,
     sample_regular,
 )
 
@@ -433,7 +433,7 @@ def test_min_distance_matches_enumeration(hamming74):
 @pytest.mark.parametrize("make, expected", [
     (lambda: lift_protograph(Protograph(base=ARA.base, punctured_cols=frozenset({0}), lift=4)),
      (4, 14)),
-    (lambda: puncture(sample_regular(3, 6, 12, seed=2), [0], allow_systematic=True), (1, 1)),
+    (lambda: replace(sample_regular(3, 6, 12, seed=2), punctured={0}), (1, 1)),
 ], ids=["ara-lift-4", "regular-3-6-n12"])
 def test_min_distance_counts_transmitted_positions(make, expected):
     """A punctured position is never sent, so it adds nothing to a

@@ -1,5 +1,6 @@
 import io
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -386,6 +387,11 @@ BAD_N_CODE = "ldpc 130 127\n1 128\n" + "1" * 128 + "\n"
      "argument --taps: '0:2000000' has more than 1000000 points"),
     (["bounds", "--n", "8", "--k", "4", "--eps", "0.1", "--seed", "1"], {},
      "unrecognized arguments: --seed 1"),
+    (["construct", "--geira", "64,128", "--taps", "0,-1"], {}, "taps must be >= 0, got -1"),
+    (["construct", "--geira", "8,16", "--taps=-3:0"], {}, "taps must be >= 0, got -3"),
+    (["construct", "--regular", "4,4", "--n", "3"], {}, "check degree dc = 4 exceeds n = 3"),
+    (["bounds", "--eps", "0.1", "--bogus", "1", "--config", "run.cfg"], {"run.cfg": "n=8\nk=4\n"},
+     "unrecognized arguments: --bogus 1"),
 ], ids=["step-zero", "step-negative", "stop-below-start", "step-config", "workers-flag",
         "workers-config", "code-header-k", "code-header-n", "mindist-punctured-below-k",
         "simulate-punctured-below-k", "bounds-k-above-n",
@@ -403,7 +409,9 @@ BAD_N_CODE = "ldpc 130 127\n1 128\n" + "1" * 128 + "\n"
         "raptor-k-below-4", "construct-raptor", "raptor-sim-gone", "eps-stop-inf",
         "eps-step-inf", "eps-span-overflows", "eps-grid-too-large", "delta-grid-too-large",
         "bounds-n-missing", "raptor-random-codeword", "raptor-random-codeword-in-config",
-        "geira-taps-stop-below-start", "geira-taps-grid-too-large", "bounds-seed"])
+        "geira-taps-stop-below-start", "geira-taps-grid-too-large", "bounds-seed",
+        "geira-tap-negative", "geira-taps-range-negative", "regular-dc-above-n",
+        "unknown-option-with-config"])
 def test_bad_range_is_a_usage_error(tmp_path, capsys, args, files, says):
     """Exit 2 with one error line; ``says`` is a fragment that line must hold."""
     for name, text in files.items():
@@ -425,7 +433,11 @@ def test_bad_range_is_a_usage_error(tmp_path, capsys, args, files, says):
     (["construct", "--regular", "3,6"], "--regular needs --n"),
     (["thresholds"], "give --regular dv,dc"),
     (["mindist"], "give --code"),
-], ids=["simulate", "bounds", "construct", "thresholds", "mindist"])
+    (["bounds", "--n", "8", "--k", "4", "--eps", "0.1", "--bogus", "1"],
+     "unrecognized arguments: --bogus 1"),
+    (["construct", "--raptor", "16,32"], "unrecognized arguments: --raptor 16,32"),
+], ids=["simulate", "bounds", "construct", "thresholds", "mindist", "bounds-unknown-option",
+        "construct-raptor"])
 def test_usage_error_prints_the_command_usage(capsys, args, says):
     """A command's own checks print that command's usage line, as argparse's
     errors do, not the top-level one."""
@@ -440,7 +452,7 @@ def punctured_code_text(tmp_path_factory):
     path = tmp_path_factory.mktemp("code") / "code.txt"
     assert main(["construct", "--regular", "3,6", "--n", "12", "--seed", "2",
                  "--out", str(path)]) == 0
-    return ldpc.code_to_text(ldpc.puncture(ldpc.load_code(path), [0]))
+    return ldpc.code_to_text(replace(ldpc.load_code(path), punctured={0}))
 
 
 @settings(max_examples=60, deadline=None,

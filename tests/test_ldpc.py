@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,7 +27,6 @@ from erasurelab.ldpc import (
     _generic_encoder_from_h,
     lift_protograph,
     load_code,
-    puncture,
     sample_regular,
 )
 
@@ -54,6 +54,14 @@ def test_regular_degrees_2_3():
 def test_regular_infeasible():
     with pytest.raises(ConstructionError):
         sample_regular(3, 7, 24)
+
+
+def test_regular_check_degree_above_n():
+    """A check of degree dc joins dc distinct variables, so dc > n is refused
+    before any draw; dc = n still builds."""
+    with pytest.raises(ConstructionError, match="dc = 4 exceeds n = 3"):
+        sample_regular(4, 4, 3)
+    assert sample_regular(2, 4, 4).h.rows == 2
 
 
 @settings(max_examples=10, deadline=None)
@@ -105,7 +113,7 @@ def test_geira_encoder_matches_accumulator(spec, rng):
     code = build_geira(spec)
     for _ in range(200):
         u = random_vector(code.k, rng)
-        assert encode(code, u) == geira_accumulate(code, u)
+        assert encode(code, u) == geira_accumulate(code, spec, u)
 
 
 @pytest.mark.parametrize("build", [
@@ -134,7 +142,7 @@ SMALL_CODES = {
                                               seed=5)),
     "lifted-ara": lambda: lift_protograph(Protograph(base=ARA_BASE, punctured_cols=frozenset({0}),
                                                      lift=3), seed=1),
-    "punctured": lambda: puncture(sample_regular(3, 6, 30, seed=4), [0, 2, 4, 8, 12]),
+    "punctured": lambda: replace(sample_regular(3, 6, 30, seed=4), punctured={0, 2, 4, 8, 12}),
 }
 
 
@@ -213,6 +221,12 @@ def test_geira_mean_row_weight_target():
 def test_geira_bad_tap():
     with pytest.raises(ConstructionError):
         GeiraSpec(k=4, n=8, taps=frozenset({0, 4}), wc=2)
+
+
+@pytest.mark.parametrize("taps", [{0, -1}, {-3, -2, -1, 0}])
+def test_geira_negative_tap(taps):
+    with pytest.raises(ConstructionError, match=f"taps must be >= 0, got {min(taps)}"):
+        GeiraSpec(k=8, n=16, taps=taps, wc=2)
 
 
 @pytest.mark.parametrize("k, n", [(0, 16), (-3, 8), (8, 8), (8, 5)])
@@ -310,21 +324,13 @@ def test_lift_multiplicity_over_lift():
 
 def test_puncture_identity_and_counts():
     code = sample_regular(3, 6, 24, seed=4)
-    same = puncture(code, [])
-    assert same.h == code.h and same.punctured == code.punctured
     # puncturing p positions removes exactly p received symbols at eps=0
-    punct = puncture(code, [c for c in range(20, 24)], allow_systematic=True)
+    punct = replace(code, punctured=range(20, 24))
     assert punct.n_transmitted == code.n_transmitted - 4
 
 
-def test_puncture_guards():
-    code = sample_regular(3, 6, 24, seed=4)
-    with pytest.raises(ConstructionError):
-        puncture(code, list(range(13)), allow_systematic=True)  # below k transmitted
-
-
 def test_save_load_roundtrip(tmp_path):
-    code = puncture(sample_regular(3, 6, 24, seed=6), [20, 21], allow_systematic=True)
+    code = replace(sample_regular(3, 6, 24, seed=6), punctured={20, 21})
     path = tmp_path / "code.txt"
     path.write_text(code_to_text(code))
     loaded = load_code(path)

@@ -1,4 +1,5 @@
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from conftest import erased_at, list_erased_positions, random_vector, raptor_esi
 from erasurelab import decode, sim
 from erasurelab.binmat import BinVector
 from erasurelab.decode import DecodeResult, ReceivedWord
-from erasurelab.ldpc import puncture, sample_regular
+from erasurelab.ldpc import sample_regular
 from erasurelab.raptor import RaptorCode
 from erasurelab.sim import (
     CSV_COLUMNS,
@@ -33,9 +34,9 @@ def raptor_code():
 @pytest.fixture(scope="module")
 def punctured_code():
     """A rate-3/4 code: 32 of 96 positions punctured, all of them parity."""
-    return puncture(sample_regular(3, 6, 96, seed=5), [
+    return replace(sample_regular(3, 6, 96, seed=5), punctured={
         0, 1, 2, 4, 5, 6, 8, 9, 10, 12, 14, 16, 17, 18, 20, 22, 24, 25, 26, 28, 30, 32,
-        33, 34, 36, 37, 38, 40, 41, 42, 44, 47])
+        33, 34, 36, 37, 38, 40, 41, 42, 44, 47})
 
 
 CHANNELS = [ChannelModel("bec", e) for e in (0.0, 0.1, 0.45, 1.0)] + [
@@ -54,8 +55,7 @@ def _drawn_positions(code, channel, seed):
 def test_erased_positions_match_the_list_draw(small_code, punctured_code):
     """The numpy mask draw erases exactly the positions of the per-index
     list draw, for unpunctured and punctured codes alike."""
-    codes = [small_code, punctured_code,
-             puncture(small_code, [40, 41, 47], allow_systematic=True)]
+    codes = [small_code, punctured_code, replace(small_code, punctured={40, 41, 47})]
     for code in codes:
         for channel in CHANNELS:
             for seed in range(10):
@@ -348,7 +348,7 @@ def test_wrong_recovered_word_counts_as_error(small_code, monkeypatch):
 
 
 def _punctured_codes(small_code, punctured_code):
-    return [punctured_code, puncture(small_code, [40, 41, 47], allow_systematic=True)]
+    return [punctured_code, replace(small_code, punctured={40, 41, 47})]
 
 
 def test_with_punctured_keeps_a_word_that_erases_them(small_code, punctured_code):
