@@ -1,5 +1,6 @@
-"""Waterfall of a (1024, 512) repeat-accumulate code under the three
-decoders, compared against the Singleton and Berlekamp bounds.
+"""Waterfall of a (1024, 512) repeat-accumulate code under the peeling (it)
+and ML (hybrid) decoders, compared against the Singleton and Berlekamp
+bounds.
 
 Iterative peeling dies early (stopping sets), the hybrid decoder (ML
 decoding, which peels first) eliminates densely only over its pivots, and

@@ -27,6 +27,8 @@ from . import analysis, ldpc, raptor, sim
 
 
 def _parse_config(path):
+    """The key=value lines of a config file, '-' in a key read as '_'; a key
+    given twice, in either spelling, is refused."""
     cfg = {}
     with open(path) as fh:
         for raw in fh:
@@ -36,7 +38,10 @@ def _parse_config(path):
             if "=" not in line:
                 raise ValueError(f"bad config line (want key=value): {line!r}")
             key, val = line.split("=", 1)
-            cfg[key.strip().replace("-", "_")] = val.strip()
+            key = key.strip().replace("-", "_")
+            if key in cfg:
+                raise ValueError(f"config key {key!r} given twice")
+            cfg[key] = val.strip()
     return cfg
 
 
@@ -260,9 +265,12 @@ def _make_parser():
     subs = parser.add_subparsers(dest="command", required=True)
     parser.commands = subs.choices
 
-    def common(sp):
+    def command(name, run, help):
+        sp = subs.add_parser(name, help=help)
+        sp.set_defaults(run=run)
         sp.add_argument("--config", help="flat key=value config file")
         sp.add_argument("--out", help="output path (default: stdout)")
+        return sp
 
     def code_flags(sp):
         # first: a construct or simulate header echoes it after the command
@@ -280,13 +288,11 @@ def _make_parser():
         sp.add_argument("--max-trials", type=_positive, default=100000)
         sp.add_argument("--workers", type=_positive, default=1)
 
-    sp = subs.add_parser("construct", help="build a code and emit its file")
-    common(sp)
+    sp = command("construct", _cmd_construct, "build a code and emit its file")
     code_flags(sp)
 
     # the header echoes a command's options in the order declared here
-    sp = subs.add_parser("simulate", help="Monte Carlo sweep for an LDPC or Raptor code")
-    common(sp)
+    sp = command("simulate", _cmd_simulate, "Monte Carlo sweep for an LDPC or Raptor code")
     code_flags(sp)
     sp.add_argument("--raptor", type=_pair, metavar="K,N",
                     help="a fixed-rate Raptor code (ML decoding, random inputs)")
@@ -297,31 +303,19 @@ def _make_parser():
     sp.add_argument("--random-codeword", action="store_true",
                     help="encode random inputs instead of the all-zero word")
 
-    sp = subs.add_parser("bounds", help="Singleton/Berlekamp bound grid")
-    common(sp)
+    sp = command("bounds", _cmd_bounds, "Singleton/Berlekamp bound grid")
     sp.add_argument("--n", type=_positive)
     sp.add_argument("--k", type=int)
     sp.add_argument("--eps", type=_float_range, metavar="A:B:STEP")
     sp.add_argument("--dmin", type=_positive, help="floor estimate: minimum distance")
     sp.add_argument("--amin", type=_positive, help="floor estimate: multiplicity")
 
-    sp = subs.add_parser("thresholds", help="ensemble threshold report")
-    common(sp)
+    sp = command("thresholds", _cmd_thresholds, "ensemble threshold report")
     sp.add_argument("--regular", type=_pair, metavar="DV,DC")
 
-    sp = subs.add_parser("mindist", help="exhaustive minimum distance")
-    common(sp)
+    sp = command("mindist", _cmd_mindist, "exhaustive minimum distance")
     sp.add_argument("--code", help="path to a stored code file")
     return parser
-
-
-_DISPATCH = {
-    "construct": _cmd_construct,
-    "simulate": _cmd_simulate,
-    "bounds": _cmd_bounds,
-    "thresholds": _cmd_thresholds,
-    "mindist": _cmd_mindist,
-}
 
 
 def main(argv=None):
@@ -335,7 +329,7 @@ def main(argv=None):
             args, extra = parser.parse_known_args(argv)
         if extra:  # the command's leftovers, reported under its own usage
             sub.error(f"unrecognized arguments: {' '.join(extra)}")
-        return _DISPATCH[args.command](args, sub)  # usage errors show the command's usage
+        return args.run(args, sub)  # usage errors show the command's usage
     except SystemExit as exc:
         return exc.code or 0
     except (ValueError, OSError) as exc:

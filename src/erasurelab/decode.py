@@ -6,9 +6,10 @@ ML decoder peels until no check holds a single erased symbol, then
 inactivates a pivot, peels again from the rows that pivot leaves with one
 unknown, every value now an XOR of pivots plus a constant, and repeats;
 dense GE runs only on the small residual pivot system. The hybrid decoder
-(peel, then ML) is the same decoder under its older name. ``solve_inactivated`` is the one solve stage
-after triangularization, for LDPC and Raptor systems alike: gather A', solve
-it for the pivots, substitute them back.
+(peel, then ML) is the same decoder under its older name.
+``solve_inactivated`` is the one solve stage after triangularization, for
+LDPC and Raptor systems alike: gather A', solve it for the pivots,
+substitute them back.
 
 A decode of a received word crosses H's cached edge arrays once at each
 end. At the start, one gather of a per-position key and one bincount give
@@ -84,8 +85,11 @@ class DecodeStats:
 
 @dataclass
 class DecodeResult:
+    """What every decoder returns, LDPC and Raptor alike."""
+
     status: str  # 'success' | 'it_stall' | 'rank_deficient'
-    recovered: BinVector = None
+    recovered: BinVector = None  # an LDPC code's codeword
+    c: BinVector = None  # a Raptor code's message
     residual: np.ndarray = None  # a stall's unresolved positions, as n booleans
     rank: int = None
     stats: DecodeStats = field(default_factory=DecodeStats)

@@ -26,7 +26,7 @@ from .binmat import BinVector, ChunkTables, DenseBinMatrix, SparseBinMatrix, _ga
 # (ROADMAP item 17a)
 from .binmat import rank  # noqa: F401
 from . import decode as _decode
-from .decode import DecodeStats, ReceivedWord
+from .decode import DecodeResult, DecodeStats, ReceivedWord
 from .ldpc import _GenericEncoder
 
 _MASK64 = (1 << 64) - 1
@@ -256,42 +256,27 @@ class RaptorCode:
                 col_adj[c].append(r)
         return SparseBinMatrix._raw(row_adj, col_adj), rhs
 
-    def decode(self, word: ReceivedWord) -> "RaptorDecodeResult":
+    def decode(self, word: ReceivedWord) -> DecodeResult:
         """Dense-GE ML decoding of A(i1..ir) F = [0; E]."""
         received, rhs = self._received(word)
-        stats = DecodeStats(system_shape=(rhs.n, self.params.L))
-        if len(received) < self.params.k:
-            return RaptorDecodeResult("insufficient", stats=stats)
         rows = self.precode_rows + [self.lt_rows[i] for i in received]
         f, ge_rank = _decode.solve_pivots(DenseBinMatrix(len(rows), self.params.L, rows), rhs)
-        if f is None:
-            return RaptorDecodeResult("rank_deficient", rank=ge_rank, stats=stats)
-        return RaptorDecodeResult("success", c=self._recover_c(f), f=f, stats=stats)
+        return self._result(f, ge_rank, DecodeStats(system_shape=(rhs.n, self.params.L)))
 
-    def decode_structured(self, word: ReceivedWord) -> "RaptorDecodeResult":
+    def decode_structured(self, word: ReceivedWord) -> DecodeResult:
         """Inactivation decoding: triangularize A(i1..ir) and solve it with the
         same stages as the LDPC ML decoder; dense GE only on the pivot system."""
         system, rhs = self._structured_system(word)
-        shape = (system.rows, system.cols)
-        if system.rows - len(self.precode_rows) < self.params.k:
-            return RaptorDecodeResult("insufficient", stats=DecodeStats(system_shape=shape))
         state = _decode.triangularize(system, rhs, _decode.min_row_pivot)
         ge_rank = _decode.solve_inactivated(state)
-        stats = DecodeStats(len(state.resolved), len(state.pivots), shape)
-        if ge_rank is not None:
-            return RaptorDecodeResult("rank_deficient", rank=ge_rank, stats=stats)
-        f = BinVector.from_bits(_decode._values(state))
-        return RaptorDecodeResult("success", c=self._recover_c(f), f=f, stats=stats)
+        stats = DecodeStats(len(state.resolved), len(state.pivots), (system.rows, system.cols))
+        f = None if ge_rank is not None else BinVector.from_bits(_decode._values(state))
+        return self._result(f, ge_rank, stats)
 
-
-@dataclass
-class RaptorDecodeResult:
-    status: str  # 'success' | 'rank_deficient' | 'insufficient'
-    c: BinVector = None
-    f: BinVector = None
-    rank: int = None
-    stats: DecodeStats = field(default_factory=DecodeStats)
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "success"
+    def _result(self, f, ge_rank: int, stats: DecodeStats) -> DecodeResult:
+        """Success with the message of intermediate symbols ``f``, or, when
+        ``f`` is None, rank deficiency at ``ge_rank``. Fewer than k received
+        symbols always leave the system rank deficient."""
+        if f is None:
+            return DecodeResult("rank_deficient", rank=ge_rank, stats=stats)
+        return DecodeResult("success", c=self._recover_c(f), stats=stats)

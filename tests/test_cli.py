@@ -221,6 +221,21 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert code != 0
 
 
+@pytest.mark.parametrize("args, text, key", [
+    (["bounds"], "n=8\nk=4\neps=0.1\neps=0.3\n", "eps"),
+    (["simulate", "--regular", "3,6", "--n", "24", "--eps", "0.3"],
+     "target-errors=2\ntarget_errors=3\n", "target_errors"),
+], ids=["same-spelling", "both-spellings"])
+def test_config_key_given_twice_is_refused(tmp_path, capsys, args, text, key):
+    """A repeated key is an error, not a silent choice of its last value."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main(args + ["--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"erasurelab: error: config key {key!r} given twice"]
+
+
 def test_simulate_raptor_runs(capsys):
     code, out = run_cli(["simulate", "--raptor", "16,32",
                          "--delta", "14:16", "--target-errors", "2",
@@ -392,6 +407,8 @@ BAD_N_CODE = "ldpc 130 127\n1 128\n" + "1" * 128 + "\n"
     (["construct", "--regular", "4,4", "--n", "3"], {}, "check degree dc = 4 exceeds n = 3"),
     (["bounds", "--eps", "0.1", "--bogus", "1", "--config", "run.cfg"], {"run.cfg": "n=8\nk=4\n"},
      "unrecognized arguments: --bogus 1"),
+    (["bounds", "--n", "8", "--k", "4", "--eps", "0.1", "--config", "run.cfg"],
+     {"run.cfg": "run=1\n"}, "unknown config key 'run'"),
 ], ids=["step-zero", "step-negative", "stop-below-start", "step-config", "workers-flag",
         "workers-config", "code-header-k", "code-header-n", "mindist-punctured-below-k",
         "simulate-punctured-below-k", "bounds-k-above-n",
@@ -411,7 +428,7 @@ BAD_N_CODE = "ldpc 130 127\n1 128\n" + "1" * 128 + "\n"
         "bounds-n-missing", "raptor-random-codeword", "raptor-random-codeword-in-config",
         "geira-taps-stop-below-start", "geira-taps-grid-too-large", "bounds-seed",
         "geira-tap-negative", "geira-taps-range-negative", "regular-dc-above-n",
-        "unknown-option-with-config"])
+        "unknown-option-with-config", "config-key-run"])
 def test_bad_range_is_a_usage_error(tmp_path, capsys, args, files, says):
     """Exit 2 with one error line; ``says`` is a fragment that line must hold."""
     for name, text in files.items():
