@@ -11,6 +11,14 @@ on ``row_words`` (or the sparse ``row_adj``/``col_adj`` lists) directly; this
 module keeps only what the package calls: elimination (solve with a vector
 right-hand side, rank), the chunk-table matrix-vector product, sparse
 conversion and the text format.
+
+Elimination is one blocked routine in two phases. The forward phase clears
+each block of pivot columns from the rows below it, which leaves echelon
+form; the back phase clears them from the rows above, for the reduced form
+that ``_gauss_jordan`` gives its callers. ``rank`` and ``dense_gauss_solve``
+run the forward phase alone; the solve eliminates a head of the first
+``cols + _HEAD_SPARE`` rows, and when that head has full column rank it
+checks each later row by one parity against the solution the head fixes.
 """
 
 from __future__ import annotations
@@ -96,28 +104,52 @@ class DenseBinMatrix:
         return f"DenseBinMatrix({self.rows}x{self.cols})"
 
 
-# Columns per elimination block; 6 and 7 measured fastest among 4-10 on the
-# pivot systems of GeIRA (1024,512) ML decoding.
+# Columns per elimination block; under the forward phase alone, 4, 5 and 6
+# measured within 3% of each other and 7-10 slower on the pivot systems of
+# GeIRA (1024,512) ML decoding.
 _BLOCK = 6
 
+# Rows past the column count in the head that ``dense_gauss_solve`` eliminates
+# first; a head that falls short of full column rank costs a second
+# elimination over all rows. On the pivot systems of GeIRA (1024,512) ML
+# decoding (64 draws at each of eps 0.40 and 0.46) the head fell short on 1
+# and 0 of them with 8 spare rows, 21 and 9 with 4, and 62 and 59 with none.
+_HEAD_SPARE = 8
 
-def _gauss_jordan(rows: list, ncols: int) -> list:
-    """Gauss-Jordan elimination, in place, over the low ``ncols`` bits of the
-    packed ``rows``; bits above them ride along as an augmented part. Returns
-    the pivot columns: afterwards row i is the only row holding column
-    ``pivots[i]``, and the rows past the last pivot are zero below ``ncols``.
 
-    Blocked by the method of four Russians (as in M4RI): a block is a run of
-    up to ``_BLOCK`` consecutive columns that each get a pivot, and a column
-    with no pivot ends it. While the block grows, each candidate row is
-    reduced by the block's pivot rows found so far, which are kept reduced
-    against each other; at its end, a table of all XORs of those pivot rows
-    clears the block's columns of every other row with one lookup. Each row
-    then is the unique vector in (row + span of the pivot rows) that is zero
-    on the pivot columns, as after eliminating one column at a time. A block
-    of one pivot clears its column in place, without a table."""
+def _clear_block(rows: list, lo: int, hi: int, c0: int, table: list) -> None:
+    """Clear a block's columns ``c0, c0+1, ...`` from ``rows[lo:hi]``, given
+    the table of all XORs of its pivot rows (entry i is the XOR of the pivot
+    rows j with bit j of i set; pivot row j holds column c0+j and no other
+    of the block's columns): one lookup clears a row, by the method of four
+    Russians. A block of one pivot row clears its column in place."""
+    if len(table) == 2:
+        pw, bit = table[1], 1 << c0
+        for r in range(lo, hi):
+            if rows[r] & bit:
+                rows[r] ^= pw
+    else:
+        mask = len(table) - 1
+        rows[lo:hi] = [w ^ table[w >> c0 & mask] for w in rows[lo:hi]]
+
+
+def _eliminate_forward(rows: list, ncols: int) -> tuple:
+    """The forward phase of blocked elimination, in place, over the low
+    ``ncols`` bits of the packed ``rows``; bits above them ride along as an
+    augmented part. Returns (pivots, blocks): row i holds pivot column
+    ``pivots[i]`` and every row below it is clear of that column, so the
+    rows past the last pivot are zero below ``ncols``; ``blocks`` holds each
+    block's (first pivot row, first column, table) for the back phase.
+
+    Blocked as in M4RI: a block is a run of up to ``_BLOCK`` consecutive
+    columns that each get a pivot, and a column with no pivot ends it. While
+    the block grows, each candidate row is reduced by the block's pivot rows
+    found so far, which are kept reduced against each other; at its end the
+    block's columns are cleared from the rows below it. The rows above keep
+    them until the back phase."""
     nr = len(rows)
     pivots = []
+    blocks = []
     col = 0
     while col < ncols and len(pivots) < nr:
         c0, p0 = col, len(pivots)
@@ -139,43 +171,83 @@ def _gauss_jordan(rows: list, ncols: int) -> list:
             block = [(pb, pw ^ w if pw & bit else pw) for pb, pw in block]
             block.append((bit, w))
             pivots.append(col - 1)
-        if len(block) == 1:
-            (bit, pw), = block
-            for r in range(nr):
-                if rows[r] & bit:
-                    rows[r] ^= pw
-            rows[p0] = pw
-        elif block:
+        if block:
             table = [0]
             for _, pw in block:
                 table += [t ^ pw for t in table]
-            mask = len(table) - 1
-            rows[:] = [w ^ table[w >> c0 & mask] for w in rows]
-            rows[p0 : p0 + len(block)] = [pw for _, pw in block]
+            p1 = p0 + len(block)
+            rows[p0:p1] = [pw for _, pw in block]
+            if p1 < nr:
+                _clear_block(rows, p1, nr, c0, table)
+            blocks.append((p0, c0, table))
+    return pivots, blocks
+
+
+def _eliminate_back(rows: list, blocks: list) -> None:
+    """The back phase: clear each forward block's columns from the rows above
+    it with the block's own forward table, so that afterwards row i is the
+    only row holding column ``pivots[i]``. The blocks go first to last: a
+    block's table rows are clear of every earlier pivot column, so a later
+    block never brings one back, while going last to first would need each
+    table built again from back-reduced rows."""
+    for p0, c0, table in blocks[1:]:  # the first block has no rows above it
+        _clear_block(rows, 0, p0, c0, table)
+
+
+def _gauss_jordan(rows: list, ncols: int) -> list:
+    """Gauss-Jordan elimination, in place, over the low ``ncols`` bits of the
+    packed ``rows``; bits above them ride along as an augmented part. Returns
+    the pivot columns: afterwards row i is the only row holding column
+    ``pivots[i]``, and the rows past the last pivot are zero below ``ncols``.
+    The forward phase leaves the rows in echelon form and the back phase
+    clears the pivot columns above it; each row then is the unique vector in
+    (row + span of the pivot rows) that is zero on the pivot columns, as
+    after eliminating one column at a time."""
+    pivots, blocks = _eliminate_forward(rows, ncols)
+    _eliminate_back(rows, blocks)
     return pivots
 
 
 def dense_gauss_solve(m: DenseBinMatrix, rhs: BinVector) -> tuple:
-    """Brute-force Gaussian elimination of M x = rhs; the input matrix is not
-    mutated. Returns (solution, rank): a particular solution with the free
-    variables set to zero, or None when the system is inconsistent, and the
-    rank of M. The solution is unique when the rank is M's column count."""
+    """Gaussian elimination of M x = rhs; the input matrix is not mutated.
+    Returns (solution, rank): a particular solution with the free variables
+    set to zero, or None when the system is inconsistent, and the rank of M.
+    The solution is unique when the rank is M's column count.
+
+    Only the forward phase runs, first on a head of the first
+    ``cols + _HEAD_SPARE`` rows. When the head has full column rank it fixes
+    the one candidate solution, read off its echelon rows by
+    back-substitution, and each later row is checked against it by parity
+    alone; only a head that falls short while rows remain is eliminated
+    again over all rows."""
     if rhs.n != m.rows:
         raise DimensionError(f"rhs length {rhs.n} != row count {m.rows}")
     nc = m.cols
     aug = [w | ((rhs.bits >> i) & 1) << nc for i, w in enumerate(m.row_words)]
-    pivots = _gauss_jordan(aug, nc)
+    head = aug[: nc + _HEAD_SPARE]
+    pivots, _ = _eliminate_forward(head, nc)
+    if len(pivots) < nc and len(head) < len(aug):
+        head = aug
+        pivots, _ = _eliminate_forward(head, nc)
     rank = len(pivots)
-    if any(w >> nc for w in aug[rank:]):
+    if any(w >> nc for w in head[rank:]):
         return None, rank
+    # row i reads pivots[i] and, past it, only free columns, which are zero,
+    # and later pivot columns, already solved
     bits = 0
-    for i, col in enumerate(pivots):
-        bits |= (aug[i] >> nc) << col
+    for i in range(rank - 1, -1, -1):
+        w = head[i]
+        bits |= ((w & bits).bit_count() ^ w >> nc) % 2 << pivots[i]
+    # a later row holds its right-hand side at bit nc: an odd parity against
+    # the solution and that bit is a row the solution does not satisfy
+    check = bits | 1 << nc
+    if any((w & check).bit_count() % 2 for w in aug[len(head) :]):
+        return None, rank
     return BinVector(nc, bits), rank
 
 
 def rank(m: DenseBinMatrix) -> int:
-    return len(_gauss_jordan(list(m.row_words), m.cols))
+    return len(_eliminate_forward(list(m.row_words), m.cols)[0])
 
 
 class ChunkTables:

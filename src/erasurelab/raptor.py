@@ -20,7 +20,14 @@ from operator import xor
 
 import numpy as np
 
-from .binmat import BinVector, ChunkTables, DenseBinMatrix, SparseBinMatrix, _gauss_jordan
+from .binmat import (
+    BinVector,
+    ChunkTables,
+    DenseBinMatrix,
+    SparseBinMatrix,
+    _eliminate_back,
+    _eliminate_forward,
+)
 # nothing here calls ``rank``; the benchmark's tracer patches ``raptor.rank``
 # by name, so the name stays bound, and its ``raptor.seed_attempts`` reads 0
 # (ROADMAP item 17a)
@@ -176,21 +183,26 @@ def _precode_rows(params: RaptorParams) -> list:
 class RaptorCode:
     """A fully assembled fixed-rate systematic Raptor code."""
 
-    def __init__(self, params: RaptorParams):
+    def __init__(self, params: RaptorParams, precode_rows=None):
         """Assemble the code, testing its seed on the way: the LT tuples of
         ESIs 1..k are drawn first, and if A(1..k) is singular nothing more is
-        drawn and ``NotSystematicError`` is raised."""
+        drawn and ``NotSystematicError`` is raised. ``precode_rows``, when
+        given, are ``_precode_rows(params)``, which do not depend on the LT
+        seed, so a seed search draws them once."""
         self.params = p = params
         # the pre-code rows that head every received system
-        self.precode_rows = _precode_rows(p)
+        self.precode_rows = _precode_rows(p) if precode_rows is None else precode_rows
         self.lt_cols = [lt_tuple(esi, p) for esi in range(1, p.k + 1)]
         # Gauss-Jordan on A(1..k) against [0; I_k] leaves row i holding
         # intermediate symbol F_i of A(1..k) F = [0; C] as a mask over the
-        # message bits, or fewer than L pivots for a seed that is not systematic
+        # message bits; a seed that is not systematic shows as fewer than L
+        # pivots already in the forward phase
         aug = self.precode_rows + [sum(1 << i for i in cols) | 1 << (p.L + j)
                                    for j, cols in enumerate(self.lt_cols)]
-        if len(_gauss_jordan(aug, p.L)) < p.L:
+        pivots, blocks = _eliminate_forward(aug, p.L)
+        if len(pivots) < p.L:
             raise NotSystematicError(f"lt_seed {p.lt_seed} is not systematic: A(1..k) is singular")
+        _eliminate_back(aug, blocks)
         self.lt_cols += [lt_tuple(esi, p) for esi in range(p.k + 1, p.n + 1)]
         self.lt_rows = [sum(1 << i for i in cols) for cols in self.lt_cols]
         # each ESI past k (1..k are the message) as a mask over the message
@@ -207,9 +219,10 @@ class RaptorCode:
     def build(cls, k: int, n: int, seed: int = 0) -> "RaptorCode":
         """The code of the smallest systematic LT seed, counting up from 0."""
         params = RaptorParams(k, n, seed=seed)
+        precode_rows = _precode_rows(params)
         for lt_seed in range(10000):
             try:
-                return cls(replace(params, lt_seed=lt_seed))
+                return cls(replace(params, lt_seed=lt_seed), precode_rows)
             except NotSystematicError:
                 pass
         raise NotSystematicError("no systematic seed found within 10000 attempts")

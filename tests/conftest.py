@@ -238,6 +238,23 @@ def scalar_gauss_jordan(rows, ncols):
     return pivots
 
 
+def scalar_gauss_solve(m, rhs):
+    """Reference solve of M x = rhs: ``scalar_gauss_jordan`` on [M | rhs],
+    read out as (solution with the free variables zero, or None when the
+    system is inconsistent, rank of M), the contract of
+    ``binmat.dense_gauss_solve``."""
+    nc = m.cols
+    aug = [w | (rhs.bits >> i & 1) << nc for i, w in enumerate(m.row_words)]
+    pivots = scalar_gauss_jordan(aug, nc)
+    r = len(pivots)
+    if any(w >> nc for w in aug[r:]):
+        return None, r
+    bits = 0
+    for w, col in zip(aug, pivots):
+        bits |= (w >> nc) << col
+    return BinVector(nc, bits), r
+
+
 def loop_rref_masks(h):
     """Reference generic-encoder tables: RREF of H one column at a time,
     then each pivot row's bits at the info columns gathered one bit at a

@@ -14,12 +14,15 @@ from conftest import (
     loop_to_list,
     mul,
     mul_vec,
+    random_vector,
     scalar_gauss_jordan,
+    scalar_gauss_solve,
     submatrix_rows,
     to_lists,
 )
 from erasurelab.binmat import (
     _BLOCK,
+    _HEAD_SPARE,
     BinVector,
     ChunkTables,
     DenseBinMatrix,
@@ -291,6 +294,88 @@ def _gauss_system(draw):
 def test_gauss_jordan_matches_scalar_property(system):
     rows, ncols = system
     _assert_matches_scalar(rows, ncols)
+
+
+def _system(rows, ncols, rhs_bits):
+    return DenseBinMatrix(len(rows), ncols, rows), BinVector(len(rows), rhs_bits)
+
+
+def _rhs_of(rows, x):
+    """The right-hand side that makes ``x`` a solution of the rows."""
+    return sum(((w & x).bit_count() & 1) << i for i, w in enumerate(rows))
+
+
+def _assert_solve_matches_scalar(rows, ncols, rhs_bits):
+    m, rhs = _system(rows, ncols, rhs_bits)
+    got = dense_gauss_solve(m, rhs)
+    assert got == scalar_gauss_solve(m, rhs)
+    return got
+
+
+H = _HEAD_SPARE
+# 0x0, no columns, fewer rows than columns, fewer rows than the head, a head
+# with nothing after it, a few rows after it, and A'-sized systems
+SOLVE_SHAPES = [(0, 0), (5, 0), (H + 3, 0), (2, 5), (10, 17), (12, 12), (15, 12),
+                (12 + H, 12), (12 + H + 1, 12), (40, 25), (135, 37), (120, 80),
+                (3 * K + H + 20, 3 * K)]
+
+
+@pytest.mark.parametrize("nr,ncols", SOLVE_SHAPES)
+def test_dense_gauss_solve_matches_scalar(nr, ncols):
+    """Full-rank and deficient systems, consistent ones and ones with a
+    random right-hand side, against the scalar elimination read out as a
+    solution; ``rank`` against its pivot count."""
+    rng = np.random.default_rng(1000 * nr + ncols + 7)
+    for trial in range(30):
+        rank_of = None if trial % 3 == 0 else int(rng.integers(0, min(nr, ncols) + 1))
+        rows = _random_rows(rng, nr, ncols, rank=rank_of, density=(0.1, 0.5, 0.9)[trial % 3])
+        x = random_vector(ncols, rng).bits
+        rhs_bits = _rhs_of(rows, x) if trial % 2 else random_vector(nr, rng).bits
+        solution, r = _assert_solve_matches_scalar(rows, ncols, rhs_bits)
+        assert r == rank(DenseBinMatrix(nr, ncols, rows)) == len(scalar_gauss_jordan(list(rows), ncols))
+        if trial % 2:
+            assert solution is not None
+
+
+def _full_rank_head(rng, ncols):
+    while True:
+        head = _random_rows(rng, ncols + H, ncols)
+        if len(scalar_gauss_jordan(list(head), ncols)) == ncols:
+            return head
+
+
+def test_short_head_falls_back_to_all_rows():
+    """A head short of full column rank, with a later row that supplies it:
+    the solve eliminates over all rows and still finds the unique solution,
+    or the inconsistency a later row brings."""
+    rng = np.random.default_rng(11)
+    ncols = 3 * K + 1
+    for trial in range(20):
+        missing = int(rng.integers(0, ncols))
+        head = _random_rows(rng, ncols + H, ncols, zero_cols=[missing])
+        rows = head + _random_rows(rng, int(rng.integers(1, 12)), ncols)
+        rows[-1] |= 1 << missing  # the one row after the head holding that column
+        assert rank(DenseBinMatrix(len(head), ncols, head)) < ncols
+        x = random_vector(ncols, rng).bits
+        rhs_bits = _rhs_of(rows, x)
+        assert _assert_solve_matches_scalar(rows, ncols, rhs_bits) == (BinVector(ncols, x), ncols)
+        # the same last equation again, with the other right-hand side
+        flipped = rhs_bits | (~rhs_bits >> len(rows) - 1 & 1) << len(rows)
+        assert _assert_solve_matches_scalar(rows + rows[-1:], ncols, flipped) == (None, ncols)
+
+
+def test_one_inconsistent_row_after_a_full_rank_head():
+    """A head of full column rank fixes the solution; one later row that
+    disagrees with it, wherever it sits, makes the system inconsistent."""
+    rng = np.random.default_rng(12)
+    ncols = 2 * K + 3
+    for trial in range(20):
+        rows = _full_rank_head(rng, ncols) + _random_rows(rng, int(rng.integers(1, 40)), ncols)
+        x = random_vector(ncols, rng).bits
+        rhs_bits = _rhs_of(rows, x)
+        assert _assert_solve_matches_scalar(rows, ncols, rhs_bits) == (BinVector(ncols, x), ncols)
+        bad = int(rng.integers(ncols + H, len(rows)))
+        assert _assert_solve_matches_scalar(rows, ncols, rhs_bits ^ 1 << bad) == (None, ncols)
 
 
 @settings(max_examples=200, deadline=None)
