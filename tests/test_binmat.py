@@ -296,17 +296,13 @@ def test_gauss_jordan_matches_scalar_property(system):
     _assert_matches_scalar(rows, ncols)
 
 
-def _system(rows, ncols, rhs_bits):
-    return DenseBinMatrix(len(rows), ncols, rows), BinVector(len(rows), rhs_bits)
-
-
 def _rhs_of(rows, x):
     """The right-hand side that makes ``x`` a solution of the rows."""
     return sum(((w & x).bit_count() & 1) << i for i, w in enumerate(rows))
 
 
 def _assert_solve_matches_scalar(rows, ncols, rhs_bits):
-    m, rhs = _system(rows, ncols, rhs_bits)
+    m, rhs = DenseBinMatrix(len(rows), ncols, rows), BinVector(len(rows), rhs_bits)
     got = dense_gauss_solve(m, rhs)
     assert got == scalar_gauss_solve(m, rhs)
     return got
