@@ -23,10 +23,10 @@ for dv, dc in [(3, 6), (4, 8), (5, 10), (6, 12), (3, 9), (4, 12), (5, 15)]:
           f"{rep.eps_sh - rep.eps_ml_bound:8.4f}")
 
 # The same analysis works on protographs. This accumulate-repeat-accumulate
-# base matrix (first column punctured, never transmitted) lifts to a
-# (1024, 512) code; its ML bound lands within half a percent of capacity.
+# base matrix (first column punctured, never transmitted) describes an
+# ensemble of rate 1/2; its ML bound lands within half a percent of capacity.
 ara = Protograph(base=((2, 1, 1, 1, 0), (1, 2, 1, 1, 0), (2, 0, 0, 0, 1)),
-                 punctured_cols=frozenset({0}), lift=256)
+                 punctured_cols=frozenset({0}))
 e_it = protograph_it_threshold(ara)
 e_ml, _ = protograph_ml_bound(ara)
 print(f"\nARA protograph (rate 1/2, punctured col 0):")

@@ -438,6 +438,8 @@ def exhaustive_min_distance(code: LdpcCode) -> WeightSpectrumTail:
     zeros of i, so the codeword changes by generator word j, the codeword of
     the unit message j. Weights count transmitted positions only: punctured
     ones are never sent, so they are always erased."""
+    if code.k == 0:
+        raise ValueError("k = 0: the code has no nonzero codeword, so no minimum distance")
     if code.k > _MINDIST_CAP_K:
         raise ValueError(f"k = {code.k} exceeds enumeration cap {_MINDIST_CAP_K}")
     sent = BinVector.from_bits(~code.punctured_mask).bits

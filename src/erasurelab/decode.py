@@ -387,14 +387,6 @@ def oracle_decode(code, word: ReceivedWord) -> DecodeResult:
     return _finish(code.h, recovered, stats)
 
 
-def is_stopping_set(code, mask) -> bool:
-    """Every check row touching the set touches it at least twice: no row
-    counts exactly one of H's entries in the set's columns. The set is an
-    erasure mask, checked as ``ReceivedWord`` checks one."""
-    _check_mask(mask, code.h.cols)
-    return not (_row_sums(code.h, mask) == 1).any()
-
-
 def _with_punctured(code, word: ReceivedWord) -> ReceivedWord:
     """``word`` with the code's punctured positions, which are never sent,
     erased too: the word itself when its mask already holds them."""

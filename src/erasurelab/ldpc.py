@@ -1,6 +1,6 @@
 """LDPC code constructions and encoders: regular ensemble sampling, GeIRA
-repeat-accumulate codes, protograph lifting with puncturing, and code
-file I/O."""
+repeat-accumulate codes, punctured codes, code file I/O, and the protograph
+base matrices that ensemble analysis reads."""
 
 from __future__ import annotations
 
@@ -310,32 +310,6 @@ def build_geira(spec: GeiraSpec) -> LdpcCode:
             if t and r - t >= 0:
                 pmap[r] ^= pmap[r - t]
     return LdpcCode(h, _GenericEncoder(range(k), pmap))
-
-
-def lift_protograph(p: Protograph, seed: int = 0) -> LdpcCode:
-    """Expand each base entry into that many distinct circulant permutation
-    blocks; punctured base columns mark all lifted copies as punctured."""
-    z = p.lift
-    maxmult = max(e for row in p.base for e in row)
-    if z < maxmult:
-        raise ConstructionError(f"lift factor {z} < max multiplicity {maxmult}")
-    rng = np.random.default_rng(seed)
-    m, nv = p.n_checks, p.n_vars
-    entries = []
-    for i in range(m):
-        for j in range(nv):
-            mult = p.base[i][j]
-            if not mult:
-                continue
-            shifts = rng.choice(z, size=mult, replace=False)
-            for sh in shifts:
-                for a in range(z):
-                    entries.append((i * z + (a + int(sh)) % z, j * z + a))
-    h = SparseBinMatrix.from_entries(m * z, nv * z, entries)
-    punctured = frozenset(
-        j * z + a for j in p.punctured_cols for a in range(z)
-    )
-    return LdpcCode(h, _generic_encoder_from_h(h), punctured=punctured)
 
 
 def code_to_text(code: LdpcCode) -> str:

@@ -332,10 +332,20 @@ def loop_parities(h, v):
     return par
 
 
+def is_stopping_set(code, mask):
+    """Reference stopping-set test: every check row touching the set touches
+    it at least twice, so no row counts exactly one of H's entries in the
+    set's columns, counted by one bincount over H's edge arrays
+    (``decode._row_sums``). The set is an erasure mask, checked as
+    ``ReceivedWord`` checks one."""
+    decode._check_mask(mask, code.h.cols)
+    return not (decode._row_sums(code.h, mask) == 1).any()
+
+
 def loop_is_stopping_set(code, positions):
     """Reference stopping-set test: a count per check row touched, from the
-    set's adjacency lists, the loop ``decode.is_stopping_set`` replaces with
-    a bincount over H's edge arrays."""
+    set's adjacency lists, the loop ``is_stopping_set`` replaces with a
+    bincount over H's edge arrays."""
     touched = {}
     for c in set(positions):
         for r in code.h.col_adj[c]:

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_vector, raptor_word
+from conftest import is_stopping_set, random_vector, raptor_word
 from erasurelab.analysis import (
     DegreeDistribution,
     WeightSpectrumTail,
@@ -26,7 +26,6 @@ from erasurelab.binmat import BinVector, DenseBinMatrix, SparseBinMatrix
 from erasurelab.decode import (
     ReceivedWord,
     hybrid_decode,
-    is_stopping_set,
     ml_decode,
     oracle_decode,
     peel_decode,
@@ -55,7 +54,7 @@ TABLE_REGULAR = {
 }
 
 ARA = Protograph(base=((2, 1, 1, 1, 0), (1, 2, 1, 1, 0), (2, 0, 0, 0, 1)),
-                 punctured_cols=frozenset({0}), lift=256)
+                 punctured_cols=frozenset({0}))
 
 
 def test_acceptance_1_regular_thresholds():

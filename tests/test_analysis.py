@@ -42,12 +42,11 @@ from erasurelab.ldpc import (
     LdpcCode,
     Protograph,
     _generic_encoder_from_h,
-    lift_protograph,
     sample_regular,
 )
 
 ARA = Protograph(base=((2, 1, 1, 1, 0), (1, 2, 1, 1, 0), (2, 0, 0, 0, 1)),
-                 punctured_cols=frozenset({0}), lift=256)
+                 punctured_cols=frozenset({0}))
 
 
 def test_it_threshold_3_6():
@@ -431,17 +430,18 @@ def test_min_distance_matches_enumeration(hamming74):
 
 
 @pytest.mark.parametrize("make, expected", [
-    (lambda: lift_protograph(Protograph(base=ARA.base, punctured_cols=frozenset({0}), lift=4)),
-     (4, 14)),
+    (lambda: replace(sample_regular(3, 5, 20, seed=0), punctured={2, 7, 12, 17}), (3, 6)),
     (lambda: replace(sample_regular(3, 6, 12, seed=2), punctured={0}), (1, 1)),
-], ids=["ara-lift-4", "regular-3-6-n12"])
+], ids=["regular-3-5-n20", "regular-3-6-n12"])
 def test_min_distance_counts_transmitted_positions(make, expected):
     """A punctured position is never sent, so it adds nothing to a
-    codeword's weight."""
+    codeword's weight: the minimum distance falls below that of the same
+    code with every position sent."""
     code = make()
     assert code.punctured
     tail = exhaustive_min_distance(code)
     assert (tail.d_min, tail.a_min) == expected == enumerate_min_distance(code)
+    assert tail.d_min < exhaustive_min_distance(replace(code, punctured=frozenset())).d_min
 
 
 @settings(max_examples=60, deadline=None)
@@ -454,8 +454,21 @@ def test_min_distance_matches_enumeration_random_codes(data):
     encoder = _generic_encoder_from_h(h)
     assume(len(encoder.info_positions) <= 12)
     code = LdpcCode(h, encoder)
+    if code.k == 0:
+        with pytest.raises(ValueError, match="k = 0"):
+            exhaustive_min_distance(code)
+        return
     tail = exhaustive_min_distance(code)
     assert (tail.d_min, tail.a_min) == enumerate_min_distance(code)
+
+
+def test_min_distance_needs_a_nonzero_codeword():
+    """H = I has k = 0: no nonzero codeword, so no minimum distance, rather
+    than the n + 1 of a walk over no codewords."""
+    code = code_from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert code.k == 0
+    with pytest.raises(ValueError, match="^k = 0: the code has no nonzero codeword"):
+        exhaustive_min_distance(code)
 
 
 @pytest.mark.parametrize("dc", [3, 4, 5])

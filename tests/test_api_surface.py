@@ -1,10 +1,11 @@
-"""Every public function, class and method that ``binmat``, ``raptor``,
-``sim`` or ``cli`` defines is named somewhere in the package, so API that only tests call
-cannot creep back in.
+"""Every public function, class and method that a module of the package
+defines is named somewhere in the package or in the benchmark and demo
+scripts, so API that only tests call cannot creep back in.
 
-The check works by name over the AST of ``src/erasurelab/*.py``: a function
-or class passes when its name appears anywhere in the package as a variable,
-an attribute or an imported name (its own ``def`` or ``class`` line does not
+The check works by name over the AST of ``src/erasurelab/*.py`` and of the
+``.py`` files of ``bench/`` and ``demos/`` that are not tests: a function
+or class passes when its name appears anywhere in them as a variable, an
+attribute or an imported name (its own ``def`` or ``class`` line does not
 count), and a method only when its name appears as an attribute
 (``obj.name``), so a local variable of the same name does not keep it. A
 name that another object also uses, such as ``rank`` or a method named like
@@ -18,7 +19,9 @@ from pathlib import Path
 
 import pytest
 
-PKG = Path(__file__).resolve().parent.parent / "src" / "erasurelab"
+ROOT = Path(__file__).resolve().parent.parent
+PKG = ROOT / "src" / "erasurelab"
+MODULES = sorted(path.stem for path in PKG.glob("*.py") if not path.stem.startswith("_"))
 
 
 def _names_in(path):
@@ -32,12 +35,19 @@ def _names_in(path):
             yield node.name, node.lineno
 
 
-def _names_in_package():
-    return {name for path in PKG.glob("*.py") for name, _ in _names_in(path)}
+def _callers():
+    """The package's files and the benchmark and demo scripts, tests aside."""
+    scripts = [path for folder in ("bench", "demos") for path in (ROOT / folder).glob("*.py")
+               if not path.name.startswith("test_")]
+    return [*PKG.glob("*.py"), *scripts]
 
 
-def _attributes_in_package():
-    return {node.attr for path in PKG.glob("*.py")
+def _names_in_callers():
+    return {name for path in _callers() for name, _ in _names_in(path)}
+
+
+def _attributes_in_callers():
+    return {node.attr for path in _callers()
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Attribute)}
 
@@ -56,9 +66,9 @@ def _public_defs(module):
     return [(q, name) for q, name in defs if not name.startswith("_")]
 
 
-@pytest.mark.parametrize("module", ["binmat", "raptor", "sim", "cli"])
+@pytest.mark.parametrize("module", MODULES)
 def test_public_api_is_named_in_the_package(module):
-    names, attributes = _names_in_package(), _attributes_in_package()
+    names, attributes = _names_in_callers(), _attributes_in_callers()
     assert [q for q, name in _public_defs(module)
             if name not in (attributes if "." in q else names)] == []
 

@@ -305,6 +305,8 @@ SPC_CODE = "ldpc 3 2\n1 3\n111\n"
 SPC_BELOW_K_CODE = "ldpc 3 2\npunctured: 0,1\n1 3\n111\n"
 # the (128,127) single parity check code under a header that claims n=130
 BAD_N_CODE = "ldpc 130 127\n1 128\n" + "1" * 128 + "\n"
+# H = I_3: the (3,0) code, whose only codeword is zero
+K_ZERO_CODE = "ldpc 3 0\n3 3\n100\n010\n001\n"
 
 
 @pytest.mark.parametrize("args, files, says", [
@@ -409,6 +411,8 @@ BAD_N_CODE = "ldpc 130 127\n1 128\n" + "1" * 128 + "\n"
      "unrecognized arguments: --bogus 1"),
     (["bounds", "--n", "8", "--k", "4", "--eps", "0.1", "--config", "run.cfg"],
      {"run.cfg": "run=1\n"}, "unknown config key 'run'"),
+    (["mindist", "--code", "code.txt"], {"code.txt": K_ZERO_CODE},
+     "k = 0: the code has no nonzero codeword"),
 ], ids=["step-zero", "step-negative", "stop-below-start", "step-config", "workers-flag",
         "workers-config", "code-header-k", "code-header-n", "mindist-punctured-below-k",
         "simulate-punctured-below-k", "bounds-k-above-n",
@@ -428,7 +432,7 @@ BAD_N_CODE = "ldpc 130 127\n1 128\n" + "1" * 128 + "\n"
         "bounds-n-missing", "raptor-random-codeword", "raptor-random-codeword-in-config",
         "geira-taps-stop-below-start", "geira-taps-grid-too-large", "bounds-seed",
         "geira-tap-negative", "geira-taps-range-negative", "regular-dc-above-n",
-        "unknown-option-with-config", "config-key-run"])
+        "unknown-option-with-config", "config-key-run", "mindist-k-zero"])
 def test_bad_range_is_a_usage_error(tmp_path, capsys, args, files, says):
     """Exit 2 with one error line; ``says`` is a fragment that line must hold."""
     for name, text in files.items():

@@ -10,6 +10,7 @@ from conftest import (
     erased_at,
     from_rows,
     full_scan_triangularize,
+    is_stopping_set,
     loop_is_stopping_set,
     loop_parities,
     loop_peel_core,
@@ -25,7 +26,6 @@ from erasurelab.decode import (
     ReceivedWord,
     back_substitute,
     hybrid_decode,
-    is_stopping_set,
     max_degree_pivot,
     min_row_pivot,
     ml_decode,
@@ -85,9 +85,10 @@ def test_received_word_rejects_bools_as_positions():
     lambda code, erased: is_stopping_set(code, erased),
 ], ids=["received-word", "is-stopping-set"])
 def test_only_a_bool_mask_of_length_n_is_an_erasure_set(check):
-    """A received word and the stopping-set test read an erasure set one way,
-    as n booleans, and refuse with one ValueError a list of positions, an
-    integer array, even of 0s and 1s, and a mask of another length."""
+    """A received word and the reference stopping-set test read an erasure
+    set one way, as n booleans, and refuse with one ValueError a list of
+    positions, an integer array, even of 0s and 1s, and a mask of another
+    length."""
     code = sample_regular(3, 6, 12, seed=4)
     for erased in ([0, 3], np.array([0, 3]), np.ones(12, np.uint8), np.ones(11, np.bool_)):
         with pytest.raises(ValueError, match=_NOT_A_MASK):

@@ -25,7 +25,6 @@ from erasurelab.ldpc import (
     code_to_text,
     encode,
     _generic_encoder_from_h,
-    lift_protograph,
     load_code,
     sample_regular,
 )
@@ -120,8 +119,8 @@ def test_geira_encoder_matches_accumulator(spec, rng):
     lambda: sample_regular(3, 6, 1024, seed=3),
     lambda: build_geira(GeiraSpec(k=512, n=1024, taps=frozenset({0, 1, 4, 10, 20}), wc=5,
                                   seed=7)),
-    lambda: lift_protograph(Protograph(base=ARA_BASE, punctured_cols=frozenset({0}), lift=64)),
-], ids=["regular", "geira", "ara-punctured"])
+    lambda: replace(sample_regular(4, 8, 320, seed=5), punctured=range(0, 320, 5)),
+], ids=["regular", "geira", "regular-4-8-punctured"])
 def test_run_scatter_matches_bitwise_encode(build, rng):
     """The chunk-table encoder gives the codeword of the loops that scatter
     the info bits one at a time and take one mask parity per pivot."""
@@ -140,8 +139,7 @@ SMALL_CODES = {
                                               seed=2)),
     "geira-k9": lambda: build_geira(GeiraSpec(k=9, n=20, taps=frozenset({0, 1, 4}), wc=3,
                                               seed=5)),
-    "lifted-ara": lambda: lift_protograph(Protograph(base=ARA_BASE, punctured_cols=frozenset({0}),
-                                                     lift=3), seed=1),
+    "punctured-k11": lambda: replace(sample_regular(2, 4, 20, seed=0), punctured={1, 6, 11}),
     "punctured": lambda: replace(sample_regular(3, 6, 30, seed=4), punctured={0, 2, 4, 8, 12}),
 }
 
@@ -246,29 +244,6 @@ def test_geira_column_weight_below_n_k(wc):
     assert build_geira(GeiraSpec(k=4, n=8, taps=frozenset({0, 1}), wc=3)).h.rows == 4
 
 
-def test_lift_single_edge_permutation():
-    code = lift_protograph(Protograph(base=((1,),), lift=4))
-    h = code.h
-    assert h.rows == 4 and h.cols == 4
-    assert all(len(h.row_adj[r]) == 1 for r in range(4))
-    assert all(len(h.col_adj[c]) == 1 for c in range(4))
-
-
-def test_lift_double_edge_no_parallel():
-    code = lift_protograph(Protograph(base=((2,),), lift=8))
-    h = code.h
-    assert all(len(h.row_adj[r]) == 2 for r in range(8))
-    assert all(len(h.col_adj[c]) == 2 for c in range(8))
-
-
-def test_lift_ara_shape():
-    p = Protograph(base=ARA_BASE, punctured_cols=frozenset({0}), lift=256)
-    code = lift_protograph(p)
-    assert code.n_transmitted == 1024
-    assert code.k == 512
-    assert len(code.punctured) == 256
-
-
 @pytest.mark.parametrize("base", [(), ((),)])
 def test_protograph_rejects_empty_base(base):
     with pytest.raises(ConstructionError, match="at least one row and one column"):
@@ -315,11 +290,6 @@ def test_protograph_takes_numpy_integers():
     assert p.base == ARA_BASE and p.punctured_cols == {0}
     assert type(p.lift) is int and p.lift == 4
     assert all(type(e) is int for row in p.base for e in row)
-
-
-def test_lift_multiplicity_over_lift():
-    with pytest.raises(ConstructionError):
-        lift_protograph(Protograph(base=((3,),), lift=2))
 
 
 def test_puncture_identity_and_counts():
