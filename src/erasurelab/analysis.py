@@ -20,6 +20,8 @@ _PROTO_THRESHOLD_TOL = 1e-4  # bisection width of a protograph's IT threshold
 _PROTO_DE_CUTOFF = 1e-9  # posterior erasure below which protograph DE succeeds
 _PROTO_DE_ITERS = 20000  # DE steps before a protograph fixed point gives up
 _PROTO_DE_TOL = 1e-12  # largest message change at a protograph fixed point
+_PROTO_DE_CHUNK = 32  # DE steps between failure certificates; divides _PROTO_DE_ITERS
+_PROTO_DE_MARGIN = 1e-12  # how far a failure certificate's sub-solution lies below DE
 _MINDIST_CAP_K = 24  # largest k whose 2^k codewords the minimum distance enumerates
 
 
@@ -246,16 +248,17 @@ def _edge_types(p: Protograph) -> tuple:
 def _de_kernel(edges: tuple, n_vars: int):
     """Per-edge-type erasure DE for one base graph, as straight-line code.
 
-    Returns ``kernel(priors, v, iters, tol) -> (v, t)``, which iterates from
-    the per-edge messages ``v`` until ``max |v_new - v| < tol`` or ``iters``
-    steps, and ``t`` holds each column's log extrinsic erasure. Each message
-    is a local variable, and the generated source holds only edge indices and
-    ``repr(float(m))`` multiplicity literals. The products are accumulated
-    in the log domain so zero-probability messages stay harmless. Every sum
-    runs left to right, not through ``sum()``, which compensates on Python
-    3.12 and later, so the kernel gives the same values as the loop over
-    the edge types that this code unrolls (``tests/conftest.py`` keeps that
-    loop as the reference).
+    Returns ``kernel(priors, v, iters, tol) -> (v, t, done)``, which iterates
+    from the per-edge messages ``v`` until ``max |v_new - v| < tol`` (then
+    ``done`` is true) or ``iters >= 1`` steps; ``t`` holds each column's log
+    extrinsic erasure. Each message is a local variable, and the generated
+    source holds only edge indices and ``repr(float(m))`` multiplicity
+    literals. The products are accumulated in the log domain so
+    zero-probability messages stay harmless. Every sum runs left to right,
+    not through ``sum()``, which compensates on Python 3.12 and later, so
+    the kernel gives the same values as the loop over the edge types that
+    this code unrolls (``tests/conftest.py`` keeps that loop as the
+    reference).
     """
     rows, cols = {}, [[] for _ in range(n_vars)]
     for e, (i, j, m) in enumerate(edges):
@@ -296,7 +299,7 @@ def _de_kernel(edges: tuple, n_vars: int):
              f"{vs} = {', '.join(f'n{e}' for e in range(len(edges)))},",
              "if done:", "    break"]
     body += ["    " + line for line in loop]
-    body.append(f"return [{vs}], [{', '.join(f't{j}' for j in range(n_vars))}]")
+    body.append(f"return [{vs}], [{', '.join(f't{j}' for j in range(n_vars))}], done")
     src = "def kernel(priors, v, iters, tol):\n" + "".join(f"    {line}\n" for line in body)
     namespace = {"log": math.log, "exp": math.exp, "TINY": 1e-300, "LOG_TINY": math.log(1e-300)}
     exec(compile(src, f"<protograph DE kernel, {len(edges)} edge types>", "exec"), namespace)
@@ -311,8 +314,8 @@ def _proto_fixed_point(edges, priors, v0=None):
     edge type, the other two per base column.
     """
     kernel = _de_kernel(edges, len(priors))
-    v, t = kernel(priors, [1.0] * len(edges) if v0 is None else v0,
-                  _PROTO_DE_ITERS, _PROTO_DE_TOL)
+    v, t, _ = kernel(priors, [1.0] * len(edges) if v0 is None else v0,
+                     _PROTO_DE_ITERS, _PROTO_DE_TOL)
     extrinsic = [math.exp(s) for s in t]
     return v, extrinsic, [prior * x for prior, x in zip(priors, extrinsic)]
 
@@ -322,14 +325,52 @@ def _priors(p: Protograph, eps: float):
     return [1.0 if j in p.punctured_cols else float(eps) for j in range(p.n_vars)]
 
 
+def _certifies_failure(kernel, priors, a, b, v) -> bool:
+    """Whether DE whose last three messages are a, b, v provably fails (see
+    ``protograph_de``), at w = v less twice the tail ρ/(1-ρ)·(b - v), less μ."""
+    rho = max(((y - z) / (x - y) for x, y, z in zip(a, b, v) if x > y), default=1.0)
+    if not 0.0 <= rho < 1.0:
+        return False
+    k = 2.0 * rho / (1.0 - rho)
+    w = [max(0.0, z - k * (y - z) - _PROTO_DE_MARGIN) for y, z in zip(b, v)]
+    fw, t, _ = kernel(priors, w, 1, _PROTO_DE_TOL)
+    return (all(x == 0.0 or y - x >= 0.5 * _PROTO_DE_MARGIN for x, y in zip(w, fw))
+            and any(prior * math.exp(s) > 1e3 * _PROTO_DE_CUTOFF for prior, s in zip(priors, t)))
+
+
 def protograph_de(p: Protograph, eps: float) -> bool:
     """Whether per-edge-type DE at channel erasure eps drives every variable
-    node's posterior erasure probability to zero (punctured nodes use prior 1)."""
-    _, _, post = _proto_fixed_point(_edge_types(p), _priors(p, eps))
-    return all(x < _PROTO_DE_CUTOFF for x in post)
+    node's posterior erasure probability to zero (punctured nodes use prior 1).
+
+    DE runs from all-ones to the tolerance or the step cap in chunks of
+    ``_PROTO_DE_CHUNK`` steps, and ends as one unbroken run would, unless a
+    chunk ends in a failure certificate: a w >= 0 whose kernel step gives
+    f(w) >= w + μ/2 wherever w > 0 and a posterior above 1e3 times the
+    cutoff. As f is monotone and f(1) <= 1, every message from all-ones
+    stays >= w, so with t monotone too, the run would end with a posterior
+    above the cutoff. μ = 1e-12 is far above the kernel's rounding (1e-16)."""
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError("eps must lie in [0, 1]")
+    edges, priors = _edge_types(p), _priors(p, eps)
+    kernel = _de_kernel(edges, len(priors))
+    v = [1.0] * len(edges)
+    for _ in range(_PROTO_DE_ITERS // _PROTO_DE_CHUNK):
+        trail = []  # the chunk's last three messages
+        for iters in (_PROTO_DE_CHUNK - 2, 1, 1):
+            v, t, done = kernel(priors, v, iters, _PROTO_DE_TOL)
+            trail.append(v)
+            if done:
+                break
+        if done:
+            break
+        if _certifies_failure(kernel, priors, *trail):
+            return False
+    return all(prior * math.exp(s) < _PROTO_DE_CUTOFF for prior, s in zip(priors, t))
 
 
 def protograph_it_threshold(p: Protograph) -> float:
+    """``protograph_de`` bisected over [0, 1] to within 1e-4: the midpoint
+    of the last bracket, a dyadic rational."""
     return _bisect(lambda eps: protograph_de(p, eps), _PROTO_THRESHOLD_TOL)
 
 

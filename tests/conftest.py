@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from erasurelab import decode
+from erasurelab.analysis import _PROTO_DE_CUTOFF, _edge_types, _priors
 from erasurelab.binmat import (
     BinVector,
     DenseBinMatrix,
@@ -529,6 +530,14 @@ def loop_proto_fixed_point(edges, priors, v0=None, iters=20000, tol=1e-12):
             break
     extrinsic = [exp(s) for s in t]
     return v, extrinsic, [prior * x for prior, x in zip(priors, extrinsic)]
+
+
+def reference_protograph_de(p, eps):
+    """Reference ``analysis.protograph_de``: DE from all-ones run by the
+    reference loop to the fixed-point tolerance or the step cap, with no
+    early failure certificate."""
+    _, _, posterior = loop_proto_fixed_point(_edge_types(p), _priors(p, eps))
+    return all(x < _PROTO_DE_CUTOFF for x in posterior)
 
 
 def inline_log_terms(n, eps, lo, hi):

@@ -16,9 +16,13 @@ from conftest import (
     inline_log_terms,
     loop_proto_fixed_point,
     numpy_proto_fixed_point,
+    reference_protograph_de,
 )
 from erasurelab import analysis
 from erasurelab.analysis import (
+    _PROTO_DE_ITERS,
+    _PROTO_DE_TOL,
+    _PROTO_THRESHOLD_TOL,
     _edge_types,
     _log_terms,
     _priors,
@@ -368,6 +372,92 @@ def test_thresholds_demo_ara_line():
 def test_protograph_de_trivial_eps0():
     assert protograph_de(ARA, 0.0)
     assert protograph_de(Protograph(base=((3, 3),)), 0.0)
+
+
+@pytest.mark.parametrize("eps", [-0.5, -1e-9, 1.5, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("p", [ARA, Protograph(base=((3, 3),))], ids=["ara", "3-3"])
+def test_protograph_de_rejects_eps_outside_unit_interval(p, eps):
+    with pytest.raises(ValueError, match=r"^eps must lie in \[0, 1\]$"):
+        protograph_de(p, eps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_protograph_case())
+def test_protograph_de_matches_reference_property(case):
+    """The verdict with failure certificates is the verdict of DE run to
+    the tolerance or the step cap."""
+    p, eps, _ = case
+    assert protograph_de(p, eps) == reference_protograph_de(p, eps)
+
+
+@pytest.mark.parametrize("eps", np.linspace(0.4770, 0.4785, 16).tolist())
+def test_protograph_de_matches_reference_near_ara_threshold(eps):
+    assert protograph_de(ARA, eps) == reference_protograph_de(ARA, eps)
+
+
+@pytest.mark.parametrize("p", [
+    ARA, Protograph(base=((3, 3),)), Protograph(base=((2, 1, 1),)),
+    Protograph(base=((3, 1, 0, 2), (1, 0, 3, 1)), punctured_cols=frozenset({3})),
+], ids=["ara", "3-3", "2-1-1", "punctured"])
+@pytest.mark.parametrize("eps", [0.0, 1.0])
+def test_protograph_de_matches_reference_at_the_ends(p, eps):
+    assert protograph_de(p, eps) == reference_protograph_de(p, eps)
+
+
+def test_protograph_de_matches_reference_at_the_step_cap():
+    """At the (3,6) ensemble's threshold the fixed point is tangent, so DE
+    from all-ones crawls until the step cap, and no sub-solution exists."""
+    p, eps = Protograph(base=((3, 3),)), 0.42943981441949175
+    edges, priors = _edge_types(p), _priors(p, eps)
+    kernel = analysis._de_kernel(edges, len(priors))
+    assert not kernel(priors, [1.0] * len(edges), _PROTO_DE_ITERS, _PROTO_DE_TOL)[2]
+    assert protograph_de(p, eps) is reference_protograph_de(p, eps) is False
+
+
+@settings(max_examples=25, deadline=None)
+@given(_protograph_case())
+def test_protograph_it_threshold_matches_reference_bisection(case):
+    p = case[0]
+    ref = analysis._bisect(lambda eps: reference_protograph_de(p, eps), _PROTO_THRESHOLD_TOL)
+    assert repr(protograph_it_threshold(p)) == repr(ref)
+
+
+@pytest.fixture
+def de_steps(monkeypatch):
+    """A list whose length counts the DE steps of every kernel that
+    ``analysis._de_kernel`` builds from here on: each call runs its steps
+    one at a time, which gives the same messages, t and flag."""
+    steps, real = [], analysis._de_kernel
+
+    def counting(edges, n_vars):
+        kernel = real(edges, n_vars)
+
+        def stepwise(priors, v, iters, tol):
+            for _ in range(iters):
+                steps.append(None)
+                v, t, done = kernel(priors, v, 1, tol)
+                if done:
+                    break
+            return v, t, done
+        return stepwise
+
+    monkeypatch.setattr(analysis, "_de_kernel", counting)
+    return steps
+
+
+def test_failure_certificate_fires(de_steps):
+    """At eps = 0.478515625, the ARA bisection's ninth midpoint, DE fails
+    after 800 steps to the tolerance; the certificate decides it in under a
+    third of them. Just below the threshold DE succeeds and no certificate
+    stops it."""
+    eps = 0.478515625
+    _proto_fixed_point(_edge_types(ARA), _priors(ARA, eps))
+    full = len(de_steps)
+    assert full == 800
+    de_steps.clear()
+    assert protograph_de(ARA, eps) is False
+    assert len(de_steps) < full / 3
+    assert protograph_de(ARA, 0.4775) is True
 
 
 def test_ara_design_rate():
