@@ -96,6 +96,12 @@ class WeightSpectrumTail:
     a_min: int
 
 
+def _check_eps(eps: float) -> None:
+    """Raise ValueError unless 0 <= eps <= 1, which NaN fails too."""
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError("eps must lie in [0, 1]")
+
+
 def _bisect(converges, tol: float) -> float:
     """Supremum, to within ``tol``, of the eps in [0, 1] where
     ``converges(eps)`` holds, for a predicate that holds below some point."""
@@ -349,8 +355,7 @@ def protograph_de(p: Protograph, eps: float) -> bool:
     cutoff. As f is monotone and f(1) <= 1, every message from all-ones
     stays >= w, so with t monotone too, the run would end with a posterior
     above the cutoff. μ = 1e-12 is far above the kernel's rounding (1e-16)."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("eps must lie in [0, 1]")
+    _check_eps(eps)
     edges, priors = _edge_types(p), _priors(p, eps)
     kernel = _de_kernel(edges, len(priors))
     v = [1.0] * len(edges)
@@ -444,8 +449,7 @@ def _logsumexp(terms) -> float:
 def _check_code_point(n: int, k: int, eps: float) -> None:
     if not 0 <= k <= n:
         raise ValueError(f"want 0 <= k <= n, got n={n}, k={k}")
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("eps must lie in [0, 1]")
+    _check_eps(eps)
 
 
 def singleton_bound(n: int, k: int, eps: float) -> float:
@@ -468,8 +472,7 @@ def berlekamp_bound(n: int, k: int, eps: float) -> float:
 
 def error_floor_estimate(tail: WeightSpectrumTail, eps: float) -> float:
     """Truncated union bound: A_min * eps^d_min."""
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("eps must lie in [0, 1)")
+    _check_eps(eps)
     return tail.a_min * eps ** tail.d_min
 
 

@@ -109,9 +109,15 @@ class TriangularizationState:
     ``rowpar[r]`` is the XOR of the values of its other columns, known
     symbols included. ``value`` holds a known column's symbol from the
     start, so once every value is a bit it is the recovered word.
-    ``resolved`` holds the diagonal-extension order, ``pivots`` the
-    inactivated unknowns, and ``anchored[r]`` marks a row consumed to resolve
-    an unknown. back_substitute turns every value into the unknown's bit.
+    ``resolved`` holds the diagonal-extension order and ``pivots`` the
+    inactivated unknowns. back_substitute turns every value into the
+    unknown's bit.
+
+    A row used up to resolve its last unknown u reads 0 = 0 from then on:
+    the update for u takes its count from 1 to 0 and its parity from u's
+    value to 0, and with no unknown left nothing touches it again. So once
+    every unknown is resolved or a pivot, each row is an equation over the
+    pivots, and those that are not 0 = 0 are A'.
     """
 
     row_adj: list
@@ -121,7 +127,6 @@ class TriangularizationState:
     rowcnt: list
     rowpar: list
     value: bytearray  # per column; a list of ints once a pivot is taken
-    anchored: bytearray
     resolved: list = field(default_factory=list)
     pivots: list = field(default_factory=list)
 
@@ -146,17 +151,9 @@ def split_by_erasure(code, word: ReceivedWord):
     if word.n != h.cols:
         raise ValueError(f"word length {word.n} != code length {h.cols}")
     erased = np.flatnonzero(word.erased_mask).tolist()
-    pos = [-1] * word.n
-    for i, c in enumerate(erased):
-        pos[c] = i
-    hk_rows = []
-    col_adj = [[] for _ in erased]
-    for r, cs in enumerate(h.row_adj):
-        local = [pos[c] for c in cs if pos[c] >= 0]
-        hk_rows.append(local)
-        for li in local:
-            col_adj[li].append(r)
-    hkbar = SparseBinMatrix._raw(hk_rows, col_adj)
+    pos = dict(zip(erased, range(len(erased))))
+    hkbar = SparseBinMatrix(h.rows, len(erased),
+                            [[pos[c] for c in cs if c in pos] for cs in h.row_adj])
     return hkbar, BinVector.from_bits(_row_sums(h, word.values.unpacked()) & 1)
 
 
@@ -166,8 +163,7 @@ def _peel(st: TriangularizationState, queue: list) -> None:
     FIFO order, until the queue runs out. This loop is the whole peeling
     decoder, and the ML decoder runs it again after every pivot."""
     row_adj, col_adj, unknown = st.row_adj, st.col_adj, st.unknown
-    rowcnt, rowpar, value = st.rowcnt, st.rowpar, st.value
-    anchored, resolved = st.anchored, st.resolved
+    rowcnt, rowpar, value, resolved = st.rowcnt, st.rowpar, st.value, st.resolved
     for r in queue:  # the iterator reaches the rows appended below
         if rowcnt[r] != 1:
             continue
@@ -176,7 +172,6 @@ def _peel(st: TriangularizationState, queue: list) -> None:
                 break
         v = value[u] = rowpar[r]
         unknown[u] = 0
-        anchored[r] = 1
         resolved.append(u)
         for r2 in col_adj[u]:
             cnt = rowcnt[r2] = rowcnt[r2] - 1
@@ -191,7 +186,7 @@ def _start(matrix, unknown: bytearray, counts: np.ndarray, rowpar: list,
     flags the unknown columns, ``counts`` counts each row's, and ``value``
     holds every column's first value."""
     st = TriangularizationState(matrix.row_adj, matrix.col_adj, unknown.count(1), unknown,
-                                counts.tolist(), rowpar, value, bytearray(matrix.rows))
+                                counts.tolist(), rowpar, value)
     _peel(st, np.flatnonzero(counts == 1).tolist())
     return st
 
@@ -243,19 +238,17 @@ def peel_decode(code, word: ReceivedWord) -> DecodeResult:
 
 def min_row_pivot(st: TriangularizationState) -> int:
     """Row-driven inactivation, the minimum-row-degree rule of inactivation
-    decoding (RFC 6330, 5.4.2.2): the unanchored row with the fewest
-    unknowns, two or more, lowest index first, gives up its unknown of
-    highest column weight, lowest index on ties. A row of two unknowns is
-    then left with one, so such a pivot resolves at least one more unknown;
-    rows of three or more (a plain scan) almost never remain at a stall.
-    An anchored row holds no unknown, so the first row of count 2 is the
-    row sought whenever there is one."""
+    decoding (RFC 6330, 5.4.2.2): the row with the fewest unknowns, two or
+    more, lowest index first, gives up its unknown of highest column weight,
+    lowest index on ties. A row of two unknowns is then left with one, so
+    such a pivot resolves at least one more unknown; rows of three or more
+    (a plain scan) almost never remain at a stall."""
     rowcnt, unknown, col_adj = st.rowcnt, st.unknown, st.col_adj
     try:
         r = rowcnt.index(2)
     except ValueError:  # no row holds exactly two unknowns: scan for the fewest
         r = min(((cnt, r) for r, cnt in enumerate(rowcnt) if cnt > 1), default=(0, -1))[1]
-        if r < 0:  # no unanchored row holds an unknown
+        if r < 0:  # no row holds an unknown
             return unknown.index(1)
     best = weight = -1
     for u in st.row_adj[r]:  # increasing, so the first of the heaviest wins
@@ -282,9 +275,8 @@ def triangularize(system, syndrome, pivot_strategy=min_row_pivot) -> Triangulari
     or designated a pivot for the dense stage.
 
     ``pivot_strategy(state)`` is called once per pivot and returns an
-    unknown column of the stalled ``state``. A row is anchored only by the
-    one unknown it still holds, so every row of an unknown is unanchored and
-    its column weight is its residual degree.
+    unknown column of the stalled ``state``. No used-up row holds an
+    unknown, so an unknown's column weight is its residual degree.
     """
     if isinstance(system, TriangularizationState):
         st = system
@@ -314,12 +306,12 @@ def triangularize(system, syndrome, pivot_strategy=min_row_pivot) -> Triangulari
 
 
 def reduce_to_aprime(state: TriangularizationState):
-    """Gather the unanchored rows, each now an equation over the pivots
-    alone: A'·pivots = rhs'."""
+    """Gather the rows that are not 0 = 0, each now an equation over the
+    pivots alone: A'·pivots = rhs'."""
     arows = []
     rhs_bits = 0
-    for anchored, par in zip(state.anchored, state.rowpar):
-        if not anchored:
+    for par in state.rowpar:
+        if par:
             if par & 1:
                 rhs_bits |= 1 << len(arows)
             arows.append(par >> 1)

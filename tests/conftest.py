@@ -372,7 +372,7 @@ def loop_peel_core(code, word):
         value[c] = 1
     st = decode.TriangularizationState(
         h.row_adj, h.col_adj, len(erased), unknown, rowcnt,
-        loop_parities(h, word.values), value, bytearray(h.rows))
+        loop_parities(h, word.values), value)
     decode._peel(st, [r for r, cnt in enumerate(rowcnt) if cnt == 1])
     return st
 

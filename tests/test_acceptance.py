@@ -94,6 +94,8 @@ def test_acceptance_3_oracle_equivalence_exhaustive():
             a = ml_decode(code, word)
             b = oracle_decode(code, word)
             assert a.status == b.status, (i, mask)
+            # A' keeps every equation the pivots must meet
+            assert a.rank == b.rank, (i, mask)
             if a.ok:
                 assert a.recovered == b.recovered == cw, (i, mask)
             checked += 1

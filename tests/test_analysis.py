@@ -374,7 +374,11 @@ def test_protograph_de_trivial_eps0():
     assert protograph_de(Protograph(base=((3, 3),)), 0.0)
 
 
-@pytest.mark.parametrize("eps", [-0.5, -1e-9, 1.5, math.nan, math.inf, -math.inf])
+# erasure probabilities outside [0, 1], NaN and the infinities included
+BAD_EPS = [-0.5, -1e-9, 1.5, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("eps", BAD_EPS)
 @pytest.mark.parametrize("p", [ARA, Protograph(base=((3, 3),))], ids=["ara", "3-3"])
 def test_protograph_de_rejects_eps_outside_unit_interval(p, eps):
     with pytest.raises(ValueError, match=r"^eps must lie in \[0, 1\]$"):
@@ -492,6 +496,21 @@ def test_error_floor_products():
     for eps in (0.1, 0.2, 0.4):
         assert error_floor_estimate(tail16, eps) == pytest.approx(16 * eps**10)
     assert error_floor_estimate(tail, 0.0) == 0.0
+    # every codeword of weight d_min is erased, so the floor is a_min
+    assert error_floor_estimate(tail, 1.0) == 4
+
+
+@pytest.mark.parametrize("eps", BAD_EPS)
+@pytest.mark.parametrize("bound", [
+    lambda eps: error_floor_estimate(WeightSpectrumTail(11, 4), eps),
+    lambda eps: singleton_bound(64, 32, eps),
+    lambda eps: berlekamp_bound(64, 32, eps),
+], ids=["error-floor", "singleton", "berlekamp"])
+def test_bounds_reject_eps_outside_unit_interval(bound, eps):
+    """The finite-length bounds take the erasure probabilities that
+    ``protograph_de`` takes, ε = 1 included, with the same message."""
+    with pytest.raises(ValueError, match=r"^eps must lie in \[0, 1\]$"):
+        bound(eps)
 
 
 def test_min_distance_hamming(hamming74):

@@ -50,6 +50,15 @@ def test_bounds_with_floor(capsys):
     assert rows[1].endswith("4e-11")
 
 
+def test_bounds_with_floor_reaches_eps_one(capsys):
+    """A grid that ends at ε = 1 takes the floor there too: every position
+    is erased, so it is a_min, and both bounds read 1."""
+    code, out = run_cli(["bounds", "--n", "8", "--k", "4", "--eps", "0.5:1:0.5",
+                         "--dmin", "3", "--amin", "2"], capsys)
+    assert code == 0
+    assert data_rows(out)[1:] == ["0.5,0.36328125,0.77758789,0.25", "1,1,1,2"]
+
+
 def test_thresholds_table_row(capsys):
     code, out = run_cli(["thresholds", "--regular", "3,6"], capsys)
     assert code == 0
@@ -250,7 +259,7 @@ def test_bounds_takes_n_and_k_from_config(tmp_path, capsys):
     """``--n`` and ``--k`` may come from a config file, as every other
     command's needed values may."""
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("n=64\nk=32\n")
+    cfg.write_text("# the code's length and dimension\nn=64\n\nk=32\n")
     code, out = run_cli(["bounds", "--eps", "0.3", "--config", str(cfg)], capsys)
     assert code == 0
     assert out == run_cli(["bounds", "--n", "64", "--k", "32", "--eps", "0.3"], capsys)[1]
@@ -307,6 +316,12 @@ SPC_BELOW_K_CODE = "ldpc 3 2\npunctured: 0,1\n1 3\n111\n"
 BAD_N_CODE = "ldpc 130 127\n1 128\n" + "1" * 128 + "\n"
 # H = I_3: the (3,0) code, whose only codeword is zero
 K_ZERO_CODE = "ldpc 3 0\n3 3\n100\n010\n001\n"
+# a (3,2) code whose H has an all-zero last column
+ZERO_COLUMN_CODE = "ldpc 3 2\n1 3\n110\n"
+# the (3,2) single parity check code with position 3, past n, punctured
+PUNCTURED_PAST_N_CODE = "ldpc 3 2\npunctured: 3\n1 3\n111\n"
+# the (27,26) single parity check code: k above mindist's enumeration cap
+K_26_CODE = "ldpc 27 26\n1 27\n" + "1" * 27 + "\n"
 
 
 @pytest.mark.parametrize("args, files, says", [
@@ -413,6 +428,16 @@ K_ZERO_CODE = "ldpc 3 0\n3 3\n100\n010\n001\n"
      {"run.cfg": "run=1\n"}, "unknown config key 'run'"),
     (["mindist", "--code", "code.txt"], {"code.txt": K_ZERO_CODE},
      "k = 0: the code has no nonzero codeword"),
+    (["bounds", "--eps", "0.1", "--config", "run.cfg"], {"run.cfg": "n=8\nk 4\n"},
+     "bad config line (want key=value): 'k 4'"),
+    (["bounds", "--n", "8", "--k", "4", "--eps", "0.1:0.2"], {},
+     "argument --eps: expected start:stop:step"),
+    (["mindist", "--code", "code.txt"], {"code.txt": ZERO_COLUMN_CODE},
+     "every column of H must be nonzero"),
+    (["mindist", "--code", "code.txt"], {"code.txt": PUNCTURED_PAST_N_CODE},
+     "punctured positions out of range"),
+    (["mindist", "--code", "code.txt"], {"code.txt": K_26_CODE},
+     "k = 26 exceeds enumeration cap 24"),
 ], ids=["step-zero", "step-negative", "stop-below-start", "step-config", "workers-flag",
         "workers-config", "code-header-k", "code-header-n", "mindist-punctured-below-k",
         "simulate-punctured-below-k", "bounds-k-above-n",
@@ -432,7 +457,9 @@ K_ZERO_CODE = "ldpc 3 0\n3 3\n100\n010\n001\n"
         "bounds-n-missing", "raptor-random-codeword", "raptor-random-codeword-in-config",
         "geira-taps-stop-below-start", "geira-taps-grid-too-large", "bounds-seed",
         "geira-tap-negative", "geira-taps-range-negative", "regular-dc-above-n",
-        "unknown-option-with-config", "config-key-run", "mindist-k-zero"])
+        "unknown-option-with-config", "config-key-run", "mindist-k-zero",
+        "config-line-without-equals", "eps-two-part-range", "code-zero-column",
+        "code-punctured-past-n", "mindist-k-above-cap"])
 def test_bad_range_is_a_usage_error(tmp_path, capsys, args, files, says):
     """Exit 2 with one error line; ``says`` is a fragment that line must hold."""
     for name, text in files.items():

@@ -234,10 +234,10 @@ def test_reduce_4cycle():
     hk, syn = split_by_erasure(code, word(code, [0, 0], [0, 1]))
     state = triangularize(hk, syn)
     aprime, rhs = reduce_to_aprime(state)
-    assert aprime.rows == 1 and aprime.cols == 1
-    assert rhs.to_list() == [0]
-    # the two columns are identical, so the surviving equation is degenerate
-    assert to_lists(aprime) == [[0]]
+    # the two columns are identical, so the row not used up to resolve the
+    # second one cancels to 0 = 0, and A' has no row over its one pivot
+    assert aprime.rows == 0 and aprime.cols == 1
+    assert len(rhs) == 0
 
 
 def test_reduce_zero_pivots_empty_aprime():
@@ -442,6 +442,27 @@ def test_row_pivot_order_matches_full_scan():
     _assert_matches_full_scan(min_row_pivot, "row")
 
 
+@pytest.mark.parametrize("rows, n, expected", [
+    ([[0, 1], [0, 1]], 3, ([1], [0, 2])),
+    ([[1, 3], [1, 3], [0]], 4, ([0, 3], [1, 2])),
+    ([], 2, ([], [0, 1])),
+], ids=["pair-then-empty", "peel-pair-then-empty", "no-rows"])
+def test_row_pivot_falls_back_to_the_first_unknown(rows, n, expected):
+    """A system with an empty column reaches a stall at which no row holds
+    an unknown; ``min_row_pivot`` then takes the lowest unknown, as the
+    full-scan reference does."""
+    m = SparseBinMatrix(len(rows), n, rows)
+    bare = []
+
+    def strategy(state):
+        bare.append(max(state.rowcnt, default=0) == 0)
+        return min_row_pivot(state)
+
+    st = triangularize(m, BinVector(len(rows)), strategy)
+    assert (st.resolved, st.pivots) == full_scan_triangularize(m, "row") == expected
+    assert bare[-1]
+
+
 def test_peel_start_matches_loop():
     """The bincount start of the peel leaves exactly the state of the loop
     over the erased columns, before and after triangularization."""
@@ -555,15 +576,14 @@ def test_row_pivot_from_a_two_unknown_row_resolves_an_unknown():
 def test_row_pivot_takes_the_first_row_of_two_unknowns():
     """On every stall of the seeded systems, through the peel and through a
     fresh system, the row whose unknown ``min_row_pivot`` inactivates is the
-    lowest-index unanchored row holding exactly two unknowns, found by a
-    scan that counts each row's unknowns afresh; with no such row, the
-    lowest-index row of the fewest unknowns above two."""
+    lowest-index row holding exactly two unknowns, found by a scan that
+    counts each row's unknowns afresh; with no such row, the lowest-index
+    row of the fewest unknowns above two."""
     stalls = fallbacks = 0
 
     def strategy(state):
         nonlocal stalls, fallbacks
-        counts = [0 if state.anchored[r] else sum(state.unknown[u] for u in cs)
-                  for r, cs in enumerate(state.row_adj)]
+        counts = [sum(state.unknown[u] for u in cs) for cs in state.row_adj]
         assert counts == state.rowcnt
         fewest = min((cnt for cnt in counts if cnt > 1), default=None)
         p = min_row_pivot(state)
@@ -634,6 +654,7 @@ def test_ml_matches_oracle_on_random_codewords(case):
     w = ReceivedWord.from_full(flipped, erased_at(cw.n, erased))
     a, b = ml_decode(code, w), oracle_decode(code, w)
     assert a.status == b.status
+    assert a.rank == b.rank
     if a.ok:
         assert a.recovered == b.recovered == cw
     p = peel_decode(code, w)
